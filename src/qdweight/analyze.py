@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import Fel, FieldCtx
-from .linalg import Mat, fitting_power
+from .linalg import Echelon, Mat, fitting_power
 from .orbits import Subalgebra
 from .wmod import WeightModule, as_subalgebra, op_names_for
 
@@ -144,59 +144,16 @@ class Decomposition:
         return out
 
 
-# span bookkeeping
-
-
-class _Span:
-    """Subspace of a fixed coordinate space, kept in reduced echelon form."""
-
-    def __init__(self, ctx: FieldCtx, dim: int):
-        self.ctx = ctx
-        self.dim = dim
-        self.rows: List[Tuple[int, List[Fel]]] = []
-
-    def _reduce(self, vec: Sequence[Fel]) -> List[Fel]:
-        v = list(vec)
-        for piv, row in self.rows:
-            c = v[piv]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
-    def insert(self, vec: Sequence[Fel]) -> Optional[List[Fel]]:
-        """Add a vector; return its normalized new direction, or None."""
-        v = self._reduce(vec)
-        lead = next((i for i, c in enumerate(v) if c), None)
-        if lead is None:
-            return None
-        inv = v[lead].inverse()
-        v = [a * inv for a in v]
-        for i, (piv, row) in enumerate(self.rows):
-            c = row[lead]
-            if c:
-                self.rows[i] = (piv, [a - c * b for a, b in zip(row, v)])
-        self.rows.append((lead, v))
-        self.rows.sort(key=lambda pr: pr[0])
-        return v
-
-    def contains(self, vec: Sequence[Fel]) -> bool:
-        return all(not c for c in self._reduce(vec))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def basis_rows(self) -> List[List[Fel]]:
-        return [list(row) for _, row in self.rows]
+# closure
 
 
 def _apply(m: Mat, vec: Sequence[Fel]) -> List[Fel]:
     return [sum((m.data[i][j] * vec[j] for j in range(m.cols)), m.ctx.zero) for i in range(m.rows)]
 
 
-def _closure(V: WeightModule, names: Sequence[str], seeds: Sequence[Tuple[int, Sequence[Fel]]]) -> Dict[int, _Span]:
+def _closure(V: WeightModule, names: Sequence[str], seeds: Sequence[Tuple[int, Sequence[Fel]]]) -> Dict[int, Echelon]:
     """Smallest graded subspace containing the seeds and closed under ops."""
-    spans = {k: _Span(V.ctx, V.dim(k)) for k in V.offsets()}
+    spans = {k: Echelon() for k in V.offsets()}
     queue: List[Tuple[int, List[Fel]]] = []
     for k, vec in seeds:
         got = spans[k].insert(vec)
@@ -215,13 +172,13 @@ def _closure(V: WeightModule, names: Sequence[str], seeds: Sequence[Tuple[int, S
     return spans
 
 
-def _spans_to_json(V: WeightModule, spans: Dict[int, _Span]) -> List[dict]:
+def _spans_to_json(V: WeightModule, spans: Dict[int, Echelon]) -> List[dict]:
     show = V.ctx.show
     out = []
     for k in V.offsets():
         s = spans.get(k)
         if s is not None and s.rank:
-            out.append({"offset": k, "basis": [[show(c) for c in row] for row in s.basis_rows()]})
+            out.append({"offset": k, "basis": [[show(c) for c in row] for row in s.rows]})
     return out
 
 
@@ -275,6 +232,11 @@ def _unit_lines(ctx: FieldCtx, dim: int) -> Iterator[List[Fel]]:
             yield [ctx.zero] * lead + [ctx.one] + list(tail)
 
 
+def _unit_line_count(ctx: FieldCtx, dim: int) -> int:
+    """How many vectors _unit_lines(ctx, dim) yields."""
+    return (ctx.order**dim - 1) // (ctx.order - 1)
+
+
 def is_irreducible(V: WeightModule, algebra, budget: int = DEFAULT_LINE_BUDGET) -> Verdict:
     """Does every nonzero weight vector generate the whole module?
 
@@ -292,29 +254,33 @@ def is_irreducible(V: WeightModule, algebra, budget: int = DEFAULT_LINE_BUDGET) 
     if total == 0:
         return Verdict.no({"kind": "zero_module", "spaces": []})
 
-    lines: List[Tuple[int, List[Fel]]] = []
-    exhaustive = True
-    for k in V.offsets():
-        d = V.dim(k)
-        if d == 0:
-            continue
-        if d == 1:
-            lines.append((k, [V.ctx.one]))
-        elif V.ctx.is_finite:
-            lines.extend((k, v) for v in _unit_lines(V.ctx, d))
-        else:
-            # cannot enumerate lines over an infinite field; sample the
-            # basis directions and their pairwise sums (sound for NO only)
-            exhaustive = False
-            basis = [[V.ctx.one if i == j else V.ctx.zero for i in range(d)] for j in range(d)]
-            lines.extend((k, v) for v in basis)
-            for i in range(d):
-                for j in range(i + 1, d):
-                    lines.append((k, [a + b for a, b in zip(basis[i], basis[j])]))
-    if len(lines) > budget:
-        return Verdict.unknown(f"irreducibility needs {len(lines)} line checks, over the budget of {budget}")
+    # count the lines before making any: the budget must hold first
+    ctx = V.ctx
+    dims = [(k, V.dim(k)) for k in V.offsets() if V.dim(k)]
+    if ctx.is_finite:
+        count = sum(_unit_line_count(ctx, d) for _, d in dims)
+    else:
+        count = sum(d + d * (d - 1) // 2 for _, d in dims)
+    if count > budget:
+        return Verdict.unknown(f"irreducibility needs {count} line checks, over the budget of {budget}")
+    exhaustive = ctx.is_finite or all(d == 1 for _, d in dims)
 
-    for k, vec in lines:
+    def lines() -> Iterator[Tuple[int, List[Fel]]]:
+        for k, d in dims:
+            if d == 1:
+                yield k, [ctx.one]
+            elif ctx.is_finite:
+                yield from ((k, v) for v in _unit_lines(ctx, d))
+            else:
+                # cannot enumerate lines over an infinite field; sample the
+                # basis directions and their pairwise sums (sound for NO only)
+                basis = [[ctx.one if i == j else ctx.zero for i in range(d)] for j in range(d)]
+                yield from ((k, v) for v in basis)
+                for i in range(d):
+                    for j in range(i + 1, d):
+                        yield k, [a + b for a, b in zip(basis[i], basis[j])]
+
+    for k, vec in lines():
         spans = _closure(V, names, [(k, vec)])
         got = sum(s.rank for s in spans.values())
         if got < total:
@@ -479,10 +445,7 @@ def _coefficient_sweep(
                 yield [a + b for a, b in zip(basis[i], basis[j])]
                 yield [a - b for a, b in zip(basis[i], basis[j])]
 
-    line_count = None
-    if ctx.is_finite:
-        line_count = (ctx.order**dim - 1) // (ctx.order - 1) if ctx.order > 1 else 1
-    if line_count is not None and line_count <= EXHAUSTIVE_LINES:
+    if ctx.is_finite and _unit_line_count(ctx, dim) <= EXHAUSTIVE_LINES:
         return itertools.chain(quick(), _unit_lines(ctx, dim)), True
 
     def sampled() -> Iterator[List[Fel]]:

@@ -1,17 +1,26 @@
 """Extending a one-flavor weight module to the full operator algebra.
 
 A module carrying X and exactly one of Y, Y1 extends to the full algebra
-exactly when a linear system in the missing operator's entries is
-solvable: the upward product relation (through X), the downward product
+exactly when the missing operator's entries solve a set of linear
+equations: the upward product relation (through X), the downward product
 relation, and the mixed relation Y1(tau-1) = Y(sigma-1) pin every entry
 of the missing graded map against the known data.  The R-twisting laws
 hold automatically for any graded map, so they add no constraints.
 
+The equations follow the grading.  The missing operator is one block
+(a d_{k-1} x d_k matrix) per source offset k, and each constraint
+instance touches exactly one block: the upward relation at k touches
+block k+1, the downward and mixed relations at k touch block k.  So
+every block is solved on its own, by feeding its instances in assembly
+order into one incremental echelon form over [row | rhs]; an instance on
+a block without unknowns is the check 0 = rhs.
+
 The solution set is empty, a point, or an affine space, reported as
-IMPOSSIBLE (with the first violated constraint in offset-major order),
-UNIQUE, or FAMILY (with a representative, free coordinates set to zero,
-and a basis of the homogeneous solution space).  Representatives are
-re-verified against the full relation set before being returned.
+IMPOSSIBLE (with the first instance, in offset-major assembly order,
+after which the equations have no solution), UNIQUE, or FAMILY (with a
+representative, free coordinates set to zero, and a basis of the
+homogeneous solution space).  Representatives are re-verified against
+the full relation set before being returned.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import Fel, FieldCtx
-from .linalg import Mat
+from .linalg import Echelon, Mat
 from .verify import check_relations
 from .wmod import WeightModule
 
@@ -46,7 +55,6 @@ class ExtensionResult:
     representative: Optional[WeightModule] = None
     homogeneous_basis: List[Dict[int, Mat]] = field(default_factory=list)
     conflict: Optional[dict] = None
-    unconstrained_by_window: List[dict] = field(default_factory=list)
 
     def member(self, coefs: Sequence[Fel]) -> WeightModule:
         """The family member at representative + sum of coefs * basis."""
@@ -75,8 +83,6 @@ class ExtensionResult:
             ]
         if self.conflict is not None:
             out["conflict"] = self.conflict
-        if self.unconstrained_by_window:
-            out["unconstrained_by_window"] = self.unconstrained_by_window
         return out
 
 
@@ -96,8 +102,9 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
 
     The present flavor's relations must already pass.  Every entry of the
     missing operator (graded maps one step down, wrapping on circular
-    orbits, omitted at window edges) becomes an unknown of one exact
-    linear system; the solution set classifies the extension.
+    orbits, omitted at window edges) becomes an unknown; each relation
+    instance constrains the block of one source offset, the blocks are
+    solved apart, and the solution set classifies the extension.
     """
     missing = _missing_operator(V)
     known = "Y1" if missing == "Y" else "Y"
@@ -129,93 +136,73 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
         mix_unknown, mix_known = (lambda k: tau(k) - one), (lambda k: sigma(k) - one)
     mix_id = "Y1(tau-1)=Y(sigma-1)"
 
-    # unknown layout: entries of the missing operator, offset-major
+    # unknowns: entries of the missing operator, one block per source
+    # offset, row-major within a block and offset-major across blocks
     sources = V.op_sources(missing)
-    index: Dict[Tuple[int, int, int], int] = {}
-    for k in sources:
-        t = V.op_target(missing, k)
-        for i in range(V.dim(t)):
-            for j in range(V.dim(k)):
-                index[(k, i, j)] = len(index)
-    n = len(index)
+    block = {k: b for b, k in enumerate(sources)}
+    widths = [V.dim(V.op_target(missing, k)) * V.dim(k) for k in sources]
 
     lo, hi = (None, None) if V.circular else V.window
-    instances: List[Tuple[str, int, List[List[Fel]], List[Fel]]] = []
-
-    def zero_row() -> List[Fel]:
-        return [ctx.zero] * n
+    instances: List[Tuple[str, int, int, List[List[Fel]], List[Fel]]] = []
 
     for k in V.offsets():
         dk = V.dim(k)
+        if not dk:
+            continue
         # upward product: T'_{k+1} X_k = c(k) I on V_k
         if V.circular or k != hi:
             u = V.op_target("X", k)
-            if dk:
-                x = V.op("X", k)
-                c = up_scalar(k)
-                rows, rhs = [], []
-                for i in range(dk):
-                    for j in range(dk):
-                        row = zero_row()
-                        for l in range(V.dim(u)):
-                            row[index[(u, i, l)]] += x.data[l][j]
-                        rows.append(row)
-                        rhs.append(c if i == j else ctx.zero)
-                instances.append((up_id, k, rows, rhs))
+            du = V.dim(u)
+            x = V.op("X", k)
+            c = up_scalar(k)
+            rows, rhs = [], []
+            for i in range(dk):
+                for j in range(dk):
+                    row = [ctx.zero] * (dk * du)
+                    for l in range(du):
+                        row[i * du + l] = x.data[l][j]
+                    rows.append(row)
+                    rhs.append(c if i == j else ctx.zero)
+            instances.append((up_id, k, block[u], rows, rhs))
         # downward product: X_{k-1} T'_k = c(k) I on V_k
         if V.circular or k != lo:
             d = V.op_target(missing, k)
-            if dk:
-                x = V.op("X", d)
-                c = down_scalar(k)
-                rows, rhs = [], []
-                for i in range(dk):
-                    for j in range(dk):
-                        row = zero_row()
-                        for l in range(V.dim(d)):
-                            row[index[(k, l, j)]] += x.data[i][l]
-                        rows.append(row)
-                        rhs.append(c if i == j else ctx.zero)
-                instances.append((down_id, k, rows, rhs))
+            dd = V.dim(d)
+            x = V.op("X", d)
+            c = down_scalar(k)
+            rows, rhs = [], []
+            for i in range(dk):
+                for j in range(dk):
+                    row = [ctx.zero] * (dd * dk)
+                    for l in range(dd):
+                        row[l * dk + j] = x.data[i][l]
+                    rows.append(row)
+                    rhs.append(c if i == j else ctx.zero)
+            instances.append((down_id, k, block[k], rows, rhs))
             # mixed relation, with the known operator substituted
-            if dk and V.dim(d):
+            if dd:
                 g = V.op(known, k)
                 s, u_ = mix_unknown(k), mix_known(k)
                 rows, rhs = [], []
-                for i in range(V.dim(d)):
+                for i in range(dd):
                     for j in range(dk):
-                        row = zero_row()
-                        row[index[(k, i, j)]] += s
+                        row = [ctx.zero] * (dd * dk)
+                        row[i * dk + j] = s
                         rows.append(row)
                         rhs.append(u_ * g.data[i][j])
-                instances.append((mix_id, k, rows, rhs))
+                instances.append((mix_id, k, block[k], rows, rhs))
 
-    all_rows = [row for _, _, rows, _ in instances for row in rows]
-    all_rhs = [b for _, _, _, rhs in instances for b in rhs]
+    conflict, particular, kernel = solve_blocks(ctx, widths, [inst[2:] for inst in instances])
+    if conflict is not None:
+        return ExtensionResult(IMPOSSIBLE, missing, conflict=_conflict_json(ctx, instances[conflict]))
 
-    if all_rows and n:
-        system = Mat(ctx, all_rows, cols=n)
-        target = Mat.column(ctx, all_rhs)
-        particular = system.solve(target)
-        if particular is None:
-            return ExtensionResult(IMPOSSIBLE, missing, conflict=_first_conflict(ctx, instances, n))
-        kernel = system.nullspace()
-    elif all_rows:
-        # constraints but no unknowns: pure consistency conditions
-        if any(all_rhs):
-            return ExtensionResult(IMPOSSIBLE, missing, conflict=_first_conflict(ctx, instances, n))
-        particular, kernel = Mat.zeros(ctx, 0, 1), []
-    else:
-        particular = Mat.zeros(ctx, n, 1)
-        kernel = [Mat.column(ctx, [one if i == j else ctx.zero for i in range(n)]) for j in range(n)]
-
-    def as_maps(vec: Mat) -> Dict[int, Mat]:
-        maps = {}
-        for k in sources:
-            t = V.op_target(missing, k)
-            dt, dk = V.dim(t), V.dim(k)
-            if dt and dk:
-                maps[k] = Mat(ctx, [[vec.data[index[(k, i, j)]][0] for j in range(dk)] for i in range(dt)])
+    def as_maps(vec: List[Fel]) -> Dict[int, Mat]:
+        maps, base = {}, 0
+        for k, w in zip(sources, widths):
+            dk = V.dim(k)
+            if w:
+                maps[k] = Mat(ctx, [vec[base + i * dk : base + (i + 1) * dk] for i in range(w // dk)])
+            base += w
         return maps
 
     ops = dict(V.ops)
@@ -228,36 +215,52 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
     basis = [as_maps(vec) for vec in kernel]
     if not basis:
         return ExtensionResult(UNIQUE, missing, representative=module)
-    return ExtensionResult(
-        FAMILY,
-        missing,
-        k=len(basis),
-        representative=module,
-        homogeneous_basis=basis,
-        unconstrained_by_window=_window_orphans(V, missing, index, all_rows),
-    )
+    return ExtensionResult(FAMILY, missing, k=len(basis), representative=module, homogeneous_basis=basis)
 
 
-def _first_conflict(ctx: FieldCtx, instances, n: int) -> dict:
-    """The first instance, in assembly order, that makes the system unsolvable."""
+def solve_blocks(
+    ctx: FieldCtx, widths: Sequence[int], instances: Sequence[Tuple[int, Sequence[Sequence[Fel]], Sequence[Fel]]]
+) -> Tuple[Optional[int], Optional[List[Fel]], Optional[List[List[Fel]]]]:
+    """Solve a block-diagonal linear system given as a list of instances.
 
-    def solvable(count: int) -> bool:
-        rows = [row for _, _, rs, _ in instances[:count] for row in rs]
-        rhs = [b for _, _, _, bs in instances[:count] for b in bs]
-        if not rows:
-            return True
-        if n == 0:
-            return not any(rhs)
-        return Mat(ctx, rows, cols=n).solve(Mat.column(ctx, rhs)) is not None
+    Block b has widths[b] unknowns, laid out block-major.  An instance
+    (b, rows, rhs) is a group of equations row . x_b = rhs on block b
+    alone, each row widths[b] long.  Returns (conflict, None, None) when
+    there is no solution, conflict being the index of the first instance
+    after which the instances so far have none; otherwise (None,
+    particular, kernel): the solution with free unknowns zero and a basis
+    of the homogeneous solutions, one per free unknown in order, exactly
+    as the reduced echelon form of the whole system gives them.
+    """
+    echelons = [Echelon() for _ in widths]
+    for n, (b, rows, rhs) in enumerate(instances):
+        ech, w = echelons[b], widths[b]
+        for row, c in zip(rows, rhs):
+            ech.insert(list(row) + [c])
+        if ech.pivots and ech.pivots[-1] == w:
+            return n, None, None  # a pivot reached the rhs column: 0 = 1
+    particular: List[Fel] = []
+    kernel: List[List[Fel]] = []
+    total = sum(widths)
+    base = 0
+    for ech, w in zip(echelons, widths):
+        value = dict(zip(ech.pivots, (row[w] for row in ech.rows)))
+        particular.extend(value.get(j, ctx.zero) for j in range(w))
+        for f in range(w):
+            if f in value:
+                continue
+            vec = [ctx.zero] * total
+            vec[base + f] = ctx.one
+            for p, row in zip(ech.pivots, ech.rows):
+                vec[base + p] = -row[f]
+            kernel.append(vec)
+        base += w
+    return None, particular, kernel
 
-    low, high = 1, len(instances)
-    while low < high:
-        mid = (low + high) // 2
-        if solvable(mid):
-            low = mid + 1
-        else:
-            high = mid
-    rel_id, offset, rows, rhs = instances[low - 1]
+
+def _conflict_json(ctx: FieldCtx, instance) -> dict:
+    """Name an instance that makes the system unsolvable; show 0 = b if it holds one."""
+    rel_id, offset, _, rows, rhs = instance
     conflict = {"relation": rel_id, "offset": offset}
     for row, b in zip(rows, rhs):
         if b and not any(row):
@@ -265,24 +268,3 @@ def _first_conflict(ctx: FieldCtx, instances, n: int) -> dict:
             conflict["equation"] = {"lhs": ctx.show(ctx.zero), "rhs": ctx.show(b)}
             break
     return conflict
-
-
-def _window_orphans(V: WeightModule, missing: str, index, all_rows) -> List[dict]:
-    """Unknowns free only because the window suppressed their constraints.
-
-    With the missing operator omitted at window edges, every stored
-    unknown keeps its downward and mixed instances, so this list stays
-    empty for any valid input; it exists to keep the bookkeeping honest.
-    """
-    if V.circular:
-        return []
-    lo, hi = V.window
-    orphans = []
-    for (k, i, j), col in index.items():
-        if any(row[col] for row in all_rows):
-            continue
-        up_cut = (k - 1) == hi
-        down_cut = k == lo
-        if up_cut or down_cut:
-            orphans.append({"offset": k, "row": i, "col": j})
-    return orphans

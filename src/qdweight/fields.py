@@ -255,7 +255,8 @@ class Fel:
         return not self.field.is_zero(self)
 
     def __hash__(self) -> int:
-        return hash((id(self.field), self.val))
+        # by value, as __eq__ compares: equal-spec contexts built apart agree
+        return hash((self.field, self.val))
 
     def __str__(self) -> str:
         return self.field.show(self)

@@ -1,16 +1,60 @@
 """Dense exact linear algebra over a field context.
 
 Everything downstream (relation checking, endomorphism solving, idempotent
-splitting, intertwiner search) reduces to small dense systems, so this stays
-deliberately simple: Gauss-Jordan with exact arithmetic, no pivot strategy
-beyond first-nonzero.
+splitting, intertwiner search, closure spinning, extension solving) reduces
+to small dense systems, so this stays deliberately simple: one incremental
+reduced-echelon kernel, `Echelon`, with exact arithmetic and the leading
+nonzero entry of each new row as its pivot.  `Mat.rref`, and through it
+rank, nullspace, column space and solve, feed their rows into it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from typing import List, Optional, Sequence, Tuple
 
 from .fields import Fel, FieldCtx
+
+
+class Echelon:
+    """Span of equal-length vectors, kept in reduced row echelon form.
+
+    rows[i] has its leading 1 in column pivots[i]; pivots ascend, and every
+    pivot column is zero in the other rows.  Reduced echelon form is unique,
+    so the rows depend only on the span of what was inserted.
+    """
+
+    __slots__ = ("pivots", "rows")
+
+    def __init__(self):
+        self.pivots: List[int] = []
+        self.rows: List[List[Fel]] = []
+
+    def insert(self, vec: Sequence[Fel]) -> Optional[List[Fel]]:
+        """Add a vector; return its normalized new row, or None if already spanned."""
+        # a row is zero left of its pivot, so each update starts there
+        v = list(vec)
+        for piv, row in zip(self.pivots, self.rows):
+            c = v[piv]
+            if c:
+                v[piv:] = [a - c * b if b else a for a, b in zip(v[piv:], row[piv:])]
+        lead = next((i for i, c in enumerate(v) if c), None)
+        if lead is None:
+            return None
+        inv = v[lead].inverse()
+        v[lead:] = [a * inv for a in v[lead:]]
+        for i, row in enumerate(self.rows):
+            c = row[lead]
+            if c:
+                self.rows[i] = row[:lead] + [a - c * b if b else a for a, b in zip(row[lead:], v[lead:])]
+        at = bisect(self.pivots, lead)
+        self.pivots.insert(at, lead)
+        self.rows.insert(at, v)
+        return v
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
 
 class Mat:
@@ -143,31 +187,11 @@ class Mat:
 
     def rref(self) -> Tuple["Mat", List[int]]:
         """Reduced row echelon form and the pivot column indices."""
-        m = self.copy()
-        pivots: List[int] = []
-        r = 0
-        for c in range(m.cols):
-            pivot_row = None
-            for i in range(r, m.rows):
-                if m.data[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m.data[r], m.data[pivot_row] = m.data[pivot_row], m.data[r]
-            inv = m.data[r][c].inverse()
-            m.data[r] = [v * inv for v in m.data[r]]
-            for i in range(m.rows):
-                if i != r and m.data[i][c]:
-                    factor = m.data[i][c]
-                    m.data[i] = [
-                        m.data[i][j] - factor * m.data[r][j] for j in range(m.cols)
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == m.rows:
-                break
-        return m, pivots
+        ech = Echelon()
+        for row in self.data:
+            ech.insert(row)
+        zeros = [[self.ctx.zero] * self.cols for _ in range(self.rows - ech.rank)]
+        return Mat(self.ctx, ech.rows + zeros, cols=self.cols), list(ech.pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])

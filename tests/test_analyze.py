@@ -241,6 +241,23 @@ def test_irreducible_budget_exhausted_unknown():
     assert "budget" in verdict.reason
 
 
+def test_irreducible_budget_checked_before_enumerating(monkeypatch):
+    # the line count is closed-form, so an over-budget input never builds a line
+    import qdweight.analyze as analyze
+
+    def refuse(ctx, dim):
+        raise AssertionError("lines enumerated past the budget")
+
+    monkeypatch.setattr(analyze, "_unit_lines", refuse)
+    verdict = is_irreducible(CHAIN_A6, "D", budget=10)
+    assert verdict.kind == "UNKNOWN"
+    assert verdict.reason == "irreducibility needs 4920 line checks, over the budget of 10"
+    A6 = fam("CHAIN_ALT", {"m": 6, "a": ["1"] * 6}, F9)
+    verdict = is_irreducible(A6, "D")
+    assert verdict.kind == "UNKNOWN"
+    assert verdict.reason == "irreducibility needs 398580 line checks, over the budget of 20000"
+
+
 def test_irreducible_missing_op_rejected():
     V = restrict(TWISTED, "AQ")
     with pytest.raises(ValueError, match="no operator"):

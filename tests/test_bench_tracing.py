@@ -1,0 +1,60 @@
+"""Smoke test of the benchmark's per-layer tracer against the library.
+
+``bench/tracing.py`` patches library functions by name (``Mat.rref``,
+``Mat.solve``, ``Mat.__mul__``, ``Mat.pow``, ``analyze.fitting_power``,
+``extend.extend_to_D`` and more).  A rename in the library would break the
+traced benchmark silently, so install the tracer, run one extension and one
+endomorphism solve through it, and uninstall it again.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import qdweight.cli  # noqa: F401  (the tracer patches every qdweight module)
+from qdweight import analyze, extend
+from qdweight.basering import WeightPoint
+from qdweight.families import construct_family
+from qdweight.fields import FieldSpec, make_field
+from qdweight.linalg import Mat
+from qdweight.wmod import circ_no_break, construct_gwa
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def tracing():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import tracing
+
+        yield tracing
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_tracer_installs_runs_and_uninstalls(tracing):
+    F9 = make_field(FieldSpec(kind="EXT_FIELD", p=3, f=[1, 0, 1], q="2"))
+    V = construct_gwa("AQ", circ_no_break("2"), WeightPoint(F9.parse("[0,1]"), F9.parse("[0,1]")), None, F9)
+    W = construct_family({"name": "CHAIN_ALT", "params": {"m": 2, "a": ["1", "1"]}}, F9)
+    originals = (Mat.__dict__["rref"], Mat.__dict__["solve"], extend.extend_to_D, analyze.endomorphisms)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert extend.extend_to_D is not originals[2]
+        ext = extend.extend_to_D(V)
+        end = analyze.endomorphisms(W, "D")
+    finally:
+        tracer.uninstall()
+
+    assert (Mat.__dict__["rref"], Mat.__dict__["solve"], extend.extend_to_D, analyze.endomorphisms) == originals
+    assert ext.kind == "UNIQUE"
+    metrics = tracer.metrics()
+    assert tuple(metrics) == tracing.METRICS
+    assert metrics["extend.calls"] == 1
+    assert metrics["analyze.end_dim"] == end.dim >= 1
+    assert metrics["linalg.rref_calls"] >= 1
+    assert metrics["verify.instances"] > 0
+    assert metrics["fields.ops"] > 0

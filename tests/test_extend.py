@@ -1,11 +1,17 @@
 """Tests for extending one-flavor modules to the full operator algebra."""
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdweight.basering import WeightPoint
-from qdweight.extend import FAMILY, IMPOSSIBLE, UNIQUE, ExtensionResult, extend_to_D
+from qdweight.analyze import direct_sum
+from qdweight.cli import canonical_json
+from qdweight.extend import FAMILY, IMPOSSIBLE, UNIQUE, ExtensionResult, extend_to_D, solve_blocks
 from qdweight.families import construct_family
 from qdweight.fields import FieldSpec, make_field
 from qdweight.linalg import Mat
@@ -291,3 +297,115 @@ def test_family_dimension_survives_basis_rescaling(scales):
     assert res.kind == FAMILY
     assert res.k == 1
     assert_sound(V.with_ops(ops), res)
+
+
+# the per-block solve against the whole system
+
+
+def prefix_oracle(ctx, widths, instances):
+    """Index of the first instance whose prefix the whole system's solve rejects."""
+    n = sum(widths)
+    base = [sum(widths[:b]) for b in range(len(widths))]
+    rows, rhs = [], []
+    for index, (b, block_rows, block_rhs) in enumerate(instances):
+        for row, c in zip(block_rows, block_rhs):
+            full = [ctx.zero] * n
+            full[base[b] : base[b] + widths[b]] = row
+            rows.append(full)
+            rhs.append(c)
+        if n == 0:
+            rejected = any(rhs)
+        else:
+            rejected = Mat(ctx, rows, cols=n).solve(Mat.column(ctx, rhs)) is None
+        if rejected:
+            return index
+    return None
+
+
+def global_solution(ctx, widths, instances):
+    """Particular solution and kernel basis of the whole system, as flat lists."""
+    n = sum(widths)
+    base = [sum(widths[:b]) for b in range(len(widths))]
+    rows, rhs = [], []
+    for b, block_rows, block_rhs in instances:
+        for row, c in zip(block_rows, block_rhs):
+            full = [ctx.zero] * n
+            full[base[b] : base[b] + widths[b]] = row
+            rows.append(full)
+            rhs.append(c)
+    if not rows:
+        return [ctx.zero] * n, [[ctx.one if i == j else ctx.zero for i in range(n)] for j in range(n)]
+    if n == 0:
+        return [], []
+    system = Mat(ctx, rows, cols=n)
+    particular = system.solve(Mat.column(ctx, rhs))
+    return particular.col(0), [v.col(0) for v in system.nullspace()]
+
+
+def random_instances(ctx, rng, widths, count):
+    elements = list(ctx.all_elements())
+    out = []
+    for _ in range(count):
+        b = rng.randrange(len(widths))
+        nrows = rng.randint(1, 3)
+        rows = [
+            [rng.choice(elements) if rng.random() < 0.4 else ctx.zero for _ in range(widths[b])]
+            for _ in range(nrows)
+        ]
+        rhs = [rng.choice(elements) if rng.random() < 0.3 else ctx.zero for _ in range(nrows)]
+        out.append((b, rows, rhs))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_solve_blocks_matches_whole_system(seed):
+    rng = random.Random(seed)
+    ctx = (F3, F9)[seed % 2]
+    widths = [rng.choice([0, 1, 2, 3, 4]) for _ in range(rng.randint(1, 4))]
+    instances = random_instances(ctx, rng, widths, rng.randint(0, 8))
+    conflict, particular, kernel = solve_blocks(ctx, widths, instances)
+    assert conflict == prefix_oracle(ctx, widths, instances)
+    if conflict is None:
+        assert (particular, kernel) == global_solution(ctx, widths, instances)
+
+
+def test_solve_blocks_reports_the_earliest_conflict_even_in_a_higher_block():
+    one, two = F3.one, F3.from_int(2)
+    instances = [
+        (1, [[one]], [one]),  # block 1: x1 = 1
+        (1, [[one]], [two]),  # block 1: x1 = 2, inconsistent here
+        (0, [[one]], [one]),  # block 0: x0 = 1
+        (0, [[two]], [one]),  # block 0: 2 x0 = 1, inconsistent later
+    ]
+    assert solve_blocks(F3, [1, 1], instances) == (1, None, None)
+    assert prefix_oracle(F3, [1, 1], instances) == 1
+    # without the block-1 clash, the block-0 one is the first
+    assert solve_blocks(F3, [1, 1], instances[:1] + instances[2:])[0] == 2
+
+
+def test_solve_blocks_zero_width_block_checks_its_rhs():
+    one, zero = F3.one, F3.zero
+    fine = (0, [[one, zero]], [one])
+    assert solve_blocks(F3, [2, 0], [fine, (1, [[]], [zero])]) == (None, [one, zero], [[zero, one]])
+    assert solve_blocks(F3, [2, 0], [fine, (1, [[]], [one])]) == (1, None, None)
+    assert prefix_oracle(F3, [2, 0], [fine, (1, [[]], [one])]) == 1
+
+
+# canonical JSON of the whole-system solve, which the per-block one reproduces
+
+PINNED = json.loads((Path(__file__).parent / "extend_pinned.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("impossible_aq_x2", lambda: direct_sum(aq_break_module(QQ, 1), aq_break_module(QQ, 1))),
+        ("family_aq_x2", lambda: direct_sum(aq_break_module(QQ, 0), aq_break_module(QQ, 0))),
+        (
+            "unique_f9_circular_aq",
+            lambda: construct_gwa("AQ", circ_no_break("2"), wp(F9, "[0,1]", "[0,1]"), None, F9),
+        ),
+    ],
+)
+def test_extend_json_is_pinned(name, build):
+    assert canonical_json(extend_to_D(build()).to_json()) == PINNED[name]

@@ -211,3 +211,13 @@ def test_hashable_and_dict_keys():
     ctx = make_field(F9_Q2)
     seen = {x: str(x) for x in ctx.all_elements()}
     assert len(seen) == 9
+
+
+@pytest.mark.parametrize("spec", all_specs(), ids=lambda s: f"{s.kind}-{s.n or s.p or ''}")
+def test_equal_elements_from_separate_contexts_hash_equal(spec):
+    left, right = make_field(spec), make_field(spec)
+    assert left is not right
+    for a, b in [(left.zero, right.zero), (left.one, right.one), (left.q, right.q), (left.q + 3, right.q + 3)]:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
