@@ -1,12 +1,15 @@
 """Family catalog tests: frozen oracle values, side conditions, relations."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdweight.basering import WeightPoint
+from qdweight.cli import build_scenario_module, canonical_json, grid_scenarios
 from qdweight.families import FAMILY_NAMES, FamilyId, construct_family, list_families
 from qdweight.fields import FieldSpec, make_field
 from qdweight.verify import check_relations
@@ -556,3 +559,36 @@ def test_catalog_shape():
     by_name = {e["name"]: e for e in cat}
     assert by_name["VQ_B_A"]["params"] == ["b", "a"]
     assert "q-power" in by_name["VQ_B_A"]["side_conditions"][0]
+
+
+# pinned output: module JSON of every grid scenario and of off-grid inputs,
+# the catalog, and the exact error text of one failing input per guard
+# (inputs tripping two guards pin the order of the checks); recorded from
+# the one-builder-per-family implementation the family table replaced
+
+PINNED = json.loads((Path(__file__).parent / "families_pinned.json").read_text())
+
+
+def test_catalog_is_pinned():
+    assert list_families() == PINNED["list_families"]
+
+
+def test_grid_modules_are_pinned():
+    rows = grid_scenarios()
+    assert len(rows) == len(PINNED["grid"])
+    for sc, raw in zip(rows, PINNED["grid"]):
+        assert canonical_json(build_scenario_module(sc).to_json()) == canonical_json(raw)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED["cases"]))
+def test_family_case_is_pinned(name):
+    case = PINNED["cases"][name]
+    ctx = make_field(FieldSpec.from_json(case["field"]))
+    window = tuple(case["window"]) if case["window"] is not None else None
+    if "error" in case:
+        with pytest.raises(ValueError) as exc:
+            construct_family(case["family"], ctx, window=window)
+        assert str(exc.value) == case["error"]
+    else:
+        V = construct_family(case["family"], ctx, window=window)
+        assert canonical_json(V.to_json()) == canonical_json(case["module"])
