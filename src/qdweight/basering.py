@@ -94,10 +94,6 @@ class LaurentPoly:
 # named ring elements
 
 
-def lp_const(ctx: FieldCtx, c: Fel) -> LaurentPoly:
-    return LaurentPoly(ctx, {(0, 0): c})
-
-
 def lp_tau(ctx: FieldCtx) -> LaurentPoly:
     return LaurentPoly(ctx, {(1, 0): ctx.one})
 
@@ -109,14 +105,6 @@ def lp_sigma(ctx: FieldCtx, j: int = 1) -> LaurentPoly:
 def lp_qsigma_minus_1(ctx: FieldCtx) -> LaurentPoly:
     """q*sigma - 1, the t-element of the A_q flavor."""
     return LaurentPoly(ctx, {(0, 1): ctx.q, (0, 0): -ctx.one})
-
-
-def lp_tau_minus_1(ctx: FieldCtx) -> LaurentPoly:
-    return LaurentPoly(ctx, {(1, 0): ctx.one, (0, 0): -ctx.one})
-
-
-def lp_sigma_minus_1(ctx: FieldCtx) -> LaurentPoly:
-    return LaurentPoly(ctx, {(0, 1): ctx.one, (0, 0): -ctx.one})
 
 
 # operations

@@ -48,9 +48,7 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "schema": {"const": SCHEMA_VERSION},
-        "action": {
-            "enum": ["construct", "verify", "analyze", "extend", "iso", "realize", "suite"]
-        },
+        "action": {"const": "construct"},
         "field": {
             "type": "object",
             "required": ["kind"],
@@ -87,30 +85,6 @@ SCENARIO_SCHEMA = {
             "minItems": 2,
             "maxItems": 2,
         },
-        "algebra": {"enum": ["D", "AQ", "A1"]},
-        "checks": {
-            "type": "array",
-            "items": {
-                "enum": [
-                    "dims",
-                    "equidim",
-                    "irreducible",
-                    "indecomposable",
-                    "decompose",
-                    "end",
-                ]
-            },
-        },
-        "seed": {"type": "integer"},
-        "budgets": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lines": {"type": "integer", "minimum": 1},
-                "trials": {"type": "integer", "minimum": 1},
-            },
-        },
-        "N": {"type": "integer", "minimum": 2},
     },
 }
 
@@ -228,8 +202,6 @@ def emit(report: dict, pretty: bool, diagram: Optional[str] = None) -> None:
 
 def cmd_construct(args) -> int:
     sc = load_scenario(args.scenario)
-    if sc["action"] != "construct":
-        raise CliError(f"scenario action is {sc['action']!r}, expected 'construct'")
     V = build_scenario_module(sc)
     raw = V.to_json()
     if args.out:

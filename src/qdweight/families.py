@@ -1,46 +1,31 @@
 """Catalog of named weight-module families over D.
 
-Each family is a closed-form construction: a name, a parameter schema, and
-per-offset operator coefficients.  Constructors validate their side
-conditions up front and evaluate coefficient formulas lazily, so a bad
-denominator reports the offending offset.  They do not re-check the
-defining relations; that is check_relations' job, and some entries fail it
-on purpose: the half-infinite ray families carry a junction parameter whose
-general position breaks one relation instance (the catalog notes the safe
-locus), and REMARK_136 is a frozen fixture that violates Y1X = q*sigma - 1
-at its top step by construction.
+Every family is one row of the table ``_FAMILIES``: its name, parameter
+names, catalog text and how to build it.  The windowed line families and the
+twisted circular families are pure data (a ``Line``) read by one
+interpreter, ``_line_module``; the chain, two-row and fixture families keep
+builder functions.  Constructors validate their side conditions up front and
+evaluate coefficient formulas lazily, so a bad denominator reports the
+offending offset.  They do not re-check the defining relations; that is
+check_relations' job, and some entries fail it on purpose: the
+half-infinite ray families carry a junction parameter whose general
+position breaks one relation instance (the catalog notes the safe locus),
+and REMARK_136 is a frozen fixture that violates Y1X = q*sigma - 1 at its
+top step by construction.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from math import inf
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .basering import WeightPoint
 from .fields import Fel, FieldCtx
 from .linalg import Mat
 from .orbits import Orbit, Subalgebra, breaks, compute_orbit
 from .wmod import OP_STEP, WeightModule
-
-FAMILY_NAMES = (
-    "VQ_B_A",
-    "VQ_JJ_1",
-    "VQ_JJ_CD",
-    "VQ_JJ_3",
-    "VQ_JJ_4",
-    "VQ_F_B_A",
-    "V1_A_B",
-    "V1_JJ_1",
-    "V1_JJ_CD",
-    "V1_JJ_3",
-    "V1_JJ_4",
-    "V1_F_A_B",
-    "CHAIN_CYCLE",
-    "CHAIN_ALT",
-    "VCD_TWOROW",
-    "REMARK_136",
-)
-
 
 def _norm_param(value):
     if isinstance(value, bool):
@@ -174,16 +159,6 @@ def _is_int_scalar(ctx: FieldCtx, a: Fel) -> bool:
     return len(num) <= 1 and len(den) == 1 and (not num or (num[0] / den[0]).denominator == 1)
 
 
-def _need_infinite_q(ctx: FieldCtx, name: str) -> None:
-    if ctx.q_order() is not None:
-        raise ValueError(f"{name} needs q of infinite multiplicative order")
-
-
-def _need_char0(ctx: FieldCtx, name: str) -> None:
-    if ctx.characteristic:
-        raise ValueError(f"{name} needs a field of characteristic 0")
-
-
 def _take_window(orbit: Orbit, window, name: str) -> Tuple[int, int]:
     if orbit.circular:
         raise ValueError(f"{name} needs an infinite weight orbit, but this one is circular")
@@ -204,297 +179,127 @@ def _no_window(orbit: Orbit, window, name: str) -> None:
         raise ValueError(f"{name} is circular and takes no window")
 
 
-def _line_module(
-    ctx: FieldCtx,
-    orbit: Orbit,
-    window: Optional[Tuple[int, int]],
-    support: Callable[[int], bool],
-    coefs: Dict[str, Callable[[int], Fel]],
-) -> WeightModule:
-    """A module with one-dimensional weight spaces v_k on the supported offsets.
+# ---------------------------------------------------------------------------
+# line families: one-dimensional weight spaces along one orbit
 
-    Coefficient functions are evaluated lazily and only where both endpoint
-    spaces are supported, so a formula's division by zero names its offset.
+# A guard is a test that rejects the field or the parameter values, and what
+# the family needs instead; the error reads "<family> <needs ...>".
+Guard = Tuple[Callable[[FieldCtx, Dict[str, Fel]], bool], str]
+
+_INFINITE_Q: Guard = (
+    lambda ctx, v: ctx.q_order() is not None,
+    "needs q of infinite multiplicative order",
+)
+_CHAR_0: Guard = (lambda ctx, v: ctx.characteristic != 0, "needs a field of characteristic 0")
+_F_NONZERO: Guard = (lambda ctx, v: not v["f"], "needs f nonzero")
+
+
+def _check(name: str, guard: Guard, ctx: FieldCtx, values: Dict[str, Fel]) -> None:
+    rejects, need = guard
+    if rejects(ctx, values):
+        raise ValueError(f"{name} {need}")
+
+
+# The generic coefficients of each flavour at the point p = (tau, sigma) of
+# offset k, as (numerator, denominator), None meaning no denominator:
+#   AQ: X = q sigma - 1,  Y = (tau - 1)/(sigma - 1),  Y1 = 1
+#   A1: X = tau,          Y = 1,                      Y1 = (sigma - 1)/(tau - 1)
+_GENERIC = {
+    Subalgebra.AQ: {
+        "X": (lambda ctx, p: ctx.q * p.b - 1, None),
+        "Y": (lambda ctx, p: p.a - 1, lambda ctx, p: p.b - 1),
+        "Y1": (lambda ctx, p: ctx.one, None),
+    },
+    Subalgebra.A1: {
+        "X": (lambda ctx, p: p.a, None),
+        "Y": (lambda ctx, p: ctx.one, None),
+        "Y1": (lambda ctx, p: p.b - 1, lambda ctx, p: p.a - 1),
+    },
+}
+
+# the coordinate whose breaks a twisted circular family must avoid
+_SIDE = {Subalgebra.AQ: "sigma", Subalgebra.A1: "tau"}
+
+# an override keeping the generic numerator where the denominator vanishes
+_NUMERATOR = object()
+
+
+@dataclass(frozen=True)
+class Line:
+    """A family with one-dimensional weight spaces v_k along one orbit.
+
+    The base point is (tau, sigma * q^shift), where tau and sigma name
+    parameters and None stands for 0 and 1 respectively.  The support is
+    the offsets k with lo <= k <= hi.  Coefficients are the flavour's
+    generic ones, except that ``at[k][op]`` sets op at offset k to an int
+    constant, a parameter (by name) or _NUMERATOR.  In a circular family
+    the parameter named ``wrap`` twists the step across the wrap: X there
+    is multiplied by f, Y and Y1 there are divided by f.
     """
-    if orbit.circular:
-        offsets = list(range(orbit.length))
+
+    flavour: Subalgebra
+    guard: Guard
+    tau: Optional[str] = None
+    sigma: Optional[str] = None
+    shift: int = 0
+    support: Tuple[float, float] = (-inf, inf)
+    at: Dict[int, Dict[str, object]] = field(default_factory=dict)
+    wrap: Optional[str] = None
+
+
+def _line_module(fam: "Family", ctx: FieldCtx, window, raw: list) -> WeightModule:
+    """Interpret a Line row: check it, then fill in its coefficients.
+
+    Coefficients are evaluated lazily and only where both endpoint spaces
+    are supported, so a formula's division by zero names its offset.
+    """
+    line = fam.build
+    values = {k: _fel(ctx, x) for k, x in zip(fam.params, raw)}
+    _check(fam.name, line.guard, ctx, values)
+    tau = values[line.tau] if line.tau else ctx.zero
+    sigma = (values[line.sigma] if line.sigma else ctx.one) * ctx.q ** line.shift
+    orbit = compute_orbit(WeightPoint(tau, sigma), ctx)
+    if fam.kind == "circular":
+        _no_window(orbit, window, fam.name)
+        if breaks(orbit, line.flavour):
+            raise ValueError(f"{fam.name} needs an orbit with no {_SIDE[line.flavour]}-side breaks")
+        offsets = range(orbit.length)
     else:
-        offsets = list(range(window[0], window[1] + 1))
-    labels = {k: (f"v{k}",) for k in offsets if support(k)}
+        window = _take_window(orbit, window, fam.name)
+        offsets = range(window[0], window[1] + 1)
+    lo, hi = line.support
+    points = {k: orbit.point(k) for k in offsets if lo <= k <= hi}
+    named = {0: ctx.zero, 1: ctx.one, **values}
     ops: Dict[str, Dict[int, Mat]] = {}
-    for name, fun in coefs.items():
+    for name, (num, den) in _GENERIC[line.flavour].items():
         step = OP_STEP[name]
         table: Dict[int, Mat] = {}
-        for k in offsets:
+        for k, pt in points.items():
             tgt = k + step
             if orbit.circular:
                 tgt %= orbit.length
-            elif not offsets[0] <= tgt <= offsets[-1]:
+            if tgt not in points:
                 continue
-            if not (support(k) and support(tgt)):
-                continue
+            fixed = line.at.get(k, {}).get(name)
             try:
-                val = fun(k)
+                if fixed is None or fixed is _NUMERATOR:
+                    val = num(ctx, pt)
+                    if fixed is None and den is not None:
+                        val = val / den(ctx, pt)
+                else:
+                    val = named[fixed]
+                if line.wrap and tgt != k + step:
+                    val = val * values[line.wrap] ** step
             except ZeroDivisionError:
                 raise ValueError(f"{name} coefficient divides by zero at offset {k}") from None
             table[k] = Mat(ctx, [[val]])
         ops[name] = table
+    labels = {k: (f"v{k}",) for k in points}
     return WeightModule(ctx, orbit, window, labels, ops)
 
 
 # ---------------------------------------------------------------------------
-# the sixteen constructors
-
-
-def _vq_b_a(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    b_raw, a_raw = _take(params, "b", "a")
-    b, a = _fel(ctx, b_raw), _fel(ctx, a_raw)
-    if _is_q_power(ctx, b):
-        raise ValueError("VQ_B_A needs b outside the q-power chain {q^i}")
-    orbit = compute_orbit(WeightPoint(a, b), ctx)
-    lo, hi = _take_window(orbit, window, "VQ_B_A")
-    return _line_module(
-        ctx,
-        orbit,
-        (lo, hi),
-        lambda k: True,
-        {
-            "X": lambda k: ctx.q * orbit.point(k).b - 1,
-            "Y": lambda k: (orbit.point(k).a - 1) / (orbit.point(k).b - 1),
-            "Y1": lambda k: ctx.one,
-        },
-    )
-
-
-def _vq_jj_1(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    (a_raw,) = _take(params, "a")
-    a = _fel(ctx, a_raw)
-    _need_infinite_q(ctx, "VQ_JJ_1")
-    orbit = compute_orbit(WeightPoint(a, 1 / ctx.q), ctx)
-    lo, hi = _take_window(orbit, window, "VQ_JJ_1")
-    return _line_module(
-        ctx,
-        orbit,
-        (lo, hi),
-        lambda k: True,
-        {
-            "X": lambda k: ctx.one if k == 0 else ctx.q * orbit.point(k).b - 1,
-            "Y": lambda k: a if k == 1 else (orbit.point(k).a - 1) / (orbit.point(k).b - 1),
-            "Y1": lambda k: ctx.zero if k == 1 else ctx.one,
-        },
-    )
-
-
-def _vq_jj_cd(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    c_raw, d_raw = _take(params, "c", "d")
-    c, d = _fel(ctx, c_raw), _fel(ctx, d_raw)
-    _need_infinite_q(ctx, "VQ_JJ_CD")
-    orbit = compute_orbit(WeightPoint(ctx.zero, 1 / ctx.q), ctx)
-    lo, hi = _take_window(orbit, window, "VQ_JJ_CD")
-    return _line_module(
-        ctx,
-        orbit,
-        (lo, hi),
-        lambda k: True,
-        {
-            "X": lambda k: ctx.q * orbit.point(k).b - 1,
-            "Y": lambda k: d if k == 1 else (orbit.point(k).a - 1) / (orbit.point(k).b - 1),
-            "Y1": lambda k: c if k == 1 else ctx.one,
-        },
-    )
-
-
-def _vq_jj_3(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    (a_raw,) = _take(params, "a")
-    a = _fel(ctx, a_raw)
-    _need_infinite_q(ctx, "VQ_JJ_3")
-    orbit = compute_orbit(WeightPoint(a, 1 / ctx.q), ctx)
-    lo, hi = _take_window(orbit, window, "VQ_JJ_3")
-    return _line_module(
-        ctx,
-        orbit,
-        (lo, hi),
-        lambda k: k <= 0,
-        {
-            "X": lambda k: ctx.q * orbit.point(k).b - 1,
-            "Y": lambda k: (orbit.point(k).a - 1) / (orbit.point(k).b - 1),
-            "Y1": lambda k: ctx.one,
-        },
-    )
-
-
-def _vq_jj_4(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    (a_raw,) = _take(params, "a")
-    a = _fel(ctx, a_raw)
-    _need_infinite_q(ctx, "VQ_JJ_4")
-    orbit = compute_orbit(WeightPoint(a, 1 / ctx.q), ctx)
-    lo, hi = _take_window(orbit, window, "VQ_JJ_4")
-    return _line_module(
-        ctx,
-        orbit,
-        (lo, hi),
-        lambda k: k >= 1,
-        {
-            "X": lambda k: ctx.q * orbit.point(k).b - 1,
-            "Y": lambda k: (orbit.point(k).a - 1) / (orbit.point(k).b - 1),
-            "Y1": lambda k: ctx.one,
-        },
-    )
-
-
-def _vq_f_b_a(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    f_raw, b_raw, a_raw = _take(params, "f", "b", "a")
-    f, b, a = _fel(ctx, f_raw), _fel(ctx, b_raw), _fel(ctx, a_raw)
-    if not f:
-        raise ValueError("VQ_F_B_A needs f nonzero")
-    orbit = compute_orbit(WeightPoint(a, b), ctx)
-    _no_window(orbit, window, "VQ_F_B_A")
-    if breaks(orbit, Subalgebra.AQ):
-        raise ValueError("VQ_F_B_A needs an orbit with no sigma-side breaks")
-    r = orbit.length
-
-    def xc(k: int) -> Fel:
-        val = ctx.q * orbit.point(k).b - 1
-        return f * val if k == r - 1 else val
-
-    return _line_module(
-        ctx,
-        orbit,
-        None,
-        lambda k: True,
-        {
-            "X": xc,
-            "Y": lambda k: orbit.point((k - 1) % r).a / xc((k - 1) % r),
-            "Y1": lambda k: 1 / f if k == 0 else ctx.one,
-        },
-    )
-
-
-def _v1_a_b(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    a_raw, b_raw = _take(params, "a", "b")
-    a, b = _fel(ctx, a_raw), _fel(ctx, b_raw)
-    if _is_int_scalar(ctx, a):
-        raise ValueError("V1_A_B needs a outside the integer chain Z*1")
-    orbit = compute_orbit(WeightPoint(a, b), ctx)
-    lo, hi = _take_window(orbit, window, "V1_A_B")
-    return _line_module(
-        ctx,
-        orbit,
-        (lo, hi),
-        lambda k: True,
-        {
-            "X": lambda k: orbit.point(k).a,
-            "Y": lambda k: ctx.one,
-            "Y1": lambda k: (orbit.point(k).b - 1) / (orbit.point(k).a - 1),
-        },
-    )
-
-
-def _v1_jj_1(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    (b_raw,) = _take(params, "b")
-    b = _fel(ctx, b_raw)
-    _need_char0(ctx, "V1_JJ_1")
-    orbit = compute_orbit(WeightPoint(ctx.zero, b), ctx)
-    lo, hi = _take_window(orbit, window, "V1_JJ_1")
-    return _line_module(
-        ctx,
-        orbit,
-        (lo, hi),
-        lambda k: True,
-        {
-            "X": lambda k: ctx.one if k == 0 else orbit.point(k).a,
-            "Y": lambda k: ctx.zero if k == 1 else ctx.one,
-            "Y1": lambda k: (
-                ctx.q * b - 1 if k == 1 else (orbit.point(k).b - 1) / (orbit.point(k).a - 1)
-            ),
-        },
-    )
-
-
-def _v1_jj_cd(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    c_raw, d_raw = _take(params, "c", "d")
-    c, d = _fel(ctx, c_raw), _fel(ctx, d_raw)
-    _need_char0(ctx, "V1_JJ_CD")
-    orbit = compute_orbit(WeightPoint(ctx.zero, 1 / ctx.q), ctx)
-    lo, hi = _take_window(orbit, window, "V1_JJ_CD")
-    return _line_module(
-        ctx,
-        orbit,
-        (lo, hi),
-        lambda k: True,
-        {
-            "X": lambda k: orbit.point(k).a,
-            "Y": lambda k: c if k == 1 else ctx.one,
-            "Y1": lambda k: d if k == 1 else (orbit.point(k).b - 1) / (orbit.point(k).a - 1),
-        },
-    )
-
-
-def _v1_jj_3(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    (b_raw,) = _take(params, "b")
-    b = _fel(ctx, b_raw)
-    _need_char0(ctx, "V1_JJ_3")
-    orbit = compute_orbit(WeightPoint(ctx.zero, b), ctx)
-    lo, hi = _take_window(orbit, window, "V1_JJ_3")
-    return _line_module(
-        ctx,
-        orbit,
-        (lo, hi),
-        lambda k: k <= 0,
-        {
-            "X": lambda k: orbit.point(k).a,
-            "Y": lambda k: ctx.one,
-            "Y1": lambda k: (orbit.point(k).b - 1) / (orbit.point(k).a - 1),
-        },
-    )
-
-
-def _v1_jj_4(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    (b_raw,) = _take(params, "b")
-    b = _fel(ctx, b_raw)
-    _need_char0(ctx, "V1_JJ_4")
-    # parameter b is the sigma value at the first supported offset 1
-    orbit = compute_orbit(WeightPoint(ctx.zero, b / ctx.q), ctx)
-    lo, hi = _take_window(orbit, window, "V1_JJ_4")
-    return _line_module(
-        ctx,
-        orbit,
-        (lo, hi),
-        lambda k: k >= 1,
-        {
-            "X": lambda k: orbit.point(k).a,
-            "Y": lambda k: ctx.one,
-            "Y1": lambda k: (orbit.point(k).b - 1) / (orbit.point(k).a - 1),
-        },
-    )
-
-
-def _v1_f_a_b(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    f_raw, a_raw, b_raw = _take(params, "f", "a", "b")
-    f, a, b = _fel(ctx, f_raw), _fel(ctx, a_raw), _fel(ctx, b_raw)
-    if not f:
-        raise ValueError("V1_F_A_B needs f nonzero")
-    orbit = compute_orbit(WeightPoint(a, b), ctx)
-    _no_window(orbit, window, "V1_F_A_B")
-    if breaks(orbit, Subalgebra.A1):
-        raise ValueError("V1_F_A_B needs an orbit with no tau-side breaks")
-    r = orbit.length
-
-    def xc(k: int) -> Fel:
-        val = orbit.point(k).a
-        return f * val if k == r - 1 else val
-
-    return _line_module(
-        ctx,
-        orbit,
-        None,
-        lambda k: True,
-        {
-            "X": xc,
-            "Y": lambda k: 1 / f if k == 0 else ctx.one,
-            "Y1": lambda k: (ctx.q * orbit.point((k - 1) % r).b - 1) / xc((k - 1) % r),
-        },
-    )
+# the families that keep a builder function
 
 
 def _parse_word(raw) -> Tuple[str, ...]:
@@ -522,8 +327,7 @@ def _parse_word(raw) -> Tuple[str, ...]:
     return word
 
 
-def _chain_cycle(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    m_raw, word_raw, a_raw = _take(params, "m", "word", "a")
+def _chain_cycle(ctx: FieldCtx, window, m_raw, word_raw, a_raw) -> WeightModule:
     m = int(m_raw)
     if m < 1:
         raise ValueError("CHAIN_CYCLE needs m >= 1")
@@ -572,19 +376,17 @@ def _chain_cycle(ctx: FieldCtx, params: dict, window) -> WeightModule:
     return WeightModule(ctx, orbit, None, labels, ops)
 
 
-def _chain_alt(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    m_raw, a_raw = _take(params, "m", "a")
+def _chain_alt(ctx: FieldCtx, window, m_raw, a_raw) -> WeightModule:
     m = int(m_raw)
     if m < 2 or m % 2:
         raise ValueError("CHAIN_ALT needs an even m >= 2")
     word = tuple("Y" if i % 2 == 0 else "Y1" for i in range(m))
-    return _chain_cycle(ctx, {"m": m, "word": word, "a": a_raw}, window)
+    return _chain_cycle(ctx, window, m, word, a_raw)
 
 
-def _vcd_tworow(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    c_raw, d_raw = _take(params, "c", "d")
+def _vcd_tworow(ctx: FieldCtx, window, c_raw, d_raw) -> WeightModule:
     c, d = _fel(ctx, c_raw), _fel(ctx, d_raw)
-    _need_char0(ctx, "VCD_TWOROW")
+    _check("VCD_TWOROW", _CHAR_0, ctx, {})
     orbit = compute_orbit(WeightPoint(ctx.zero, 1 / ctx.q), ctx)
     lo, hi = _take_window(orbit, window, "VCD_TWOROW")
     labels = {
@@ -613,8 +415,7 @@ def _vcd_tworow(ctx: FieldCtx, params: dict, window) -> WeightModule:
     return WeightModule(ctx, orbit, (lo, hi), labels, ops)
 
 
-def _remark_136(ctx: FieldCtx, params: dict, window) -> WeightModule:
-    _take(params)
+def _remark_136(ctx: FieldCtx, window) -> WeightModule:
     if ctx.characteristic != 3 or ctx.q_order() != 2:
         raise ValueError("REMARK_136 needs characteristic 3 with q of multiplicative order 2")
     if window is not None:
@@ -629,24 +430,252 @@ def _remark_136(ctx: FieldCtx, params: dict, window) -> WeightModule:
     return WeightModule(ctx, orbit, None, labels, ops)
 
 
-_BUILDERS = {
-    "VQ_B_A": _vq_b_a,
-    "VQ_JJ_1": _vq_jj_1,
-    "VQ_JJ_CD": _vq_jj_cd,
-    "VQ_JJ_3": _vq_jj_3,
-    "VQ_JJ_4": _vq_jj_4,
-    "VQ_F_B_A": _vq_f_b_a,
-    "V1_A_B": _v1_a_b,
-    "V1_JJ_1": _v1_jj_1,
-    "V1_JJ_CD": _v1_jj_cd,
-    "V1_JJ_3": _v1_jj_3,
-    "V1_JJ_4": _v1_jj_4,
-    "V1_F_A_B": _v1_f_a_b,
-    "CHAIN_CYCLE": _chain_cycle,
-    "CHAIN_ALT": _chain_alt,
-    "VCD_TWOROW": _vcd_tworow,
-    "REMARK_136": _remark_136,
+# ---------------------------------------------------------------------------
+# the table
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the family table: the catalog entry and how to build it.
+
+    ``kind`` is "windowed" (an infinite orbit, cut to a window) or
+    "circular"; a Line row checks the window by it.  ``build`` is a Line,
+    or a function called as ``build(ctx, window, *values)`` with the raw
+    parameter values in ``params`` order.
+    """
+
+    name: str
+    params: Tuple[str, ...]
+    kind: str
+    summary: str
+    side_conditions: Tuple[str, ...]
+    support: str
+    build: Union[Line, Callable[..., WeightModule]]
+
+
+_FAMILIES: Dict[str, Family] = {
+    fam.name: fam
+    for fam in (
+        Family(
+            "VQ_B_A",
+            ("b", "a"),
+            "windowed",
+            summary="One-dimensional weight spaces along the full orbit of (a, b); "
+            "X acts by q^{k+1}b - 1, Y1 by 1, Y by (a+k-1)/(q^k b - 1).",
+            side_conditions=("b outside the q-power chain {q^i} (no sigma-side breaks)",),
+            support="every offset of the window",
+            build=Line(
+                Subalgebra.AQ,
+                (
+                    lambda ctx, v: _is_q_power(ctx, v["b"]),
+                    "needs b outside the q-power chain {q^i}",
+                ),
+                tau="a",
+                sigma="b",
+            ),
+        ),
+        Family(
+            "VQ_JJ_1",
+            ("a",),
+            "windowed",
+            summary="Junction family on the orbit of (a, 1/q): the sigma-side break at "
+            "offset 0 is crossed by setting X v0 = v1, with Y v1 = a v0 and Y1 v1 = 0.",
+            side_conditions=("q of infinite multiplicative order",),
+            support="every offset of the window",
+            build=Line(
+                Subalgebra.AQ,
+                _INFINITE_Q,
+                tau="a",
+                shift=-1,
+                at={0: {"X": 1}, 1: {"Y": "a", "Y1": 0}},
+            ),
+        ),
+        Family(
+            "VQ_JJ_CD",
+            ("c", "d"),
+            "windowed",
+            summary="Two-parameter junction family on the double break orbit of (0, 1/q): "
+            "X v0 = 0 while Y v1 = d v0 and Y1 v1 = c v0.",
+            side_conditions=("q of infinite multiplicative order",),
+            support="every offset of the window",
+            build=Line(Subalgebra.AQ, _INFINITE_Q, shift=-1, at={1: {"Y": "d", "Y1": "c"}}),
+        ),
+        Family(
+            "VQ_JJ_3",
+            ("a",),
+            "windowed",
+            summary="Downward ray ending at the sigma-side break of (a, 1/q): "
+            "support on offsets <= 0 with the generic coefficients.",
+            side_conditions=(
+                "q of infinite multiplicative order",
+                "passes the relation check at the ray end only when a = 0",
+            ),
+            support="offsets <= 0",
+            build=Line(Subalgebra.AQ, _INFINITE_Q, tau="a", shift=-1, support=(-inf, 0)),
+        ),
+        Family(
+            "VQ_JJ_4",
+            ("a",),
+            "windowed",
+            summary="Upward ray starting just above the sigma-side break of (a, 1/q): "
+            "support on offsets >= 1 with the generic coefficients.",
+            side_conditions=(
+                "q of infinite multiplicative order",
+                "passes the relation check at the ray start only when a = 0",
+            ),
+            support="offsets >= 1",
+            build=Line(Subalgebra.AQ, _INFINITE_Q, tau="a", shift=-1, support=(1, inf)),
+        ),
+        Family(
+            "VQ_F_B_A",
+            ("f", "b", "a"),
+            "circular",
+            summary="Circular family twisted by f: X carries the wrap step with an extra "
+            "factor f, Y1 v0 = (1/f) v_{r-1}, Y determined by YX = tau.",
+            side_conditions=(
+                "circular orbit (positive characteristic, q of finite order)",
+                "no sigma-side breaks on the orbit",
+                "f nonzero",
+            ),
+            support="every offset of the length-r orbit",
+            build=Line(Subalgebra.AQ, _F_NONZERO, tau="a", sigma="b", wrap="f"),
+        ),
+        Family(
+            "V1_A_B",
+            ("a", "b"),
+            "windowed",
+            summary="One-dimensional weight spaces along the full orbit of (a, b); "
+            "X acts by a+k, Y by 1, Y1 by (q^k b - 1)/(a+k-1).",
+            side_conditions=("a outside the integer chain Z*1 (no tau-side breaks)",),
+            support="every offset of the window",
+            build=Line(
+                Subalgebra.A1,
+                (
+                    lambda ctx, v: _is_int_scalar(ctx, v["a"]),
+                    "needs a outside the integer chain Z*1",
+                ),
+                tau="a",
+                sigma="b",
+            ),
+        ),
+        Family(
+            "V1_JJ_1",
+            ("b",),
+            "windowed",
+            summary="Junction family on the orbit of (0, b): the tau-side break at "
+            "offset 0 is crossed by X v0 = v1, with Y1 v1 = (qb-1) v0 and Y v1 = 0.",
+            side_conditions=("characteristic 0",),
+            support="every offset of the window",
+            build=Line(
+                Subalgebra.A1,
+                _CHAR_0,
+                sigma="b",
+                at={0: {"X": 1}, 1: {"Y": 0, "Y1": _NUMERATOR}},
+            ),
+        ),
+        Family(
+            "V1_JJ_CD",
+            ("c", "d"),
+            "windowed",
+            summary="Two-parameter junction family on the double break orbit of (0, 1/q): "
+            "X v0 = 0 while Y v1 = c v0 and Y1 v1 = d v0.",
+            side_conditions=("characteristic 0",),
+            support="every offset of the window",
+            build=Line(Subalgebra.A1, _CHAR_0, shift=-1, at={1: {"Y": "c", "Y1": "d"}}),
+        ),
+        Family(
+            "V1_JJ_3",
+            ("b",),
+            "windowed",
+            summary="Downward ray ending at the tau-side break of (0, b): "
+            "support on offsets <= 0 with the generic coefficients.",
+            side_conditions=(
+                "characteristic 0",
+                "passes the relation check at the ray end only when b = 1/q",
+            ),
+            support="offsets <= 0",
+            build=Line(Subalgebra.A1, _CHAR_0, sigma="b", support=(-inf, 0)),
+        ),
+        Family(
+            "V1_JJ_4",
+            ("b",),
+            "windowed",
+            summary="Upward ray starting just above the tau-side break of (0, b/q): "
+            "support on offsets >= 1, with sigma value b at the first supported offset.",
+            side_conditions=(
+                "characteristic 0",
+                "passes the relation check at the ray start only when b = 1",
+            ),
+            support="offsets >= 1",
+            build=Line(Subalgebra.A1, _CHAR_0, sigma="b", shift=-1, support=(1, inf)),
+        ),
+        Family(
+            "V1_F_A_B",
+            ("f", "a", "b"),
+            "circular",
+            summary="Circular family twisted by f: X carries the wrap step with an extra "
+            "factor f, Y v0 = (1/f) v_{r-1}, Y1 determined by Y1 X = q sigma - 1.",
+            side_conditions=(
+                "circular orbit (positive characteristic, q of finite order)",
+                "no tau-side breaks on the orbit",
+                "f nonzero",
+            ),
+            support="every offset of the length-r orbit",
+            build=Line(Subalgebra.A1, _F_NONZERO, tau="a", sigma="b", wrap="f"),
+        ),
+        Family(
+            "CHAIN_CYCLE",
+            ("m", "word", "a"),
+            "circular",
+            summary="m chained copies of the circular module on the orbit of (1, 1): at "
+            "the wrap step component j closes through its word letter with eigenvalue a_j "
+            "and feeds the other lowering operator into component j+1.",
+            side_conditions=(
+                "circular orbit (positive characteristic, q of finite order)",
+                "word over {Y, Y1} of length m",
+                "every a_i nonzero",
+            ),
+            support="every offset, dimension m (total dimension r*m)",
+            build=_chain_cycle,
+        ),
+        Family(
+            "CHAIN_ALT",
+            ("m", "a"),
+            "circular",
+            summary="CHAIN_CYCLE with the alternating word Y, Y1, Y, Y1, ...",
+            side_conditions=(
+                "m even and >= 2",
+                "circular orbit (positive characteristic, q of finite order)",
+                "every a_i nonzero",
+            ),
+            support="every offset, dimension m (total dimension r*m)",
+            build=_chain_alt,
+        ),
+        Family(
+            "VCD_TWOROW",
+            ("c", "d"),
+            "windowed",
+            summary="Two parallel downward rays meeting one upward ray at the double "
+            "break of (0, 1/q): Y v1 = c u0 and Y1 v1 = d w0 tie the rays together.",
+            side_conditions=("characteristic 0",),
+            support="dimension 2 at offsets <= 0, dimension 1 at offsets >= 1",
+            build=_vcd_tworow,
+        ),
+        Family(
+            "REMARK_136",
+            (),
+            "circular",
+            summary="Frozen three-step fixture on the length-6 orbit of (1, 1): fails "
+            "Y1 X = q sigma - 1 at its top step by construction and exists to exercise "
+            "the relation checker.",
+            side_conditions=("characteristic 3", "q of multiplicative order 2"),
+            support="offsets 0, 1, 2 of the length-6 orbit",
+            build=_remark_136,
+        ),
+    )
 }
+
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def construct_family(fid, ctx: FieldCtx, window=None) -> WeightModule:
@@ -657,196 +686,23 @@ def construct_family(fid, ctx: FieldCtx, window=None) -> WeightModule:
         fid = FamilyId.from_json(fid)
     elif not isinstance(fid, FamilyId):
         raise ValueError(f"not a family id: {fid!r}")
-    return _BUILDERS[fid.name](ctx, dict(fid.params), window)
-
-
-_CATALOG = (
-    {
-        "name": "VQ_B_A",
-        "params": ["b", "a"],
-        "summary": "One-dimensional weight spaces along the full orbit of (a, b); "
-        "X acts by q^{k+1}b - 1, Y1 by 1, Y by (a+k-1)/(q^k b - 1).",
-        "side_conditions": ["b outside the q-power chain {q^i} (no sigma-side breaks)"],
-        "support": "every offset of the window",
-        "kind": "windowed",
-    },
-    {
-        "name": "VQ_JJ_1",
-        "params": ["a"],
-        "summary": "Junction family on the orbit of (a, 1/q): the sigma-side break at "
-        "offset 0 is crossed by setting X v0 = v1, with Y v1 = a v0 and Y1 v1 = 0.",
-        "side_conditions": ["q of infinite multiplicative order"],
-        "support": "every offset of the window",
-        "kind": "windowed",
-    },
-    {
-        "name": "VQ_JJ_CD",
-        "params": ["c", "d"],
-        "summary": "Two-parameter junction family on the double break orbit of (0, 1/q): "
-        "X v0 = 0 while Y v1 = d v0 and Y1 v1 = c v0.",
-        "side_conditions": ["q of infinite multiplicative order"],
-        "support": "every offset of the window",
-        "kind": "windowed",
-    },
-    {
-        "name": "VQ_JJ_3",
-        "params": ["a"],
-        "summary": "Downward ray ending at the sigma-side break of (a, 1/q): "
-        "support on offsets <= 0 with the generic coefficients.",
-        "side_conditions": [
-            "q of infinite multiplicative order",
-            "passes the relation check at the ray end only when a = 0",
-        ],
-        "support": "offsets <= 0",
-        "kind": "windowed",
-    },
-    {
-        "name": "VQ_JJ_4",
-        "params": ["a"],
-        "summary": "Upward ray starting just above the sigma-side break of (a, 1/q): "
-        "support on offsets >= 1 with the generic coefficients.",
-        "side_conditions": [
-            "q of infinite multiplicative order",
-            "passes the relation check at the ray start only when a = 0",
-        ],
-        "support": "offsets >= 1",
-        "kind": "windowed",
-    },
-    {
-        "name": "VQ_F_B_A",
-        "params": ["f", "b", "a"],
-        "summary": "Circular family twisted by f: X carries the wrap step with an extra "
-        "factor f, Y1 v0 = (1/f) v_{r-1}, Y determined by YX = tau.",
-        "side_conditions": [
-            "circular orbit (positive characteristic, q of finite order)",
-            "no sigma-side breaks on the orbit",
-            "f nonzero",
-        ],
-        "support": "every offset of the length-r orbit",
-        "kind": "circular",
-    },
-    {
-        "name": "V1_A_B",
-        "params": ["a", "b"],
-        "summary": "One-dimensional weight spaces along the full orbit of (a, b); "
-        "X acts by a+k, Y by 1, Y1 by (q^k b - 1)/(a+k-1).",
-        "side_conditions": ["a outside the integer chain Z*1 (no tau-side breaks)"],
-        "support": "every offset of the window",
-        "kind": "windowed",
-    },
-    {
-        "name": "V1_JJ_1",
-        "params": ["b"],
-        "summary": "Junction family on the orbit of (0, b): the tau-side break at "
-        "offset 0 is crossed by X v0 = v1, with Y1 v1 = (qb-1) v0 and Y v1 = 0.",
-        "side_conditions": ["characteristic 0"],
-        "support": "every offset of the window",
-        "kind": "windowed",
-    },
-    {
-        "name": "V1_JJ_CD",
-        "params": ["c", "d"],
-        "summary": "Two-parameter junction family on the double break orbit of (0, 1/q): "
-        "X v0 = 0 while Y v1 = c v0 and Y1 v1 = d v0.",
-        "side_conditions": ["characteristic 0"],
-        "support": "every offset of the window",
-        "kind": "windowed",
-    },
-    {
-        "name": "V1_JJ_3",
-        "params": ["b"],
-        "summary": "Downward ray ending at the tau-side break of (0, b): "
-        "support on offsets <= 0 with the generic coefficients.",
-        "side_conditions": [
-            "characteristic 0",
-            "passes the relation check at the ray end only when b = 1/q",
-        ],
-        "support": "offsets <= 0",
-        "kind": "windowed",
-    },
-    {
-        "name": "V1_JJ_4",
-        "params": ["b"],
-        "summary": "Upward ray starting just above the tau-side break of (0, b/q): "
-        "support on offsets >= 1, with sigma value b at the first supported offset.",
-        "side_conditions": [
-            "characteristic 0",
-            "passes the relation check at the ray start only when b = 1",
-        ],
-        "support": "offsets >= 1",
-        "kind": "windowed",
-    },
-    {
-        "name": "V1_F_A_B",
-        "params": ["f", "a", "b"],
-        "summary": "Circular family twisted by f: X carries the wrap step with an extra "
-        "factor f, Y v0 = (1/f) v_{r-1}, Y1 determined by Y1 X = q sigma - 1.",
-        "side_conditions": [
-            "circular orbit (positive characteristic, q of finite order)",
-            "no tau-side breaks on the orbit",
-            "f nonzero",
-        ],
-        "support": "every offset of the length-r orbit",
-        "kind": "circular",
-    },
-    {
-        "name": "CHAIN_CYCLE",
-        "params": ["m", "word", "a"],
-        "summary": "m chained copies of the circular module on the orbit of (1, 1): at "
-        "the wrap step component j closes through its word letter with eigenvalue a_j "
-        "and feeds the other lowering operator into component j+1.",
-        "side_conditions": [
-            "circular orbit (positive characteristic, q of finite order)",
-            "word over {Y, Y1} of length m",
-            "every a_i nonzero",
-        ],
-        "support": "every offset, dimension m (total dimension r*m)",
-        "kind": "circular",
-    },
-    {
-        "name": "CHAIN_ALT",
-        "params": ["m", "a"],
-        "summary": "CHAIN_CYCLE with the alternating word Y, Y1, Y, Y1, ...",
-        "side_conditions": [
-            "m even and >= 2",
-            "circular orbit (positive characteristic, q of finite order)",
-            "every a_i nonzero",
-        ],
-        "support": "every offset, dimension m (total dimension r*m)",
-        "kind": "circular",
-    },
-    {
-        "name": "VCD_TWOROW",
-        "params": ["c", "d"],
-        "summary": "Two parallel downward rays meeting one upward ray at the double "
-        "break of (0, 1/q): Y v1 = c u0 and Y1 v1 = d w0 tie the rays together.",
-        "side_conditions": ["characteristic 0"],
-        "support": "dimension 2 at offsets <= 0, dimension 1 at offsets >= 1",
-        "kind": "windowed",
-    },
-    {
-        "name": "REMARK_136",
-        "params": [],
-        "summary": "Frozen three-step fixture on the length-6 orbit of (1, 1): fails "
-        "Y1 X = q sigma - 1 at its top step by construction and exists to exercise "
-        "the relation checker.",
-        "side_conditions": ["characteristic 3", "q of multiplicative order 2"],
-        "support": "offsets 0, 1, 2 of the length-6 orbit",
-        "kind": "circular",
-    },
-)
+    fam = _FAMILIES[fid.name]
+    values = _take(dict(fid.params), *fam.params)
+    if isinstance(fam.build, Line):
+        return _line_module(fam, ctx, window, values)
+    return fam.build(ctx, window, *values)
 
 
 def list_families() -> List[dict]:
     """The stable catalog: name, parameter names, summary, and side conditions."""
     return [
         {
-            "name": e["name"],
-            "params": list(e["params"]),
-            "summary": e["summary"],
-            "side_conditions": list(e["side_conditions"]),
-            "support": e["support"],
-            "kind": e["kind"],
+            "name": fam.name,
+            "params": list(fam.params),
+            "summary": fam.summary,
+            "side_conditions": list(fam.side_conditions),
+            "support": fam.support,
+            "kind": fam.kind,
         }
-        for e in _CATALOG
+        for fam in _FAMILIES.values()
     ]

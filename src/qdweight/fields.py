@@ -167,7 +167,9 @@ class Fel:
     """A field element: a context plus a canonical value.
 
     Arithmetic delegates to the context.  Plain ints coerce automatically so
-    code can write ``x + 1`` or ``3 * x``.
+    code can write ``x + 1`` or ``3 * x``.  Equality does not: in
+    characteristic p the int 3 would have to equal both 3 and 3 + p, and no
+    hash could agree with that.
     """
 
     __slots__ = ("field", "val")
@@ -245,8 +247,6 @@ class Fel:
         return self.field.inv(self)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self.field.from_int(other)
         if not isinstance(other, Fel):
             return NotImplemented
         return self.field == other.field and self.val == other.val

@@ -52,9 +52,6 @@ class Orbit:
     def point(self, k: int) -> WeightPoint:
         return alpha_point(self.base, k)
 
-    def normalize(self, k: int) -> int:
-        return k % self.length if self.length is not None else k
-
     def offset_of(self, point: WeightPoint, window: Optional[Tuple[int, int]] = None) -> int:
         """The alpha-offset of a point on this orbit; raises if absent."""
         if self.circular:

@@ -3,8 +3,10 @@ behavior, exit codes, and report determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,33 @@ def test_construct_rejects_invalid_scenarios(tmp_path, capsys):
 
     code, _, err = run_cli(["construct", "--scenario", str(tmp_path / "missing.json")], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("algebra", "D"),
+        ("checks", ["dims"]),
+        ("seed", 0),
+        ("budgets", {"lines": 10}),
+        ("N", 8),
+    ],
+)
+def test_construct_scenarios_carry_only_what_construct_reads(tmp_path, capsys, key, value):
+    sc = scenario(QQ_FIELD, "VQ_B_A", {"b": "3", "a": "1/2"}, (-2, 2))
+    sc[key] = value
+    path = write_json(tmp_path / "s.json", sc)
+    code, _, err = run_cli(["construct", "--scenario", path], capsys)
+    assert code == 2 and "invalid" in err and repr(key) in err
+
+
+def test_readme_scenario_example_constructs(tmp_path, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    path = write_json(tmp_path / "s.json", json.loads(block))
+    code, out, err = run_cli(["construct", "--scenario", path], capsys)
+    assert code == 0, err
+    assert json.loads(out)["kind"] == "CIRCULAR"
 
 
 def test_scenario_top_level_q_must_agree(tmp_path, capsys):

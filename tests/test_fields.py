@@ -221,3 +221,17 @@ def test_equal_elements_from_separate_contexts_hash_equal(spec):
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("spec", all_specs(), ids=lambda s: f"{s.kind}-{s.n or s.p or ''}")
+def test_elements_never_equal_plain_ints(spec):
+    # in characteristic p the int 3 would have to equal both 3 and 3 + p,
+    # so no hash could agree with such an equality
+    ctx = make_field(spec)
+    three = ctx.from_int(3)
+    assert three != 3 and 3 != three
+    assert ctx.zero != 0 and ctx.one != 1
+    assert len({three, 3}) == 2
+    if ctx.characteristic:
+        assert three == ctx.from_int(3 + ctx.characteristic)
+    assert three + 1 == ctx.from_int(4) and 3 * ctx.one == three
