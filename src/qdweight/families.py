@@ -145,10 +145,8 @@ def _is_q_power(ctx: FieldCtx, b: Fel) -> bool:
 def _is_int_scalar(ctx: FieldCtx, a: Fel) -> bool:
     """Whether a lies in the image of the integers in the field."""
     if ctx.characteristic:
-        # the image of Z is the prime subfield
-        if ctx.spec.kind == "PRIME_FIELD":
-            return True
-        return len(a.val) <= 1
+        # the image of Z is the prime subfield, which Frobenius fixes exactly
+        return a ** ctx.characteristic == a
     kind = ctx.spec.kind
     if kind == "RATIONAL":
         return a.val.denominator == 1

@@ -9,7 +9,9 @@ Five field kinds cover everything the library needs:
                   rationals; q = t is transcendental
   PRIME_FIELD     integers mod p, q a nonzero residue
   EXT_FIELD       GF(p^k) as residues mod an irreducible monic polynomial f,
-                  q a nonzero residue
+                  q a nonzero residue; arithmetic on log/Zech tables
+
+Finite fields have at most MAX_FIELD_ORDER elements, each interned once.
 
 Every element has a unique canonical form and a canonical text encoding that
 round-trips through ``parse``/``show``.  Elements are immutable and hashable.
@@ -19,7 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from math import gcd
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+# largest number of elements of a finite field: its tables and interned
+# elements are built up front
+MAX_FIELD_ORDER = 2**16
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficient tuples, lowest degree first, no trailing
@@ -188,17 +195,20 @@ class Fel:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        # the hot operators skip _coerce for an element of the same context
+        if other.__class__ is not Fel or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.field.add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Fel or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.field.add(self, self.field.neg(other))
 
     def __rsub__(self, other):
@@ -208,9 +218,10 @@ class Fel:
         return self.field.add(other, self.field.neg(self))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Fel or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.field.mul(self, other)
 
     __rmul__ = __mul__
@@ -252,7 +263,7 @@ class Fel:
         return self.field == other.field and self.val == other.val
 
     def __bool__(self) -> bool:
-        return not self.field.is_zero(self)
+        return self.val != self.field.zero.val
 
     def __hash__(self) -> int:
         # by value, as __eq__ compares: equal-spec contexts built apart agree
@@ -295,12 +306,9 @@ class FieldCtx:
         return self.el(self._mul(a.val, b.val))
 
     def inv(self, a: Fel) -> Fel:
-        if self.is_zero(a):
+        if not a:
             raise ZeroDivisionError("inverse of zero")
         return self.el(self._inv(a.val))
-
-    def is_zero(self, a: Fel) -> bool:
-        return a.val == self.zero.val
 
     def from_int(self, n: int) -> Fel:
         raise NotImplementedError
@@ -541,10 +549,33 @@ class FunctionField(FieldCtx):
         return self.el(self._normalize(num, den))
 
 
-class PrimeField(FieldCtx):
+class _FiniteField(FieldCtx):
+    """The two finite kinds: values are the ints 0..order-1, and each value
+    has exactly one ``Fel``, so arithmetic results are never allocated."""
+
     is_finite = True
 
+    def _intern(self, order: int) -> None:
+        self._els = [Fel(self, v) for v in range(order)]
+        self.el = self._els.__getitem__  # type: ignore[method-assign]
+
+    def all_elements(self) -> Iterator[Fel]:
+        return iter(self._els)
+
+    @property
+    def order(self) -> int:
+        return len(self._els)
+
+
+def _check_order(order: int) -> None:
+    # tables and interned elements are O(order); refuse before building any
+    if order > MAX_FIELD_ORDER:
+        raise ValueError(f"field order {order} is over the limit of {MAX_FIELD_ORDER}")
+
+
+class PrimeField(_FiniteField):
     def __init__(self, p: int, q: int):
+        _check_order(p)
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -553,6 +584,7 @@ class PrimeField(FieldCtx):
             raise ValueError("q must be nonzero")
         self.characteristic = p
         self.spec = FieldSpec(kind="PRIME_FIELD", p=p, q=str(q))
+        self._intern(p)
         self.zero = self.el(0)
         self.one = self.el(1 % p)
         self.q = self.el(q)
@@ -584,22 +616,22 @@ class PrimeField(FieldCtx):
     def random_element(self, rng) -> Fel:
         return self.el(rng.randrange(self.p))
 
-    def all_elements(self) -> Iterator[Fel]:
-        for v in range(self.p):
-            yield self.el(v)
 
-    @property
-    def order(self) -> int:
-        return self.p
+class ExtField(_FiniteField):
+    """GF(p^k) as residues of GF(p)[t] mod an irreducible monic f.
 
-
-class ExtField(FieldCtx):
-    """GF(p^k) as residues of GF(p)[t] mod an irreducible monic f."""
-
-    is_finite = True
+    The residue c_0 + c_1 t + ... + c_{k-1} t^{k-1} is stored as the int
+    c_0 + c_1 p + ... + c_{k-1} p^{k-1}, its index in ``all_elements``.
+    Arithmetic runs on log/antilog and Zech tables over a primitive element
+    g (Huber 1990): with n = p^k - 1, ``_exp[i] = g^i`` for 0 <= i < 2n,
+    ``_log[g^i] = i`` and ``_zech[i] = log(1 + g^i)``, or None where
+    1 + g^i = 0.  Polynomial division runs only while the tables are built
+    and when ``parse`` reads an unreduced residue.
+    """
 
     def __init__(self, p: int, f: Sequence[int], q_text: str):
-        if not _is_prime(p):
+        if p <= MAX_FIELD_ORDER and not _is_prime(p):
+            # a larger p fails the order cap below without a primality test
             raise ValueError(f"{p} is not prime")
         f = _trim(tuple(c % p for c in f))
         if len(f) < 3:
@@ -608,16 +640,19 @@ class ExtField(FieldCtx):
             raise ValueError("defining polynomial degree > 8 not supported")
         if f[-1] != 1:
             raise ValueError("defining polynomial must be monic")
+        _check_order(p ** (len(f) - 1))
         self.p = p
         self.modulus: IntPoly = f
         self.degree = len(f) - 1
         if not self._irreducible(f, p):
             raise ValueError(f"defining polynomial {list(f)} is reducible mod {p}")
         self.characteristic = p
-        self.zero = self.el(())
-        self.one = self.el((1,))
+        self._build_tables()
+        self._intern(p**self.degree)
+        self.zero = self.el(0)
+        self.one = self.el(1)
         qval = self.parse(q_text).val
-        if qval == ():
+        if qval == 0:
             raise ValueError("q must be nonzero")
         self.q = self.el(qval)
         self.spec = FieldSpec(kind="EXT_FIELD", p=p, f=f, q=self.show(self.q))
@@ -639,64 +674,100 @@ class ExtField(FieldCtx):
                     return False
         return True
 
-    def _reduce(self, poly: IntPoly) -> IntPoly:
-        return _pdivmod_modp(_trim(tuple(c % self.p for c in poly)), self.modulus, self.p)[1]
+    def _poly(self, v: int) -> IntPoly:
+        coeffs = []
+        while v:
+            coeffs.append(v % self.p)
+            v //= self.p
+        return tuple(coeffs)
+
+    def _value(self, poly: IntPoly) -> int:
+        v = 0
+        for c in reversed(poly):
+            v = v * self.p + c
+        return v
+
+    def _build_tables(self) -> None:
+        p = self.p
+        n = p**self.degree - 1
+        primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+
+        def mul(a: IntPoly, b: IntPoly) -> IntPoly:
+            return _pdivmod_modp(_pmul(a, b), self.modulus, p)[1]
+
+        def power(a: IntPoly, e: int) -> IntPoly:
+            acc: IntPoly = (1,)
+            while e:
+                if e & 1:
+                    acc = mul(acc, a)
+                a = mul(a, a)
+                e >>= 1
+            return acc
+
+        # t itself need not be primitive (t^2 + 1 over F3: t has order 4)
+        g = next(
+            self._poly(v) for v in range(2, n + 1) if all(power(self._poly(v), n // r) != (1,) for r in primes)
+        )
+        exp = [1] * n
+        acc: IntPoly = (1,)
+        for i in range(1, n):
+            acc = mul(acc, g)
+            exp[i] = self._value(acc)
+        log: List[Optional[int]] = [None] * (n + 1)
+        for i, v in enumerate(exp):
+            log[v] = i
+        # 1 + v adds one to the constant coefficient, the lowest base-p digit
+        self._zech = [log[v - v % p + (v + 1) % p] for v in exp]
+        self._exp = exp = exp + exp
+        self._log = log
+        self._n = n
+        half = n // 2 if p > 2 else 0  # -1 = g^(n/2), or 1 in characteristic 2
+        self._negs = [0] + [exp[log[v] + half] for v in range(1, n + 1)]  # type: ignore[operator]
 
     def _add(self, a, b):
-        return _trim(tuple(c % self.p for c in _padd(a, b)))
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod n
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def _neg(self, a):
-        return tuple((-c) % self.p for c in a)
+        return self._negs[a]
 
     def _mul(self, a, b):
-        return self._reduce(_pmul(a, b))
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
 
     def _inv(self, a):
-        p = self.p
-        r0, r1 = self.modulus, a
-        s0, s1 = (), (1,)
-        while r1:
-            quot, rem = _pdivmod_modp(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _trim(tuple(c % p for c in _padd(s0, _pneg(_pmul(quot, s1)))))
-        assert len(r0) == 1
-        scale = pow(r0[0], p - 2, p)
-        return self._reduce(_pmul(s0, (scale,)))
+        return self._exp[self._n - self._log[a]]
 
     def from_int(self, n: int) -> Fel:
-        return self.el(_trim((n % self.p,)))
+        return self.el(n % self.p)
 
     def parse(self, text: str) -> Fel:
         text = text.strip()
         if not text.startswith("["):
-            return self.el(_trim((int(text) % self.p,)))
-        parts = self._parse_bracket_list(text)
-        return self.el(self._reduce(tuple(int(s) for s in parts)))
+            return self.el(int(text) % self.p)
+        coeffs = _trim(tuple(int(s) % self.p for s in self._parse_bracket_list(text)))
+        if len(coeffs) > self.degree:
+            coeffs = _pdivmod_modp(coeffs, self.modulus, self.p)[1]
+        return self.el(self._value(coeffs))
 
     def show(self, a: Fel) -> str:
         if not a.val:
             return "[0]"
-        return "[" + ",".join(str(c) for c in a.val) + "]"
+        return "[" + ",".join(str(c) for c in self._poly(a.val)) + "]"
 
     def q_order(self) -> Optional[int]:
-        return _mult_order(self.q, self.one)
+        return self._n // gcd(self._log[self.q.val], self._n)  # type: ignore[arg-type]
 
     def random_element(self, rng) -> Fel:
         coeffs = tuple(rng.randrange(self.p) for _ in range(self.degree))
-        return self.el(_trim(coeffs))
-
-    def all_elements(self) -> Iterator[Fel]:
-        for idx in range(self.p ** self.degree):
-            coeffs = []
-            k = idx
-            for _ in range(self.degree):
-                coeffs.append(k % self.p)
-                k //= self.p
-            yield self.el(_trim(tuple(coeffs)))
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.degree
+        return self.el(self._value(coeffs))
 
 
 def _pdivmod_modp(a: IntPoly, b: IntPoly, p: int) -> Tuple[IntPoly, IntPoly]:

@@ -120,6 +120,25 @@ def test_construct_rejects_invalid_scenarios(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, order",
+    [
+        ({"kind": "PRIME_FIELD", "p": 65537, "q": "3"}, 65537),
+        ({"kind": "EXT_FIELD", "p": 257, "f": [3, 0, 1], "q": "2"}, 66049),
+    ],
+)
+def test_field_over_the_order_cap_exits_2(tmp_path, capsys, field, order):
+    path = write_json(tmp_path / "big.json", scenario(field, "REMARK_136", {}))
+    code, _, err = run_cli(["construct", "--scenario", path], capsys)
+    assert code == 2
+    assert err.strip() == f"error: bad field spec: field order {order} is over the limit of 65536"
+
+    module = {"field": field, "kind": "CIRCULAR"}
+    path = write_json(tmp_path / "big_module.json", module)
+    code, _, err = run_cli(["analyze", path, "--checks", "end"], capsys)
+    assert code == 2 and "is invalid" in err and f"field order {order} is over" in err
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("algebra", "D"),

@@ -1,11 +1,17 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdweight import fields as fields_module
 from qdweight.fields import (
     FieldSpec,
+    _pdivmod_modp,
+    _pmul,
+    _trim,
     make_field,
     q_order,
     characteristic,
@@ -235,3 +241,170 @@ def test_elements_never_equal_plain_ints(spec):
     if ctx.characteristic:
         assert three == ctx.from_int(3 + ctx.characteristic)
     assert three + 1 == ctx.from_int(4) and 3 * ctx.one == three
+
+
+# ---------------------------------------------------------------------------
+# the finite-field order cap
+
+
+def test_prime_field_over_the_cap_is_rejected():
+    with pytest.raises(ValueError) as exc:
+        make_field(FieldSpec(kind="PRIME_FIELD", p=65537, q="3"))
+    assert str(exc.value) == "field order 65537 is over the limit of 65536"
+
+
+def test_prime_field_at_the_cap_builds():
+    ctx = make_field(FieldSpec(kind="PRIME_FIELD", p=65521, q="17"))
+    assert ctx.order == 65521
+    assert ctx.q * ctx.q.inverse() == ctx.one
+
+
+def test_ext_field_over_the_cap_is_rejected():
+    with pytest.raises(ValueError) as exc:
+        make_field(FieldSpec(kind="EXT_FIELD", p=257, f=(3, 0, 1), q="2"))
+    assert str(exc.value) == "field order 66049 is over the limit of 65536"
+
+
+def test_cap_comes_before_the_primality_test():
+    # trial division up to sqrt(p) would not end for these
+    big = 10**40 + 1
+    for spec in (
+        FieldSpec(kind="PRIME_FIELD", p=big, q="3"),
+        FieldSpec(kind="EXT_FIELD", p=big, f=(1, 0, 1), q="2"),
+    ):
+        with pytest.raises(ValueError, match="over the limit of 65536"):
+            make_field(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        (FieldSpec(kind="EXT_FIELD", p=4, f=(1,) + (0,) * 8 + (1,), q="1"), "4 is not prime"),
+        (FieldSpec(kind="EXT_FIELD", p=0, f=(1, 0, 1), q="1"), "0 is not prime"),
+        (FieldSpec(kind="EXT_FIELD", p=3, f=(1, 0, 2), q="1"), "defining polynomial must be monic"),
+        (FieldSpec(kind="EXT_FIELD", p=3, f=(1, 3), q="1"), "defining polynomial must have degree >= 2"),
+        (FieldSpec(kind="EXT_FIELD", p=2, f=(1, 0, 1), q="1"), "defining polynomial [1, 0, 1] is reducible mod 2"),
+        (FieldSpec(kind="EXT_FIELD", p=3, f=(1, 0, 1), q="[3,0,3]"), "q must be nonzero"),
+        (FieldSpec(kind="PRIME_FIELD", p=65535, q="1"), "65535 is not prime"),
+    ],
+)
+def test_error_order_under_the_cap(spec, error):
+    with pytest.raises(ValueError) as exc:
+        make_field(spec)
+    assert str(exc.value) == error
+
+
+# ---------------------------------------------------------------------------
+# table-coded GF(p^k) against polynomial arithmetic mod f
+
+# (p, f): F9 = x^2 + 1 over F3 and F16 = x^4 + x^3 + x^2 + x + 1 over F2 are
+# fields in which t is not primitive (orders 4 and 5)
+EXT_FIELDS = {
+    "F4": (2, (1, 1, 1)),
+    "F8": (2, (1, 1, 0, 1)),
+    "F9": (3, (1, 0, 1)),
+    "F16": (2, (1, 1, 1, 1, 1)),
+    "F25": (5, (2, 0, 1)),
+    "F27": (3, (1, 2, 0, 1)),
+}
+FIELDS_PINNED = json.loads((Path(__file__).parent / "fields_pinned.json").read_text())
+
+
+def ext_field(name, q="1"):
+    p, f = EXT_FIELDS[name]
+    return make_field(FieldSpec(kind="EXT_FIELD", p=p, f=f, q=q))
+
+
+def coeffs(x):
+    """The residue of x as a coefficient tuple, read from its text."""
+    return _trim(tuple(int(c) for c in str(x)[1:-1].split(",")))
+
+
+def base_p_texts(p, k):
+    """Element texts in the base-p index order the polynomial encoding used."""
+    out = []
+    for idx in range(p**k):
+        digits = [(idx // p**i) % p for i in range(k)]
+        out.append("[" + ",".join(map(str, _trim(digits))) + "]" if idx else "[0]")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EXT_FIELDS))
+def test_ext_arithmetic_agrees_with_polynomials_mod_f(name):
+    p, f = EXT_FIELDS[name]
+    ctx = ext_field(name)
+    els = list(ctx.all_elements())
+    assert len(els) == ctx.order == p ** (len(f) - 1)
+    for a in els:
+        ca = coeffs(a)
+        assert coeffs(-a) == _trim(tuple(-c % p for c in ca))
+        if a:
+            assert _pdivmod_modp(_pmul(ca, coeffs(a.inverse())), f, p)[1] == (1,)
+        for b in els:
+            cb = coeffs(b)
+            n = max(len(ca), len(cb))
+            ca_, cb_ = ca + (0,) * (n - len(ca)), cb + (0,) * (n - len(cb))
+            assert coeffs(a + b) == _trim(tuple((x + y) % p for x, y in zip(ca_, cb_)))
+            assert coeffs(a - b) == _trim(tuple((x - y) % p for x, y in zip(ca_, cb_)))
+            assert coeffs(a * b) == _pdivmod_modp(_pmul(ca, cb), f, p)[1]
+
+
+@pytest.mark.parametrize("name", sorted(EXT_FIELDS))
+def test_ext_elements_round_trip_in_base_p_order(name):
+    p, f = EXT_FIELDS[name]
+    ctx = ext_field(name)
+    assert [str(a) for a in ctx.all_elements()] == base_p_texts(p, len(f) - 1)
+    for a in ctx.all_elements():
+        assert ctx.parse(str(a)) == a
+        assert ctx.parse(str(a)) is a  # one shared element per value
+
+
+def test_ext_parse_is_pinned():
+    ctx = ext_field("F9")
+    assert {t: str(ctx.parse(t)) for t in FIELDS_PINNED["parse_f9"]} == FIELDS_PINNED["parse_f9"]
+
+
+@pytest.mark.parametrize("name", sorted(EXT_FIELDS))
+def test_ext_random_elements_are_pinned(name):
+    import random
+
+    ctx = ext_field(name)
+    rng = random.Random(0)
+    assert [str(ctx.random_element(rng)) for _ in range(20)] == FIELDS_PINNED["random_20"][name]
+
+
+@pytest.mark.parametrize("name", ["F4", "F9"])
+def test_ext_q_order_is_pinned(name):
+    want = FIELDS_PINNED["q_order"][name]
+    assert {str(a): q_order(ext_field(name, str(a))) for a in ext_field(name).all_elements() if a} == want
+
+
+def test_ext_arithmetic_never_divides_polynomials(monkeypatch):
+    import random
+
+    ctx = ext_field("F9", "2")
+
+    def forbidden(*args):
+        raise AssertionError("polynomial division after construction")
+
+    monkeypatch.setattr(fields_module, "_pdivmod_modp", forbidden)
+    els = list(ctx.all_elements())
+    for a in els:
+        assert ctx.parse(str(a)) == a
+        if a:
+            assert a * a.inverse() == ctx.one and a / a == ctx.one
+        for b in els:
+            assert (a + b) - b == a and -(a * b) == (-a) * b
+    assert ctx.q ** 4 == ctx.one and q_order(ctx) == 2
+    assert ctx.from_int(7) == ctx.one and ctx.random_element(random.Random(0)) in els
+    with pytest.raises(AssertionError):
+        ctx.parse("[0,0,1]")  # an unreduced residue still needs a division
+
+
+@pytest.mark.parametrize("spec", [F9_Q2, F4_QT, FieldSpec(kind="PRIME_FIELD", p=5, q="2")], ids=str)
+def test_finite_arithmetic_returns_shared_elements(spec):
+    ctx = make_field(spec)
+    els = list(ctx.all_elements())
+    for a in els:
+        for b in els:
+            assert any(a + b is x for x in els) and any(a * b is x for x in els)
