@@ -243,7 +243,8 @@ def is_irreducible(V: WeightModule, algebra, budget: int = DEFAULT_LINE_BUDGET) 
     A graded module is irreducible iff it has no proper nonzero graded
     submodule, and any submodule of a weight module is graded, so it is
     enough that the submodule generated by each weight line is everything.
-    Over a finite field the lines are enumerated exhaustively.
+    A circular module lives over a finite field, so the lines are
+    enumerated exhaustively.
     """
     algebra = as_subalgebra(algebra)
     names = op_names_for(algebra)
@@ -257,44 +258,23 @@ def is_irreducible(V: WeightModule, algebra, budget: int = DEFAULT_LINE_BUDGET) 
     # count the lines before making any: the budget must hold first
     ctx = V.ctx
     dims = [(k, V.dim(k)) for k in V.offsets() if V.dim(k)]
-    if ctx.is_finite:
-        count = sum(_unit_line_count(ctx, d) for _, d in dims)
-    else:
-        count = sum(d + d * (d - 1) // 2 for _, d in dims)
+    count = sum(_unit_line_count(ctx, d) for _, d in dims)
     if count > budget:
         return Verdict.unknown(f"irreducibility needs {count} line checks, over the budget of {budget}")
-    exhaustive = ctx.is_finite or all(d == 1 for _, d in dims)
-
-    def lines() -> Iterator[Tuple[int, List[Fel]]]:
-        for k, d in dims:
-            if d == 1:
-                yield k, [ctx.one]
-            elif ctx.is_finite:
-                yield from ((k, v) for v in _unit_lines(ctx, d))
-            else:
-                # cannot enumerate lines over an infinite field; sample the
-                # basis directions and their pairwise sums (sound for NO only)
-                basis = [[ctx.one if i == j else ctx.zero for i in range(d)] for j in range(d)]
-                yield from ((k, v) for v in basis)
-                for i in range(d):
-                    for j in range(i + 1, d):
-                        yield k, [a + b for a, b in zip(basis[i], basis[j])]
-
-    for k, vec in lines():
-        spans = _closure(V, names, [(k, vec)])
-        got = sum(s.rank for s in spans.values())
-        if got < total:
-            return Verdict.no(
-                {
-                    "kind": "submodule",
-                    "generator": {"offset": k, "vector": [V.ctx.show(c) for c in vec]},
-                    "spaces": _spans_to_json(V, spans),
-                    "dim": got,
-                }
-            )
-    if exhaustive:
-        return Verdict.yes()
-    return Verdict.unknown("all sampled weight lines generate, but lines over an infinite field cannot be enumerated")
+    for k, d in dims:
+        for vec in _unit_lines(ctx, d):
+            spans = _closure(V, names, [(k, vec)])
+            got = sum(s.rank for s in spans.values())
+            if got < total:
+                return Verdict.no(
+                    {
+                        "kind": "submodule",
+                        "generator": {"offset": k, "vector": [ctx.show(c) for c in vec]},
+                        "spaces": _spans_to_json(V, spans),
+                        "dim": got,
+                    }
+                )
+    return Verdict.yes()
 
 
 # graded homomorphisms

@@ -287,8 +287,6 @@ def cmd_analyze(args) -> int:
     try:
         report, code = run_checks(V, checks, args.algebra, seed, args.trials, args.budget)
     except ValueError as exc:
-        if isinstance(exc, CliError):
-            raise
         raise CliError(str(exc)) from None
     emit(report, args.pretty, render_module(V) if args.pretty else None)
     return code

@@ -95,9 +95,6 @@ class Mat:
     def column(ctx: FieldCtx, entries: Sequence[Fel]) -> "Mat":
         return Mat(ctx, [[e] for e in entries], cols=1)
 
-    def copy(self) -> "Mat":
-        return Mat(self.ctx, self.data, cols=self.cols)
-
     # basic algebra
 
     def __eq__(self, other) -> bool:

@@ -1,10 +1,14 @@
 """Orbits of weight points under alpha, and their break combinatorics.
 
+alpha^k sends (a, b) to (a + k, q^k b), so it fixes a point exactly when
+k = 0 in the field and q^k = 1.  Over a finite field of characteristic p
+every orbit is therefore circular of length lcm(p, ord q), computed in
+closed form and capped at MAX_ORBIT_LENGTH before anything is built.  Every
+infinite field kind has characteristic zero, where orbits are infinite.
+
 A break for the A_q flavor is a point whose sigma-coordinate is q^{-1}
 (where q*sigma - 1 vanishes); for the A_1 flavor one whose tau-coordinate is
-0 (where tau vanishes).  Orbits are infinite exactly in characteristic zero
-or when q has infinite order; otherwise they are circular of length
-lcm(p, ord q).
+0 (where tau vanishes).
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from .basering import (
     lp_qsigma_minus_1,
     lp_tau,
 )
+
+
+# the longest circular orbit a module may live on
+MAX_ORBIT_LENGTH = 2**16
 
 
 class Subalgebra(Enum):
@@ -52,31 +60,17 @@ class Orbit:
     def point(self, k: int) -> WeightPoint:
         return alpha_point(self.base, k)
 
-    def offset_of(self, point: WeightPoint, window: Optional[Tuple[int, int]] = None) -> int:
-        """The alpha-offset of a point on this orbit; raises if absent."""
-        if self.circular:
-            lo, hi = 0, self.length - 1
-        elif window is not None:
-            lo, hi = window
-        else:
-            raise ValueError("an infinite orbit needs a search window")
-        for k in range(lo, hi + 1):
-            if self.point(k) == point:
-                return k
-        raise ValueError(f"point {point} is not on the orbit (searched [{lo},{hi}])")
-
 
 def compute_orbit(base: WeightPoint, ctx: FieldCtx) -> Orbit:
-    """INFINITE in characteristic 0 / infinite q-order, else CIRCULAR with
-    the first-return length."""
-    if ctx.characteristic == 0 or ctx.q_order() is None:
+    """Circular of length lcm(p, ord q) over a finite field, else infinite.
+
+    Raises ValueError if the length is over MAX_ORBIT_LENGTH.
+    """
+    if not ctx.is_finite:
         return Orbit(base, None)
-    r = 1
-    cur = alpha_point(base, 1)
-    while cur != base:
-        cur = alpha_point(cur, 1)
-        r += 1
-    assert r == lcm(ctx.characteristic, ctx.q_order())
+    r = lcm(ctx.characteristic, ctx.q_order())
+    if r > MAX_ORBIT_LENGTH:
+        raise ValueError(f"orbit length {r} is over the limit of {MAX_ORBIT_LENGTH}")
     return Orbit(base, r)
 
 
@@ -107,21 +101,18 @@ def breaks(
     return found
 
 
-def j_index(point: WeightPoint, orbit: Orbit, flavor: Subalgebra) -> int:
-    """Break index of the first break at or after the point, cyclically.
+def j_index(offset: int, bks: List[Tuple[int, WeightPoint]]) -> int:
+    """Break index of the first break at or after an offset, cyclically.
 
+    ``bks`` is the break list of a circular orbit, as ``breaks`` returns it.
     Breaks are numbered 0..m-1 by increasing offset from the base (the
     break with least nonnegative offset is number 0, the designated maximal
-    break).  The point with offset o gets the index j of the nearest break
-    with offset >= o, wrapping to 0 past the last break.
+    break).  The offset o gets the index j of the nearest break with
+    offset >= o, wrapping to 0 past the last break.
     """
-    if not orbit.circular:
-        raise ValueError("j-indexing requires a circular orbit")
-    brks = breaks(orbit, flavor)
-    if not brks:
+    if not bks:
         raise ValueError("orbit has no breaks for this flavor")
-    o = orbit.offset_of(point)
-    for idx, (bk, _) in enumerate(brks):
-        if bk >= o:
+    for idx, (bk, _) in enumerate(bks):
+        if bk >= offset:
             return idx
     return 0

@@ -428,7 +428,7 @@ def construct_gwa(flavor, kind: GwaKind, base: WeightPoint, window, ctx: FieldCt
         w = _word_letters(kind.w)
         n = len(w)
         break_set = {k for k, _ in bks}
-        j_of = [j_index(orbit.point(o), orbit, flavor) for o in range(r)]
+        j_of = [j_index(o, bks) for o in range(r)]
 
         if kind.name == "FAMILY1":
             j = kind.j % m

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,38 @@ def test_field_over_the_order_cap_exits_2(tmp_path, capsys, field, order):
     path = write_json(tmp_path / "big_module.json", module)
     code, _, err = run_cli(["analyze", path, "--checks", "end"], capsys)
     assert code == 2 and "is invalid" in err and f"field order {order} is over" in err
+
+
+def test_orbit_over_the_length_cap_exits_2(tmp_path, capsys):
+    # lcm(1009, 1008) and lcm(65521, 65520) are over the orbit-length cap;
+    # both fields are under the order cap, and both are refused before any
+    # point of the orbit is built
+    field = {"kind": "PRIME_FIELD", "p": 1009, "q": "11"}
+    path = write_json(tmp_path / "long.json", scenario(field, "VQ_F_B_A", {"f": "1", "b": "1", "a": "1"}))
+    start = time.perf_counter()
+    code, _, err = run_cli(["construct", "--scenario", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.strip() == "error: cannot construct: orbit length 1017072 is over the limit of 65536"
+
+    module = {"field": {"kind": "PRIME_FIELD", "p": 65521, "q": "17"}, "base": ["1", "1"], "kind": "CIRCULAR"}
+    path = write_json(tmp_path / "long_module.json", module)
+    start = time.perf_counter()
+    code, _, err = run_cli(["analyze", path, "--checks", "dims"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.strip() == f"error: module {path} is invalid: orbit length 4292935920 is over the limit of 65536"
+
+
+def test_longest_ladder_orbit_builds(tmp_path, capsys):
+    # PRIME_FIELD p=11 q=2: lcm(11, 10) = 110, the longest orbit on the size ladder
+    field = {"kind": "PRIME_FIELD", "p": 11, "q": "2"}
+    path = write_json(tmp_path / "p11.json", scenario(field, "CHAIN_ALT", {"m": 2, "a": ["1", "1"]}))
+    code, out, err = run_cli(["construct", "--scenario", path], capsys)
+    assert code == 0, err
+    raw = json.loads(out)
+    assert raw["kind"] == "CIRCULAR"
+    assert [s["offset"] for s in raw["spaces"]] == list(range(110))
 
 
 @pytest.mark.parametrize(

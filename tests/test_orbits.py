@@ -1,8 +1,29 @@
+from math import lcm
+
 import pytest
 
 from qdweight.fields import FieldSpec, make_field
 from qdweight.basering import WeightPoint, alpha_point
-from qdweight.orbits import Orbit, Subalgebra, breaks, compute_orbit, j_index
+from qdweight.orbits import Subalgebra, breaks, compute_orbit, j_index
+
+# the finite fields of the tests and the benchmark, plus PRIME_FIELD p=11
+# q=2 (orbit length 110, the longest on the size ladder)
+FINITE_SPECS = [
+    FieldSpec(kind="PRIME_FIELD", p=3, q="2"),
+    FieldSpec(kind="EXT_FIELD", p=2, f=(1, 1, 1), q="[0,1]"),
+    FieldSpec(kind="PRIME_FIELD", p=5, q="1"),
+    FieldSpec(kind="PRIME_FIELD", p=5, q="2"),
+    FieldSpec(kind="PRIME_FIELD", p=7, q="3"),
+    FieldSpec(kind="EXT_FIELD", p=3, f=(1, 0, 1), q="2"),
+    FieldSpec(kind="EXT_FIELD", p=5, f=(2, 0, 1), q="2"),
+    FieldSpec(kind="PRIME_FIELD", p=11, q="2"),
+]
+INFINITE_SPECS = [
+    FieldSpec(kind="RATIONAL", q="2"),
+    FieldSpec(kind="RATIONAL", q="-1"),
+    FieldSpec(kind="CYCLOTOMIC", n=5),
+    FieldSpec(kind="FUNCTION_FIELD"),
+]
 
 
 @pytest.fixture
@@ -34,12 +55,31 @@ class TestComputeOrbit:
         orb = compute_orbit(WeightPoint(ctx.zero, ctx.one), ctx)
         assert not orb.circular
 
-    def test_minimality(self, f3):
-        orb = compute_orbit(WeightPoint(f3.one, f3.one), f3)
-        base = orb.base
-        for k in range(1, orb.length):
-            assert alpha_point(base, k) != base
-        assert alpha_point(base, orb.length) == base
+    def test_minimality(self):
+        # walk alpha to the first return: it comes at exactly lcm(p, ord q),
+        # the closed-form length, from every base
+        for spec in FINITE_SPECS:
+            ctx = make_field(spec)
+            els = list(ctx.all_elements())
+            want = lcm(ctx.characteristic, ctx.q_order())
+            for a, b in ((els[0], els[1]), (els[1], els[-1]), (els[-1], els[len(els) // 2])):
+                base = WeightPoint(a, b)
+                orb = compute_orbit(base, ctx)
+                assert orb.circular == ctx.is_finite, spec
+                r = 1
+                while alpha_point(base, r) != base:
+                    r += 1
+                assert r == want == orb.length, (spec, str(base))
+        for spec in INFINITE_SPECS:
+            ctx = make_field(spec)
+            orb = compute_orbit(WeightPoint(ctx.zero, ctx.one), ctx)
+            assert orb.circular == ctx.is_finite, spec
+
+    def test_long_orbit_under_the_cap(self):
+        # q = 1 gives length p, and 65521 is the largest prime under the cap
+        # (the orbit-length caps of p=1009 q=11 and p=65521 q=17 are in test_cli)
+        ctx = make_field(FieldSpec(kind="PRIME_FIELD", p=65521, q="1"))
+        assert compute_orbit(WeightPoint(ctx.one, ctx.one), ctx).length == 65521
 
 
 class TestBreaks:
@@ -85,20 +125,23 @@ class TestJIndex:
     def test_interval_example(self, f3):
         # breaks at offsets 2 and 5; a point at offset 3 maps to break 1
         orb = compute_orbit(WeightPoint(f3.one, f3.one), f3)
-        assert j_index(orb.point(3), orb, Subalgebra.A1) == 1
-        assert j_index(orb.point(0), orb, Subalgebra.A1) == 0
-        assert j_index(orb.point(1), orb, Subalgebra.A1) == 0
+        bks = breaks(orb, Subalgebra.A1)
+        assert j_index(3, bks) == 1
+        assert j_index(0, bks) == 0
+        assert j_index(1, bks) == 0
 
     def test_break_is_its_own_index(self, f3):
         orb = compute_orbit(WeightPoint(f3.one, f3.one), f3)
-        assert j_index(orb.point(2), orb, Subalgebra.A1) == 0
-        assert j_index(orb.point(5), orb, Subalgebra.A1) == 1
+        bks = breaks(orb, Subalgebra.A1)
+        assert j_index(2, bks) == 0
+        assert j_index(5, bks) == 1
 
     def test_single_break_everything_zero(self):
         ctx = make_field(FieldSpec(kind="PRIME_FIELD", p=5, q="1"))
         orb = compute_orbit(WeightPoint(ctx.zero, ctx.one), ctx)
+        bks = breaks(orb, Subalgebra.A1)
         for k in range(5):
-            assert j_index(orb.point(k), orb, Subalgebra.A1) == 0
+            assert j_index(k, bks) == 0
 
     def test_no_breaks_error(self):
         # over F9 with q=2 the base (t, t) avoids both break conditions:
@@ -110,20 +153,4 @@ class TestJIndex:
         assert breaks(orb, Subalgebra.AQ) == []
         assert breaks(orb, Subalgebra.A1) == []
         with pytest.raises(ValueError):
-            j_index(orb.point(0), orb, Subalgebra.AQ)
-
-    def test_not_on_orbit(self):
-        # the F3 orbit of (1,1) covers the whole plane, so go to F9 where
-        # the orbit of (t,t) misses integer points entirely
-        ctx = make_field(FieldSpec(kind="EXT_FIELD", p=3, f=(1, 0, 1), q="2"))
-        t = ctx.parse("[0,1]")
-        orb = compute_orbit(WeightPoint(t, t), ctx)
-        off_orbit = WeightPoint(ctx.one, ctx.one)
-        with pytest.raises(ValueError):
-            orb.offset_of(off_orbit)
-
-
-def test_offset_of_roundtrip(f3):
-    orb = compute_orbit(WeightPoint(f3.one, f3.one), f3)
-    for k in range(orb.length):
-        assert orb.offset_of(orb.point(k)) == k
+            j_index(0, breaks(orb, Subalgebra.AQ))
