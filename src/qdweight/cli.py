@@ -21,8 +21,6 @@ import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
-import jsonschema
-
 from .analyze import (
     NotApplicable,
     are_isomorphic,
@@ -108,6 +106,9 @@ def default_seed() -> int:
 
 
 def load_scenario(path: str) -> dict:
+    # imported here: only scenario files need it, and it is costly to load
+    import jsonschema
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

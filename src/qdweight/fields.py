@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul as mul_int
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 # largest number of elements of a finite field: its tables and interned
@@ -164,6 +165,21 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +627,13 @@ class PrimeField(_FiniteField):
         return str(a.val)
 
     def q_order(self) -> Optional[int]:
-        return _mult_order(self.q, self.one)
+        # the order divides p - 1: strip each prime factor while q^(n/r) = 1
+        p, q = self.p, self.q.val
+        n = p - 1
+        for r in _prime_factors(n):
+            while n % r == 0 and pow(q, n // r, p) == 1:
+                n //= r
+        return n
 
     def random_element(self, rng) -> Fel:
         return self.el(rng.randrange(self.p))
@@ -688,9 +710,9 @@ class ExtField(_FiniteField):
         return v
 
     def _build_tables(self) -> None:
-        p = self.p
-        n = p**self.degree - 1
-        primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+        p, k = self.p, self.degree
+        n = p**k - 1
+        primes = _prime_factors(n)
 
         def mul(a: IntPoly, b: IntPoly) -> IntPoly:
             return _pdivmod_modp(_pmul(a, b), self.modulus, p)[1]
@@ -704,15 +726,21 @@ class ExtField(_FiniteField):
                 e >>= 1
             return acc
 
-        # t itself need not be primitive (t^2 + 1 over F3: t has order 4)
+        # t itself need not be primitive (t^2 + 1 over F3: t has order 4); the
+        # constants v < p have order dividing p - 1 < n, so the search skips them
         g = next(
-            self._poly(v) for v in range(2, n + 1) if all(power(self._poly(v), n // r) != (1,) for r in primes)
+            self._poly(v) for v in range(p, n + 1) if all(power(self._poly(v), n // r) != (1,) for r in primes)
         )
+        # multiplying by g is F_p-linear on coefficient vectors; row i of the
+        # matrix holds coefficient i of g * t^j for each j
+        cols = [mul(g, (0,) * j + (1,)) for j in range(k)]
+        rows = [[col[i] if i < len(col) else 0 for col in cols] for i in range(k)]
+        places = [p**i for i in range(k)]
         exp = [1] * n
-        acc: IntPoly = (1,)
+        acc = [1] + [0] * (k - 1)
         for i in range(1, n):
-            acc = mul(acc, g)
-            exp[i] = self._value(acc)
+            acc = [sum(map(mul_int, row, acc)) % p for row in rows]
+            exp[i] = sum(map(mul_int, places, acc))
         log: List[Optional[int]] = [None] * (n + 1)
         for i, v in enumerate(exp):
             log[v] = i
@@ -788,15 +816,6 @@ def _pdivmod_modp(a: IntPoly, b: IntPoly, p: int) -> Tuple[IntPoly, IntPoly]:
             rem[d + i] = (rem[d + i] - c * y) % p
         rem.pop()
     return _trim(tuple(quot)), _trim(tuple(c % p for c in rem))
-
-
-def _mult_order(x: Fel, one: Fel) -> int:
-    acc = x
-    n = 1
-    while acc != one:
-        acc = acc * x
-        n += 1
-    return n
 
 
 # ---------------------------------------------------------------------------

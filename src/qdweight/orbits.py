@@ -13,10 +13,10 @@ A break for the A_q flavor is a point whose sigma-coordinate is q^{-1}
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .fields import FieldCtx
 from .basering import (
@@ -50,15 +50,35 @@ def t_element(ctx: FieldCtx, flavor: Subalgebra) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class Orbit:
+    """The alpha-orbit of ``base``; points are computed once, on first use.
+
+    Every module built on the orbit shares its point table, which stays out
+    of equality, hashing and repr.
+    """
+
     base: WeightPoint
     length: Optional[int] = None  # None means infinite
+    _points: Dict[int, WeightPoint] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     @property
     def circular(self) -> bool:
         return self.length is not None
 
     def point(self, k: int) -> WeightPoint:
-        return alpha_point(self.base, k)
+        """alpha^k(base), one alpha step from a stored neighbour when there is one."""
+        pts = self._points
+        pt = pts.get(k)
+        if pt is None:
+            if k - 1 in pts:
+                pt = alpha_point(pts[k - 1], 1)
+            elif k + 1 in pts:
+                pt = alpha_point(pts[k + 1], -1)
+            else:
+                pt = alpha_point(self.base, k)
+            pts[k] = pt
+        return pt
 
 
 def compute_orbit(base: WeightPoint, ctx: FieldCtx) -> Orbit:

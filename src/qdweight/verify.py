@@ -1,10 +1,12 @@
 """Mechanical relation checking, and the polynomial-operator realization.
 
 check_relations computes both sides of every defining relation as exact
-matrices, offset by offset.  On windowed modules a relation instance is
-skipped exactly when one of its operator applications would leave the
-window; everything else, including zero-dimensional spaces inside the
-window, is checked.
+matrices, offset by offset.  A twist law M c1 = c2 M (an operator M moved
+past tau or sigma) is decided on its scalars first: it holds outright when
+c1 = c2, and only otherwise are both scaled matrices built and compared.
+On windowed modules a relation instance is skipped exactly when one of its
+operator applications would leave the window; everything else, including
+zero-dimensional spaces inside the window, is checked.
 """
 
 from __future__ import annotations
@@ -72,8 +74,16 @@ def check_relations(V: WeightModule, algebra) -> RelationReport:
     def sigma(k: int) -> Fel:
         return V.sigma_scalar(k)
 
-    # each relation: (id, direction, k -> (computed, expected))
-    rels: List[Tuple[str, str, Callable[[int], Tuple[Mat, Mat]]]] = []
+    # each relation: (id, direction, twist, build).  A product relation
+    # builds k -> (computed, expected); a twist law M c1 = c2 M builds
+    # k -> (M, c1, c2) and scales M only when c1 != c2.
+    rels: List[Tuple[str, str, bool, Callable[[int], tuple]]] = []
+
+    def product(rel_id: str, direction: str, build: Callable[[int], Tuple[Mat, Mat]]) -> None:
+        rels.append((rel_id, direction, False, build))
+
+    def twist(rel_id: str, direction: str, build: Callable[[int], Tuple[Mat, Fel, Fel]]) -> None:
+        rels.append((rel_id, direction, True, build))
 
     def product_rel(T: str, direction: str):
         if direction == UP:
@@ -81,27 +91,27 @@ def check_relations(V: WeightModule, algebra) -> RelationReport:
         return lambda k: V.op("X", dn(k)) * V.op(T, k)
 
     if algebra in (Subalgebra.A1, Subalgebra.D):
-        rels.append(("YX=tau", UP, lambda k: (product_rel("Y", UP)(k), scaled_id(k, tau(k)))))
-        rels.append(("XY=alpha(tau)", DOWN, lambda k: (product_rel("Y", DOWN)(k), scaled_id(k, tau(k) - one))))
-        rels.append(("Ytau=alphainv(tau)Y", DOWN, lambda k: (V.op("Y", k).scale(tau(k)), V.op("Y", k).scale(tau(dn(k)) + one))))
-        rels.append(("Ysigma=alphainv(sigma)Y", DOWN, lambda k: (V.op("Y", k).scale(sigma(k)), V.op("Y", k).scale(q * sigma(dn(k))))))
+        product("YX=tau", UP, lambda k: (product_rel("Y", UP)(k), scaled_id(k, tau(k))))
+        product("XY=alpha(tau)", DOWN, lambda k: (product_rel("Y", DOWN)(k), scaled_id(k, tau(k) - one)))
+        twist("Ytau=alphainv(tau)Y", DOWN, lambda k: (V.op("Y", k), tau(k), tau(dn(k)) + one))
+        twist("Ysigma=alphainv(sigma)Y", DOWN, lambda k: (V.op("Y", k), sigma(k), q * sigma(dn(k))))
     if algebra in (Subalgebra.AQ, Subalgebra.D):
-        rels.append(("Y1X=qsigma-1", UP, lambda k: (product_rel("Y1", UP)(k), scaled_id(k, q * sigma(k) - one))))
-        rels.append(("XY1=alpha(qsigma-1)", DOWN, lambda k: (product_rel("Y1", DOWN)(k), scaled_id(k, sigma(k) - one))))
-        rels.append(("Y1tau=alphainv(tau)Y1", DOWN, lambda k: (V.op("Y1", k).scale(tau(k)), V.op("Y1", k).scale(tau(dn(k)) + one))))
-        rels.append(("Y1sigma=alphainv(sigma)Y1", DOWN, lambda k: (V.op("Y1", k).scale(sigma(k)), V.op("Y1", k).scale(q * sigma(dn(k))))))
+        product("Y1X=qsigma-1", UP, lambda k: (product_rel("Y1", UP)(k), scaled_id(k, q * sigma(k) - one)))
+        product("XY1=alpha(qsigma-1)", DOWN, lambda k: (product_rel("Y1", DOWN)(k), scaled_id(k, sigma(k) - one)))
+        twist("Y1tau=alphainv(tau)Y1", DOWN, lambda k: (V.op("Y1", k), tau(k), tau(dn(k)) + one))
+        twist("Y1sigma=alphainv(sigma)Y1", DOWN, lambda k: (V.op("Y1", k), sigma(k), q * sigma(dn(k))))
     if algebra is Subalgebra.D:
-        rels.append(("Y1(tau-1)=Y(sigma-1)", DOWN, lambda k: (V.op("Y1", k).scale(tau(k) - one), V.op("Y", k).scale(sigma(k) - one))))
+        product("Y1(tau-1)=Y(sigma-1)", DOWN, lambda k: (V.op("Y1", k).scale(tau(k) - one), V.op("Y", k).scale(sigma(k) - one)))
     # X-twisting laws close the list for every algebra
-    rels.append(("Xtau=alpha(tau)X", UP, lambda k: (V.op("X", k).scale(tau(k)), V.op("X", k).scale(tau(up(k)) - one))))
-    rels.append(("Xsigma=alpha(sigma)X", UP, lambda k: (V.op("X", k).scale(sigma(k)), V.op("X", k).scale(sigma(up(k)) / q))))
+    twist("Xtau=alpha(tau)X", UP, lambda k: (V.op("X", k), tau(k), tau(up(k)) - one))
+    twist("Xsigma=alpha(sigma)X", UP, lambda k: (V.op("X", k), sigma(k), sigma(up(k)) / q))
 
     report = RelationReport(subject=algebra.value)
     offsets = V.offsets()
     lo, hi = (None, None) if V.circular else V.window
     rels.sort(key=lambda r: r[0])
     for k in offsets:
-        for rel_id, direction, build in rels:
+        for rel_id, direction, is_twist, build in rels:
             if not V.circular:
                 if direction == UP and k == hi:
                     report.skipped.append({"relation": rel_id, "offset": k, "reason": "window-edge"})
@@ -109,8 +119,14 @@ def check_relations(V: WeightModule, algebra) -> RelationReport:
                 if direction == DOWN and k == lo:
                     report.skipped.append({"relation": rel_id, "offset": k, "reason": "window-edge"})
                     continue
-            computed, expected = build(k)
             report.checked += 1
+            if is_twist:
+                M, c1, c2 = build(k)
+                if c1 == c2:
+                    continue
+                computed, expected = M.scale(c1), M.scale(c2)
+            else:
+                computed, expected = build(k)
             if computed != expected:
                 labels = V.label_list(k)
                 for j in range(computed.cols):

@@ -401,6 +401,13 @@ def test_suite_subprocess_byte_identical_under_fixed_seed(tmp_path):
     assert report["seed"] == 42 and report["passed"] is True
 
 
+def test_importing_the_cli_leaves_jsonschema_unloaded():
+    # only scenario files need the validator, and loading it costs memory
+    code = "import sys, qdweight.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_seed_flag_overrides_environment(capsys, monkeypatch):
     monkeypatch.setenv("GWA_SEED", "11")
     assert run_suite(42)["seed"] == 42

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -259,6 +260,21 @@ def test_prime_field_at_the_cap_builds():
     assert ctx.q * ctx.q.inverse() == ctx.one
 
 
+def test_prime_q_order_is_the_walked_order():
+    for p in (n for n in range(2, 102) if fields_module._is_prime(n)):
+        for q in range(1, p):
+            walked, acc = 1, q
+            while acc != 1:
+                acc = acc * q % p
+                walked += 1
+            assert q_order(make_field(FieldSpec(kind="PRIME_FIELD", p=p, q=str(q)))) == walked, (p, q)
+
+
+def test_prime_q_order_at_the_cap_is_closed_form():
+    # 17 generates the units mod 65521, the largest prime under the cap
+    assert q_order(make_field(FieldSpec(kind="PRIME_FIELD", p=65521, q="17"))) == 65520
+
+
 def test_ext_field_over_the_cap_is_rejected():
     with pytest.raises(ValueError) as exc:
         make_field(FieldSpec(kind="EXT_FIELD", p=257, f=(3, 0, 1), q="2"))
@@ -399,6 +415,27 @@ def test_ext_arithmetic_never_divides_polynomials(monkeypatch):
     assert ctx.from_int(7) == ctx.one and ctx.random_element(random.Random(0)) in els
     with pytest.raises(AssertionError):
         ctx.parse("[0,0,1]")  # an unreduced residue still needs a division
+
+
+def test_large_ext_field_agrees_with_polynomials_mod_f():
+    # GF(251^2), spot checks of its tables against products and quotients
+    # of residue polynomials
+    p, f = 251, (1, 0, 1)
+    ctx = make_field(FieldSpec(kind="EXT_FIELD", p=p, f=f, q="[3,1]"))
+    assert sorted(ctx._exp[: ctx._n]) == list(range(1, p * p))
+    rng = random.Random(0)
+    els = [ctx.random_element(rng) for _ in range(400)] + [ctx.zero, ctx.one, ctx.q]
+    for a, b in zip(els, els[1:] + els[:1]):
+        ca, cb = coeffs(a), coeffs(b)
+        assert coeffs(a * b) == _pdivmod_modp(_pmul(ca, cb), f, p)[1]
+        n = max(len(ca), len(cb))
+        ca_, cb_ = ca + (0,) * (n - len(ca)), cb + (0,) * (n - len(cb))
+        assert coeffs(a + b) == _trim(tuple((x + y) % p for x, y in zip(ca_, cb_)))
+        if a:
+            assert _pdivmod_modp(_pmul(ca, coeffs(a.inverse())), f, p)[1] == (1,)
+    order = q_order(ctx)
+    assert ctx.q ** order == ctx.one
+    assert all(ctx.q ** (order // r) != ctx.one for r in fields_module._prime_factors(order))
 
 
 @pytest.mark.parametrize("spec", [F9_Q2, F4_QT, FieldSpec(kind="PRIME_FIELD", p=5, q="2")], ids=str)

@@ -1,7 +1,9 @@
+import random
 from math import lcm
 
 import pytest
 
+from qdweight import orbits as orbits_module
 from qdweight.fields import FieldSpec, make_field
 from qdweight.basering import WeightPoint, alpha_point
 from qdweight.orbits import Subalgebra, breaks, compute_orbit, j_index
@@ -154,3 +156,76 @@ class TestJIndex:
         assert breaks(orb, Subalgebra.A1) == []
         with pytest.raises(ValueError):
             j_index(0, breaks(orb, Subalgebra.AQ))
+
+
+# the point table: RATIONAL, CYCLOTOMIC n=5, FUNCTION_FIELD, F7 and F9
+TABLE_SPECS = [
+    FieldSpec(kind="RATIONAL", q="2"),
+    FieldSpec(kind="CYCLOTOMIC", n=5),
+    FieldSpec(kind="FUNCTION_FIELD"),
+    FieldSpec(kind="PRIME_FIELD", p=7, q="3"),
+    FieldSpec(kind="EXT_FIELD", p=3, f=(1, 0, 1), q="2"),
+]
+
+
+def table_base(ctx):
+    rng = random.Random(7)
+    a = ctx.random_element(rng)
+    b = ctx.zero
+    while not b:
+        b = ctx.random_element(rng)
+    return WeightPoint(a, b)
+
+
+def table_offsets(orb, order):
+    # negative offsets and, on a circular orbit, offsets past one turn
+    span = orb.length if orb.circular else 8
+    ks = list(range(-span, 2 * span))
+    if order == "descending":
+        ks.reverse()
+    elif order == "shuffled":
+        random.Random(3).shuffle(ks)
+    return ks
+
+
+class TestPointTable:
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+    def test_points_match_alpha_point(self, spec, order):
+        ctx = make_field(spec)
+        base = table_base(ctx)
+        orb = compute_orbit(base, ctx)
+        for k in table_offsets(orb, order):
+            assert orb.point(k) == alpha_point(base, k), (k, str(base))
+        for k in table_offsets(orb, order):
+            assert orb.point(k) is orb.point(k)
+
+    @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+    def test_each_point_is_computed_once_by_one_step(self, spec, monkeypatch):
+        ctx = make_field(spec)
+        orb = compute_orbit(table_base(ctx), ctx)
+        steps = []
+
+        def counting(w, k):
+            steps.append(k)
+            return alpha_point(w, k)
+
+        monkeypatch.setattr(orbits_module, "alpha_point", counting)
+        ks = table_offsets(orb, "ascending")
+        for k in ks + ks[::-1]:
+            orb.point(k)
+        # the first point comes from the base; every later one is one step
+        # from its stored neighbour
+        assert steps == [ks[0]] + [1] * (len(ks) - 1)
+        orb.point(ks[0] - 1)
+        assert steps[-1] == -1
+
+    @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+    def test_table_stays_out_of_equality_and_hash(self, spec):
+        ctx = make_field(spec)
+        base = table_base(ctx)
+        one, two = compute_orbit(base, ctx), compute_orbit(base, ctx)
+        for k in range(-3, 4):
+            one.point(k)
+        assert one == two and hash(one) == hash(two) and repr(one) == repr(two)
+        assert {one: "x"}[two] == "x"

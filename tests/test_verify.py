@@ -1,13 +1,19 @@
 """Relation checker and polynomial realization tests."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdweight.basering import WeightPoint
+from qdweight.families import construct_family
 from qdweight.fields import FieldSpec, make_field
+from qdweight.linalg import Mat
 from qdweight.verify import check_relations, polynomial_realization
 from qdweight.wmod import (
+    WeightModule,
     circ_no_break,
     construct_gwa,
     family1,
@@ -197,6 +203,54 @@ def test_report_json_shape():
     rep = check_relations(V, "D").to_json()
     assert rep["passed"] is False and rep["checked"] > 0
     assert isinstance(rep["violations"], list) and isinstance(rep["skipped"], list)
+
+
+# twist laws M c1 = c2 M are decided on their scalars
+
+TWIST_PINNED = json.loads((Path(__file__).parent / "verify_twist_pinned.json").read_text())
+F5 = make_field(FieldSpec(kind="PRIME_FIELD", p=5, q="2"))
+CHAIN_ALT_2 = {"name": "CHAIN_ALT", "params": {"m": 2, "a": ["1", "2"]}}
+VCD_TWOROW = {"name": "VCD_TWOROW", "params": {"c": "1", "d": "3"}}
+
+
+@pytest.mark.parametrize(
+    "case,fid,ctx,window,scalar,offset",
+    [
+        ("F5-CHAIN_ALT-tau", CHAIN_ALT_2, F5, None, "tau_scalar", 3),
+        ("F5-CHAIN_ALT-sigma", CHAIN_ALT_2, F5, None, "sigma_scalar", 3),
+        ("QQ-VCD_TWOROW-sigma", VCD_TWOROW, QQ, (-2, 2), "sigma_scalar", -1),
+    ],
+)
+def test_twist_law_violations_are_pinned(monkeypatch, case, fid, ctx, window, scalar, offset):
+    # one offset's scalar is moved by 1, so the twist laws that read it see
+    # unequal scalars; where the operator is zero there (Y1 at offset 4 of
+    # CHAIN_ALT over F5) they still hold.  The pinned reports compare every
+    # twist law matrix by matrix.
+    V = construct_family(fid, ctx, window=window)
+    real = getattr(WeightModule, scalar)
+
+    def moved(self, k):
+        value = real(self, k)
+        return value + self.ctx.one if k == offset else value
+
+    monkeypatch.setattr(WeightModule, scalar, moved)
+    assert check_relations(V, "D").to_json() == TWIST_PINNED[case]
+
+
+def test_twist_laws_with_equal_scalars_scale_nothing(monkeypatch):
+    V = construct_family(CHAIN_ALT_2, F5)
+    scaled = []
+    real_scale = Mat.scale
+
+    def counting_scale(self, c):
+        scaled.append(c)
+        return real_scale(self, c)
+
+    monkeypatch.setattr(Mat, "scale", counting_scale)
+    rep = check_relations(V, "D")
+    assert rep.passed and rep.checked == 11 * 20
+    # only the four scalar products and both sides of Y1(tau-1)=Y(sigma-1)
+    assert len(scaled) == 6 * 20
 
 
 # random GWA constructions pass their flavor's relations
