@@ -207,34 +207,92 @@ def test_report_json_shape():
 
 # twist laws M c1 = c2 M are decided on their scalars
 
-TWIST_PINNED = json.loads((Path(__file__).parent / "verify_twist_pinned.json").read_text())
+HERE = Path(__file__).parent
+TWIST_PINNED_PATH = HERE / "verify_twist_pinned.json"
+PRODUCTS_PINNED_PATH = HERE / "verify_products_pinned.json"
 F5 = make_field(FieldSpec(kind="PRIME_FIELD", p=5, q="2"))
 CHAIN_ALT_2 = {"name": "CHAIN_ALT", "params": {"m": 2, "a": ["1", "2"]}}
 VCD_TWOROW = {"name": "VCD_TWOROW", "params": {"c": "1", "d": "3"}}
 
+TWIST_CASES = [
+    ("F5-CHAIN_ALT-tau", CHAIN_ALT_2, F5, None, "tau_scalar", 3),
+    ("F5-CHAIN_ALT-sigma", CHAIN_ALT_2, F5, None, "sigma_scalar", 3),
+    ("QQ-VCD_TWOROW-sigma", VCD_TWOROW, QQ, (-2, 2), "sigma_scalar", -1),
+]
 
-@pytest.mark.parametrize(
-    "case,fid,ctx,window,scalar,offset",
-    [
-        ("F5-CHAIN_ALT-tau", CHAIN_ALT_2, F5, None, "tau_scalar", 3),
-        ("F5-CHAIN_ALT-sigma", CHAIN_ALT_2, F5, None, "sigma_scalar", 3),
-        ("QQ-VCD_TWOROW-sigma", VCD_TWOROW, QQ, (-2, 2), "sigma_scalar", -1),
-    ],
-)
-def test_twist_law_violations_are_pinned(monkeypatch, case, fid, ctx, window, scalar, offset):
-    # one offset's scalar is moved by 1, so the twist laws that read it see
-    # unequal scalars; where the operator is zero there (Y1 at offset 4 of
-    # CHAIN_ALT over F5) they still hold.  The pinned reports compare every
-    # twist law matrix by matrix.
-    V = construct_family(fid, ctx, window=window)
+
+def moved_report(V, algebra, scalar, offset):
+    """check_relations with WeightModule's tau or sigma scalar moved by 1 at one offset."""
     real = getattr(WeightModule, scalar)
 
     def moved(self, k):
         value = real(self, k)
         return value + self.ctx.one if k == offset else value
 
-    monkeypatch.setattr(WeightModule, scalar, moved)
-    assert check_relations(V, "D").to_json() == TWIST_PINNED[case]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WeightModule, scalar, moved)
+        return check_relations(V, algebra).to_json()
+
+
+def twist_report(fid, ctx, window, scalar, offset):
+    return moved_report(construct_family(fid, ctx, window=window), "D", scalar, offset)
+
+
+@pytest.mark.parametrize("case,fid,ctx,window,scalar,offset", TWIST_CASES)
+def test_twist_law_violations_are_pinned(case, fid, ctx, window, scalar, offset):
+    # one offset's scalar is moved by 1, so the twist laws that read it see
+    # unequal scalars; where the operator is zero there (Y1 at offset 4 of
+    # CHAIN_ALT over F5) they still hold.  The pinned reports compare every
+    # twist law matrix by matrix.
+    pinned = json.loads(TWIST_PINNED_PATH.read_text())
+    assert twist_report(fid, ctx, window, scalar, offset) == pinned[case]
+
+
+# product relations, the mixed relation and the twist laws under D, AQ and
+# A1, with a scalar moved by 1 or one operator block scaled
+
+V1_A_B = {"name": "V1_A_B", "params": {"a": "1/2", "b": "3"}}
+VQ_F_B_A = {"name": "VQ_F_B_A", "params": {"f": "[1,1]", "b": "[0,1]", "a": "0"}}
+CHAIN_ALT_F9 = {"name": "CHAIN_ALT", "params": {"m": 2, "a": ["1", "[0,1]"]}}
+
+
+def scaled_block(V, name, k, c):
+    ops = {op: dict(table) for op, table in V.ops.items()}
+    ops[name][k] = ops[name][k].scale(V.ctx.parse(c))
+    return V.with_ops(ops)
+
+
+PRODUCT_CASES = {
+    "QQ-V1_A_B-tau": lambda algebra: moved_report(
+        construct_family(V1_A_B, QQ, window=(-2, 2)), algebra, "tau_scalar", 0
+    ),
+    "F9-VQ_F_B_A-sigma": lambda algebra: moved_report(
+        construct_family(VQ_F_B_A, F9), algebra, "sigma_scalar", 1
+    ),
+    # X is in YX, XY, Y1X and XY1; the mixed relation reads Y and Y1 only
+    "F9-CHAIN_ALT-X-scaled": lambda algebra: check_relations(
+        scaled_block(construct_family(CHAIN_ALT_F9, F9), "X", 0, "2"), algebra
+    ).to_json(),
+    "F9-CHAIN_ALT-Y1-scaled": lambda algebra: check_relations(
+        scaled_block(construct_family(CHAIN_ALT_F9, F9), "Y1", 1, "[0,1]"), algebra
+    ).to_json(),
+}
+ALGEBRAS = ("D", "AQ", "A1")
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_product_relation_reports_are_pinned(case, algebra):
+    pinned = json.loads(PRODUCTS_PINNED_PATH.read_text())
+    assert PRODUCT_CASES[case](algebra) == pinned[case][algebra]
+
+
+def test_product_pins_violate_every_product_relation():
+    pinned = json.loads(PRODUCTS_PINNED_PATH.read_text())
+    violated = {
+        v["relation"] for reports in pinned.values() for rep in reports.values() for v in rep["violations"]
+    }
+    assert PRODUCT_RELS <= violated
 
 
 def test_twist_laws_with_equal_scalars_scale_nothing(monkeypatch):
@@ -321,3 +379,16 @@ def test_realization_skips_top_degree():
     _, rep = polynomial_realization(FF, 3)
     assert all(s["degree"] == 3 for s in rep.skipped)
     assert len(rep.skipped) == 12
+
+
+if __name__ == "__main__":
+    # re-record both verify pins from the current checker:
+    #     PYTHONPATH=src python tests/test_verify.py
+    def dump(path, data):
+        path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+
+    dump(TWIST_PINNED_PATH, {case: twist_report(*rest) for case, *rest in TWIST_CASES})
+    dump(
+        PRODUCTS_PINNED_PATH,
+        {case: {a: build(a) for a in ALGEBRAS} for case, build in PRODUCT_CASES.items()},
+    )
