@@ -297,8 +297,6 @@ def _graded_hom_basis(V: WeightModule, W: WeightModule, names: Sequence[str]) ->
     for name in names:
         for k in V.op_sources(name):
             t = V.op_target(name, k)
-            if t is None:
-                continue
             A = V.op(name, k)
             B = W.op(name, k)
             # phi_t A = B phi_k, entry by entry
@@ -311,8 +309,6 @@ def _graded_hom_basis(V: WeightModule, W: WeightModule, names: Sequence[str]) ->
                         row[index[(k, l, j)]] -= B.data[i][l]
                     if any(row):
                         rows.append(row)
-    if not rows:
-        rows = [[ctx.zero] * n]
 
     basis = []
     for sol in Mat(ctx, rows, cols=n).nullspace():
@@ -352,8 +348,6 @@ def verify_endomorphism(V: WeightModule, names: Sequence[str], maps: Dict[int, M
     for name in names:
         for k in V.op_sources(name):
             t = V.op_target(name, k)
-            if t is None:
-                continue
             A = V.op(name, k)
             left = maps[t] * A if t in maps else Mat.zeros(V.ctx, V.dim(t), V.dim(k))
             right = A * maps[k] if k in maps else Mat.zeros(V.ctx, V.dim(t), V.dim(k))
@@ -397,12 +391,13 @@ def _fitting_projector(V: WeightModule, phi: Dict[int, Mat]) -> Optional[Tuple[D
         basis = image
         for col in kernel:
             basis = basis.hstack(col)
-        if basis.cols != d or not basis.is_invertible():
+        inverse = basis.inverse()
+        if inverse is None:
             raise ValueError("stable image and kernel do not split the space")
         diag = Mat.zeros(ctx, d, d)
         for i in range(image.cols):
             diag.data[i][i] = ctx.one
-        proj[k] = basis * diag * basis.inverse()
+        proj[k] = basis * diag * inverse
     return proj, rank
 
 
@@ -469,8 +464,6 @@ def _subspace_module(V: WeightModule, names: Sequence[str], bases: Dict[int, Mat
         table = {}
         for k in V.op_sources(name):
             t = V.op_target(name, k)
-            if t is None:
-                continue
             sk = bases[k].cols if k in bases else 0
             st = bases[t].cols if t in bases else 0
             if sk and st:
@@ -650,8 +643,6 @@ def direct_sum(V: WeightModule, W: WeightModule) -> WeightModule:
         table = {}
         for k in V.op_sources(name):
             t = V.op_target(name, k)
-            if t is None:
-                continue
             dv_k, dw_k = V.dim(k), W.dim(k)
             dv_t, dw_t = V.dim(t), W.dim(t)
             if (dv_k + dw_k) == 0 or (dv_t + dw_t) == 0:

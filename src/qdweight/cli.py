@@ -87,12 +87,8 @@ SCENARIO_SCHEMA = {
 }
 
 
-class CliError(Exception):
-    """A usage or validation problem; carries the exit code."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A usage or validation problem, worded for the command line."""
 
 
 def default_seed() -> int:
@@ -217,10 +213,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     V = load_module(args.module)
-    try:
-        report = check_relations(V, args.algebra)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = check_relations(V, args.algebra)
     emit(report.to_json(), args.pretty, render_module(V) if args.pretty else None)
     return 0 if report.passed else 1
 
@@ -285,20 +278,14 @@ def cmd_analyze(args) -> int:
     if not checks:
         raise CliError("no checks requested")
     seed = args.seed if args.seed is not None else default_seed()
-    try:
-        report, code = run_checks(V, checks, args.algebra, seed, args.trials, args.budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report, code = run_checks(V, checks, args.algebra, seed, args.trials, args.budget)
     emit(report, args.pretty, render_module(V) if args.pretty else None)
     return code
 
 
 def cmd_extend(args) -> int:
     V = load_module(args.module)
-    try:
-        res = extend_to_D(V)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    res = extend_to_D(V)
     pretty_diagram = None
     if args.pretty and res.representative is not None:
         pretty_diagram = render_module(res.representative)
@@ -310,10 +297,7 @@ def cmd_iso(args) -> int:
     V = load_module(args.left)
     W = load_module(args.right)
     seed = args.seed if args.seed is not None else default_seed()
-    try:
-        verdict = are_isomorphic(V, W, args.algebra, seed=seed, trials=args.trials)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    verdict = are_isomorphic(V, W, args.algebra, seed=seed, trials=args.trials)
     emit(verdict.to_json(), args.pretty)
     if verdict.is_yes:
         return 0
@@ -325,11 +309,8 @@ def cmd_iso(args) -> int:
 def cmd_realize(args) -> int:
     f = tuple(int(c) for c in args.fpoly.split(",")) if args.fpoly else None
     spec = FieldSpec(kind=args.field, n=args.n, p=args.p, f=f, q=args.q)
-    try:
-        ctx = make_field(spec)
-        mats, report = polynomial_realization(ctx, args.N)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    ctx = make_field(spec)
+    mats, report = polynomial_realization(ctx, args.N)
     raw = report.to_json()
     raw["matrices"] = {name: m.to_json() for name, m in sorted(mats.items())}
     raw["degree_bound"] = args.N
@@ -614,11 +595,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every validation error, wherever it is raised, exits 2
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
 
 
 if __name__ == "__main__":

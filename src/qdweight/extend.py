@@ -4,7 +4,8 @@ A module carrying X and exactly one of Y, Y1 extends to the full algebra
 exactly when the missing operator's entries solve a set of linear
 equations: the upward product relation (through X), the downward product
 relation, and the mixed relation Y1(tau-1) = Y(sigma-1) pin every entry
-of the missing graded map against the known data.  The R-twisting laws
+of the missing graded map against the known data.  Their ids and scalars
+come from D's relation table, wmod.PRODUCTS.  The R-twisting laws
 hold automatically for any graded map, so they add no constraints.
 
 The equations follow the grading.  The missing operator is one block
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .fields import Fel, FieldCtx
 from .linalg import Echelon, Mat
 from .verify import check_relations
-from .wmod import WeightModule
+from .wmod import MIXED_ID, PRODUCTS, WeightModule
 
 IMPOSSIBLE = "IMPOSSIBLE"
 UNIQUE = "UNIQUE"
@@ -118,23 +119,10 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
         )
 
     ctx = V.ctx
-    one, q = ctx.one, ctx.q
+    rel = PRODUCTS[missing]
 
-    def tau(k: int) -> Fel:
-        return V.tau_scalar(k)
-
-    def sigma(k: int) -> Fel:
-        return V.sigma_scalar(k)
-
-    if missing == "Y":
-        up_id, up_scalar = "YX=tau", tau
-        down_id, down_scalar = "XY=alpha(tau)", lambda k: tau(k) - one
-        mix_unknown, mix_known = (lambda k: sigma(k) - one), (lambda k: tau(k) - one)
-    else:
-        up_id, up_scalar = "Y1X=qsigma-1", lambda k: q * sigma(k) - one
-        down_id, down_scalar = "XY1=alpha(qsigma-1)", lambda k: sigma(k) - one
-        mix_unknown, mix_known = (lambda k: tau(k) - one), (lambda k: sigma(k) - one)
-    mix_id = "Y1(tau-1)=Y(sigma-1)"
+    def at(f, k: int) -> Fel:
+        return f(ctx, V.tau_scalar(k), V.sigma_scalar(k))
 
     # unknowns: entries of the missing operator, one block per source
     # offset, row-major within a block and offset-major across blocks
@@ -154,7 +142,7 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
             u = V.op_target("X", k)
             du = V.dim(u)
             x = V.op("X", k)
-            c = up_scalar(k)
+            c = at(rel.tx, k)
             rows, rhs = [], []
             for i in range(dk):
                 for j in range(dk):
@@ -163,13 +151,13 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
                         row[i * du + l] = x.data[l][j]
                     rows.append(row)
                     rhs.append(c if i == j else ctx.zero)
-            instances.append((up_id, k, block[u], rows, rhs))
+            instances.append((rel.tx_id, k, block[u], rows, rhs))
         # downward product: X_{k-1} T'_k = c(k) I on V_k
         if V.circular or k != lo:
             d = V.op_target(missing, k)
             dd = V.dim(d)
             x = V.op("X", d)
-            c = down_scalar(k)
+            c = at(rel.xt, k)
             rows, rhs = [], []
             for i in range(dk):
                 for j in range(dk):
@@ -178,11 +166,12 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
                         row[l * dk + j] = x.data[i][l]
                     rows.append(row)
                     rhs.append(c if i == j else ctx.zero)
-            instances.append((down_id, k, block[k], rows, rhs))
-            # mixed relation, with the known operator substituted
+            instances.append((rel.xt_id, k, block[k], rows, rhs))
+            # mixed relation Y1 (X Y) = Y (X Y1): the missing operator times
+            # the known one's X T equals the known operator times the missing one's
             if dd:
                 g = V.op(known, k)
-                s, u_ = mix_unknown(k), mix_known(k)
+                s, u_ = at(PRODUCTS[known].xt, k), at(rel.xt, k)
                 rows, rhs = [], []
                 for i in range(dd):
                     for j in range(dk):
@@ -190,7 +179,7 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
                         row[i * dk + j] = s
                         rows.append(row)
                         rhs.append(u_ * g.data[i][j])
-                instances.append((mix_id, k, block[k], rows, rhs))
+                instances.append((MIXED_ID, k, block[k], rows, rhs))
 
     conflict, particular, kernel = solve_blocks(ctx, widths, [inst[2:] for inst in instances])
     if conflict is not None:

@@ -4,9 +4,11 @@ Every family is one row of the table ``_FAMILIES``: its name, parameter
 names, catalog text and how to build it.  The windowed line families and the
 twisted circular families are pure data (a ``Line``) read by one
 interpreter, ``_line_module``; the chain, two-row and fixture families keep
-builder functions.  Constructors validate their side conditions up front and
-evaluate coefficient formulas lazily, so a bad denominator reports the
-offending offset.  They do not re-check the defining relations; that is
+builder functions.  Generic line coefficients and the chain and two-row
+lowering scalars are read from D's product relations, ``wmod.PRODUCTS``.
+Constructors validate their side conditions up front and evaluate
+coefficient formulas lazily, so a bad denominator reports the offending
+offset.  They do not re-check the defining relations; that is
 check_relations' job, and some entries fail it on purpose: the
 half-infinite ray families carry a junction parameter whose general
 position breaks one relation instance (the catalog notes the safe locus),
@@ -25,7 +27,7 @@ from .basering import WeightPoint
 from .fields import Fel, FieldCtx
 from .linalg import Mat
 from .orbits import Orbit, Subalgebra, breaks, compute_orbit
-from .wmod import OP_STEP, WeightModule
+from .wmod import OP_NAMES, OP_STEP, PRODUCTS, Scalar, WeightModule, check_width, op_names_for
 
 def _norm_param(value):
     if isinstance(value, bool):
@@ -165,6 +167,7 @@ def _take_window(orbit: Orbit, window, name: str) -> Tuple[int, int]:
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError("empty window")
+    check_width(lo, hi)
     return lo, hi
 
 
@@ -198,22 +201,20 @@ def _check(name: str, guard: Guard, ctx: FieldCtx, values: Dict[str, Fel]) -> No
         raise ValueError(f"{name} {need}")
 
 
-# The generic coefficients of each flavour at the point p = (tau, sigma) of
-# offset k, as (numerator, denominator), None meaning no denominator:
-#   AQ: X = q sigma - 1,  Y = (tau - 1)/(sigma - 1),  Y1 = 1
-#   A1: X = tau,          Y = 1,                      Y1 = (sigma - 1)/(tau - 1)
-_GENERIC = {
-    Subalgebra.AQ: {
-        "X": (lambda ctx, p: ctx.q * p.b - 1, None),
-        "Y": (lambda ctx, p: p.a - 1, lambda ctx, p: p.b - 1),
-        "Y1": (lambda ctx, p: ctx.one, None),
-    },
-    Subalgebra.A1: {
-        "X": (lambda ctx, p: p.a, None),
-        "Y": (lambda ctx, p: ctx.one, None),
-        "Y1": (lambda ctx, p: p.b - 1, lambda ctx, p: p.a - 1),
-    },
-}
+def _generic(flavour: Subalgebra) -> Dict[str, Tuple[Scalar, Optional[Scalar]]]:
+    """The generic coefficients of a flavour with lowering operator T, as
+    (numerator, denominator) at the point of offset k, None meaning no
+    denominator: X carries T X, T acts by 1, and the other lowering
+    operator U by (X U)/(X T)."""
+    T = op_names_for(flavour)[1]
+    U = "Y" if T == "Y1" else "Y1"
+    coeffs = {
+        "X": (PRODUCTS[T].tx, None),
+        T: (lambda ctx, a, b: ctx.one, None),
+        U: (PRODUCTS[U].xt, PRODUCTS[T].xt),
+    }
+    return {name: coeffs[name] for name in OP_NAMES}
+
 
 # the coordinate whose breaks a twisted circular family must avoid
 _SIDE = {Subalgebra.AQ: "sigma", Subalgebra.A1: "tau"}
@@ -269,7 +270,7 @@ def _line_module(fam: "Family", ctx: FieldCtx, window, raw: list) -> WeightModul
     points = {k: orbit.point(k) for k in offsets if lo <= k <= hi}
     named = {0: ctx.zero, 1: ctx.one, **values}
     ops: Dict[str, Dict[int, Mat]] = {}
-    for name, (num, den) in _GENERIC[line.flavour].items():
+    for name, (num, den) in _generic(line.flavour).items():
         step = OP_STEP[name]
         table: Dict[int, Mat] = {}
         for k, pt in points.items():
@@ -281,9 +282,9 @@ def _line_module(fam: "Family", ctx: FieldCtx, window, raw: list) -> WeightModul
             fixed = line.at.get(k, {}).get(name)
             try:
                 if fixed is None or fixed is _NUMERATOR:
-                    val = num(ctx, pt)
+                    val = num(ctx, pt.a, pt.b)
                     if fixed is None and den is not None:
-                        val = val / den(ctx, pt)
+                        val = val / den(ctx, pt.a, pt.b)
                 else:
                     val = named[fixed]
                 if line.wrap and tgt != k + step:
@@ -363,9 +364,11 @@ def _chain_cycle(ctx: FieldCtx, window, m_raw, word_raw, a_raw) -> WeightModule:
         "Y1": {0: Mat(ctx, y10)},
     }
     ops["X"][r - 1] = Mat.zeros(ctx, m, m)
+    # X = 1 away from the wrap, so Y and Y1 act by X Y and X Y1
     for k in range(1, r):
-        ops["Y"][k] = ident.scale(ctx.from_int(k))
-        ops["Y1"][k] = ident.scale(ctx.q ** k - 1)
+        pt = orbit.point(k)
+        for T in ("Y", "Y1"):
+            ops[T][k] = ident.scale(PRODUCTS[T].xt(ctx, pt.a, pt.b))
     if m == 1:
         labels = {k: (f"v{k}",) for k in range(r)}
     else:
@@ -398,18 +401,15 @@ def _vcd_tworow(ctx: FieldCtx, window, c_raw, d_raw) -> WeightModule:
             ops["X"][0] = Mat.zeros(ctx, 1, 2)
         else:
             ops["X"][k] = Mat(ctx, [[ctx.one]])
+    # X = 1 off the junction, so Y and Y1 act by X Y and X Y1
     for k in range(lo + 1, hi + 1):
-        down = ctx.from_int(k - 1)
-        down1 = ctx.q ** (k - 1) - 1
-        if k <= 0:
-            ops["Y"][k] = Mat.identity(ctx, 2).scale(down)
-            ops["Y1"][k] = Mat.identity(ctx, 2).scale(down1)
-        elif k == 1:
+        if k == 1:
             ops["Y"][1] = Mat(ctx, [[c], [ctx.zero]])
             ops["Y1"][1] = Mat(ctx, [[ctx.zero], [d]])
-        else:
-            ops["Y"][k] = Mat(ctx, [[down]])
-            ops["Y1"][k] = Mat(ctx, [[down1]])
+            continue
+        pt = orbit.point(k)
+        for T in ("Y", "Y1"):
+            ops[T][k] = Mat.identity(ctx, len(labels[k])).scale(PRODUCTS[T].xt(ctx, pt.a, pt.b))
     return WeightModule(ctx, orbit, (lo, hi), labels, ops)
 
 

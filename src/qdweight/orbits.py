@@ -29,7 +29,8 @@ from .basering import (
 )
 
 
-# the longest circular orbit a module may live on
+# the most offsets a module may have: the longest circular orbit and the
+# widest window
 MAX_ORBIT_LENGTH = 2**16
 
 

@@ -1,7 +1,10 @@
 """Mechanical relation checking, and the polynomial-operator realization.
 
 check_relations computes both sides of every defining relation as exact
-matrices, offset by offset.  A twist law M c1 = c2 M (an operator M moved
+matrices, offset by offset.  The product relations and the mixed relation
+come from D's relation table, wmod.PRODUCTS, one pair per lowering operator
+of the algebra; each lowering operator also brings its two twist laws, and
+X's two close the list.  A twist law M c1 = c2 M (an operator M moved
 past tau or sigma) is decided on its scalars first: it holds outright when
 c1 = c2, and only otherwise are both scaled matrices built and compared.
 On windowed modules a relation instance is skipped exactly when one of its
@@ -12,12 +15,11 @@ zero-dimensional spaces inside the window, is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .fields import Fel, FieldCtx
 from .linalg import Mat
-from .orbits import Subalgebra
-from .wmod import WeightModule, as_subalgebra, op_names_for
+from .wmod import MIXED_ID, PRODUCTS, WeightModule, as_subalgebra, op_names_for
 
 # relation instances that step upward use X first (need offset k+1);
 # downward ones use Y or Y1 first (need offset k-1)
@@ -65,46 +67,40 @@ def check_relations(V: WeightModule, algebra) -> RelationReport:
     def dn(k: int) -> int:
         return V.op_target("Y", k)
 
-    def scaled_id(k: int, c: Fel) -> Mat:
-        return Mat.identity(ctx, V.dim(k)).scale(c)
+    tau, sigma = V.tau_scalar, V.sigma_scalar
 
-    def tau(k: int) -> Fel:
-        return V.tau_scalar(k)
+    def at(f, k: int) -> Fel:
+        return f(ctx, tau(k), sigma(k))
 
-    def sigma(k: int) -> Fel:
-        return V.sigma_scalar(k)
+    def scaled_id(f, k: int) -> Mat:
+        return Mat.identity(ctx, V.dim(k)).scale(at(f, k))
 
     # each relation: (id, direction, twist, build).  A product relation
     # builds k -> (computed, expected); a twist law M c1 = c2 M builds
     # k -> (M, c1, c2) and scales M only when c1 != c2.
-    rels: List[Tuple[str, str, bool, Callable[[int], tuple]]] = []
+    def lowering(T: str) -> List[Tuple[str, str, bool, Callable[[int], tuple]]]:
+        # T X and X T from the table, and the laws moving T past tau and sigma
+        rel = PRODUCTS[T]
+        return [
+            (rel.tx_id, UP, False, lambda k: (V.op(T, up(k)) * V.op("X", k), scaled_id(rel.tx, k))),
+            (rel.xt_id, DOWN, False, lambda k: (V.op("X", dn(k)) * V.op(T, k), scaled_id(rel.xt, k))),
+            (f"{T}tau=alphainv(tau){T}", DOWN, True, lambda k: (V.op(T, k), tau(k), tau(dn(k)) + one)),
+            (f"{T}sigma=alphainv(sigma){T}", DOWN, True, lambda k: (V.op(T, k), sigma(k), q * sigma(dn(k)))),
+        ]
 
-    def product(rel_id: str, direction: str, build: Callable[[int], Tuple[Mat, Mat]]) -> None:
-        rels.append((rel_id, direction, False, build))
+    lowered = [T for T in op_names_for(algebra) if T in PRODUCTS]
+    rels = [r for T in lowered for r in lowering(T)]
+    if len(lowered) == 2:
+        # the mixed relation Y1 (X Y) = Y (X Y1)
+        def mixed(k: int) -> Tuple[Mat, Mat]:
+            return V.op("Y1", k).scale(at(PRODUCTS["Y"].xt, k)), V.op("Y", k).scale(at(PRODUCTS["Y1"].xt, k))
 
-    def twist(rel_id: str, direction: str, build: Callable[[int], Tuple[Mat, Fel, Fel]]) -> None:
-        rels.append((rel_id, direction, True, build))
-
-    def product_rel(T: str, direction: str):
-        if direction == UP:
-            return lambda k: V.op(T, up(k)) * V.op("X", k)
-        return lambda k: V.op("X", dn(k)) * V.op(T, k)
-
-    if algebra in (Subalgebra.A1, Subalgebra.D):
-        product("YX=tau", UP, lambda k: (product_rel("Y", UP)(k), scaled_id(k, tau(k))))
-        product("XY=alpha(tau)", DOWN, lambda k: (product_rel("Y", DOWN)(k), scaled_id(k, tau(k) - one)))
-        twist("Ytau=alphainv(tau)Y", DOWN, lambda k: (V.op("Y", k), tau(k), tau(dn(k)) + one))
-        twist("Ysigma=alphainv(sigma)Y", DOWN, lambda k: (V.op("Y", k), sigma(k), q * sigma(dn(k))))
-    if algebra in (Subalgebra.AQ, Subalgebra.D):
-        product("Y1X=qsigma-1", UP, lambda k: (product_rel("Y1", UP)(k), scaled_id(k, q * sigma(k) - one)))
-        product("XY1=alpha(qsigma-1)", DOWN, lambda k: (product_rel("Y1", DOWN)(k), scaled_id(k, sigma(k) - one)))
-        twist("Y1tau=alphainv(tau)Y1", DOWN, lambda k: (V.op("Y1", k), tau(k), tau(dn(k)) + one))
-        twist("Y1sigma=alphainv(sigma)Y1", DOWN, lambda k: (V.op("Y1", k), sigma(k), q * sigma(dn(k))))
-    if algebra is Subalgebra.D:
-        product("Y1(tau-1)=Y(sigma-1)", DOWN, lambda k: (V.op("Y1", k).scale(tau(k) - one), V.op("Y", k).scale(sigma(k) - one)))
+        rels.append((MIXED_ID, DOWN, False, mixed))
     # X-twisting laws close the list for every algebra
-    twist("Xtau=alpha(tau)X", UP, lambda k: (V.op("X", k), tau(k), tau(up(k)) - one))
-    twist("Xsigma=alpha(sigma)X", UP, lambda k: (V.op("X", k), sigma(k), sigma(up(k)) / q))
+    rels += [
+        ("Xtau=alpha(tau)X", UP, True, lambda k: (V.op("X", k), tau(k), tau(up(k)) - one)),
+        ("Xsigma=alpha(sigma)X", UP, True, lambda k: (V.op("X", k), sigma(k), sigma(up(k)) / q)),
+    ]
 
     report = RelationReport(subject=algebra.value)
     offsets = V.offsets()

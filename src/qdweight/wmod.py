@@ -4,23 +4,57 @@ A weight module is stored as per-offset weight spaces along a single orbit,
 with graded matrices for the operators X (offset +1) and Y, Y1 (offset -1).
 tau and sigma act on the space at offset k by the scalars (a+k, q^k b) of
 that offset's weight point and are never stored as matrices.  Infinite
-orbits are represented on a finite window of offsets; circular orbits wrap
-around and need no window.
+orbits are represented on a finite window of at most MAX_ORBIT_LENGTH
+offsets; circular orbits wrap around and need no window.  PRODUCTS states
+D's product relations once, for the checker, the extension solver and the
+family builders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .basering import WeightPoint, eval_at
 from .fields import Fel, FieldCtx, FieldSpec, make_field
 from .linalg import Mat
-from .orbits import Orbit, Subalgebra, breaks, compute_orbit, j_index, t_element
+from .orbits import MAX_ORBIT_LENGTH, Orbit, Subalgebra, breaks, compute_orbit, j_index, t_element
 
 OP_NAMES = ("X", "Y", "Y1")
 OP_STEP = {"X": 1, "Y": -1, "Y1": -1}
+
+# an element of R at a weight point: (ctx, tau, sigma) -> scalar
+Scalar = Callable[[FieldCtx, Fel, Fel], Fel]
+
+
+class Products(NamedTuple):
+    """X with one lowering operator T: T X acts on the space at X's source
+    offset by tx, X T on the space at T's source offset by xt, each read at
+    that offset's point."""
+
+    tx_id: str
+    tx: Scalar
+    xt_id: str
+    xt: Scalar
+
+
+# D's product relations: YX = tau, XY = tau - 1, Y1X = q sigma - 1 and
+# XY1 = sigma - 1.  The mixed relation Y1 (tau - 1) = Y (sigma - 1) is
+# Y1 (X Y) = Y (X Y1).  A_1 keeps X and Y, A_q keeps X and Y1.
+PRODUCTS = {
+    "Y": Products("YX=tau", lambda ctx, a, b: a, "XY=alpha(tau)", lambda ctx, a, b: a - ctx.one),
+    "Y1": Products("Y1X=qsigma-1", lambda ctx, a, b: ctx.q * b - ctx.one,
+                   "XY1=alpha(qsigma-1)", lambda ctx, a, b: b - ctx.one),
+}
+MIXED_ID = "Y1(tau-1)=Y(sigma-1)"
+
+
+def check_width(lo: int, hi: int) -> None:
+    """Reject a window of more offsets than any module may have."""
+    width = hi - lo + 1
+    if width > MAX_ORBIT_LENGTH:
+        raise ValueError(f"window width {width} is over the limit of {MAX_ORBIT_LENGTH}")
 
 
 def as_subalgebra(flavor) -> Subalgebra:
@@ -63,6 +97,7 @@ class WeightModule:
             lo, hi = int(window[0]), int(window[1])
             if lo > hi:
                 raise ValueError("empty window")
+            check_width(lo, hi)
             self.window = (lo, hi)
         offset_set = set(self.offsets())
         clean: Dict[int, Tuple[str, ...]] = {}
@@ -345,6 +380,7 @@ def construct_gwa(flavor, kind: GwaKind, base: WeightPoint, window, ctx: FieldCt
         if window is None:
             raise ValueError("SIMPLE_NO_BREAK needs a window")
         lo, hi = int(window[0]), int(window[1])
+        check_width(lo, hi)
         bks = breaks(orbit, flavor, (lo, hi))
         if bks:
             raise ValueError(f"window contains a break at offset {bks[0][0]}")
@@ -359,6 +395,7 @@ def construct_gwa(flavor, kind: GwaKind, base: WeightPoint, window, ctx: FieldCt
         if window is None:
             raise ValueError("WITH_BREAKS needs a window")
         lo, hi = int(window[0]), int(window[1])
+        check_width(lo, hi)
         B = [k for k, _ in breaks(orbit, flavor, (lo, hi))]
         if not B:
             raise ValueError("WITH_BREAKS needs at least one break in the window")

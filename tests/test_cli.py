@@ -160,6 +160,49 @@ def test_orbit_over_the_length_cap_exits_2(tmp_path, capsys):
     assert err.strip() == f"error: module {path} is invalid: orbit length 4292935920 is over the limit of 65536"
 
 
+def test_window_over_the_width_cap_exits_2(tmp_path, capsys):
+    # 70001 offsets is over the cap; both are refused before any point or
+    # label is built
+    sc = scenario(QQ_FIELD, "V1_A_B", {"a": "1/2", "b": "3"}, (0, 70000))
+    path = write_json(tmp_path / "wide.json", sc)
+    start = time.perf_counter()
+    code, _, err = run_cli(["construct", "--scenario", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.strip() == "error: cannot construct: window width 70001 is over the limit of 65536"
+
+    module = {"field": QQ_FIELD, "base": ["1/2", "3"], "kind": "INFINITE", "window": [0, 70000]}
+    path = write_json(tmp_path / "wide_module.json", module)
+    start = time.perf_counter()
+    code, _, err = run_cli(["analyze", path, "--checks", "dims"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.strip() == f"error: module {path} is invalid: window width 70001 is over the limit of 65536"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # q^500 * 3 has more digits than Python turns into a string
+        [
+            "construct",
+            "--scenario",
+            scenario({"kind": "RATIONAL", "q": "1000000000"}, "V1_A_B", {"a": "1/2", "b": "3"}, (0, 500)),
+        ],
+        ["realize", "--field", "EXT_FIELD", "--p", "3", "--fpoly", "1,x", "--N", "3"],
+    ],
+    ids=["construct-huge-scalar", "realize-bad-fpoly"],
+)
+def test_value_errors_anywhere_exit_2(tmp_path, argv):
+    argv = list(argv)
+    if isinstance(argv[2], dict):
+        argv[2] = write_json(tmp_path / "s.json", argv[2])
+    out = subprocess.run([sys.executable, "-m", "qdweight", *argv], capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
 def test_longest_ladder_orbit_builds(tmp_path, capsys):
     # PRIME_FIELD p=11 q=2: lcm(11, 10) = 110, the longest orbit on the size ladder
     field = {"kind": "PRIME_FIELD", "p": 11, "q": "2"}

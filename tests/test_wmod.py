@@ -3,6 +3,7 @@
 import pytest
 
 from qdweight.basering import WeightPoint
+from qdweight.families import construct_family
 from qdweight.fields import FieldSpec, make_field
 from qdweight.linalg import Mat
 from qdweight.orbits import Subalgebra, compute_orbit
@@ -56,6 +57,39 @@ def test_a1_flavor_uses_y():
     assert V.has_op("Y") and not V.has_op("Y1")
     # t = tau: X v0 = (1/2) v1
     assert V.op("X", 0).data[0][0] == QQ.parse("1/2")
+
+
+# window width cap
+
+
+def test_window_width_cap():
+    orbit = compute_orbit(wp(QQ, "1/2", 3), QQ)
+    assert WeightModule(QQ, orbit, (0, 65535), {}, {}).window == (0, 65535)
+    with pytest.raises(ValueError, match="^window width 65537 is over the limit of 65536$"):
+        WeightModule(QQ, orbit, (-1, 65535), {}, {})
+    with pytest.raises(ValueError, match="^empty window$"):
+        WeightModule(QQ, orbit, (1, 0), {}, {})
+
+
+@pytest.mark.parametrize("kind", [simple_no_break(), with_breaks((0,))], ids=["simple", "breaks"])
+def test_construct_gwa_caps_window_width(kind):
+    with pytest.raises(ValueError, match="^window width 70001 is over the limit of 65536$"):
+        construct_gwa("AQ", kind, wp(QQ, 0, "1/2"), (-70000, 0), QQ)
+
+
+@pytest.mark.parametrize(
+    "fid",
+    [
+        {"name": "VCD_TWOROW", "params": {"c": "1", "d": "3"}},
+        {"name": "VQ_B_A", "params": {"b": "3", "a": "1/2"}},
+    ],
+    ids=["builder", "line"],
+)
+def test_family_windows_are_capped(fid):
+    with pytest.raises(ValueError, match="^window width 70001 is over the limit of 65536$"):
+        construct_family(fid, QQ, window=(-70000, 0))
+    with pytest.raises(ValueError, match="^empty window$"):
+        construct_family(fid, QQ, window=(1, 0))
 
 
 # with breaks
