@@ -121,9 +121,6 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
     ctx = V.ctx
     rel = PRODUCTS[missing]
 
-    def at(f, k: int) -> Fel:
-        return f(ctx, V.tau_scalar(k), V.sigma_scalar(k))
-
     # unknowns: entries of the missing operator, one block per source
     # offset, row-major within a block and offset-major across blocks
     sources = V.op_sources(missing)
@@ -142,7 +139,7 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
             u = V.op_target("X", k)
             du = V.dim(u)
             x = V.op("X", k)
-            c = at(rel.tx, k)
+            c = V.scalar(rel.tx, k)
             rows, rhs = [], []
             for i in range(dk):
                 for j in range(dk):
@@ -157,7 +154,7 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
             d = V.op_target(missing, k)
             dd = V.dim(d)
             x = V.op("X", d)
-            c = at(rel.xt, k)
+            c = V.scalar(rel.xt, k)
             rows, rhs = [], []
             for i in range(dk):
                 for j in range(dk):
@@ -171,7 +168,7 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
             # the known one's X T equals the known operator times the missing one's
             if dd:
                 g = V.op(known, k)
-                s, u_ = at(PRODUCTS[known].xt, k), at(rel.xt, k)
+                s, u_ = V.scalar(PRODUCTS[known].xt, k), V.scalar(rel.xt, k)
                 rows, rhs = [], []
                 for i in range(dd):
                     for j in range(dk):

@@ -69,11 +69,8 @@ def check_relations(V: WeightModule, algebra) -> RelationReport:
 
     tau, sigma = V.tau_scalar, V.sigma_scalar
 
-    def at(f, k: int) -> Fel:
-        return f(ctx, tau(k), sigma(k))
-
     def scaled_id(f, k: int) -> Mat:
-        return Mat.identity(ctx, V.dim(k)).scale(at(f, k))
+        return Mat.identity(ctx, V.dim(k)).scale(V.scalar(f, k))
 
     # each relation: (id, direction, twist, build).  A product relation
     # builds k -> (computed, expected); a twist law M c1 = c2 M builds
@@ -93,7 +90,8 @@ def check_relations(V: WeightModule, algebra) -> RelationReport:
     if len(lowered) == 2:
         # the mixed relation Y1 (X Y) = Y (X Y1)
         def mixed(k: int) -> Tuple[Mat, Mat]:
-            return V.op("Y1", k).scale(at(PRODUCTS["Y"].xt, k)), V.op("Y", k).scale(at(PRODUCTS["Y1"].xt, k))
+            xy, xy1 = V.scalar(PRODUCTS["Y"].xt, k), V.scalar(PRODUCTS["Y1"].xt, k)
+            return V.op("Y1", k).scale(xy), V.op("Y", k).scale(xy1)
 
         rels.append((MIXED_ID, DOWN, False, mixed))
     # X-twisting laws close the list for every algebra

@@ -171,6 +171,10 @@ class WeightModule:
     def sigma_scalar(self, k: int) -> Fel:
         return self.point(k).b
 
+    def scalar(self, f: Scalar, k: int) -> Fel:
+        """An element of R, such as a PRODUCTS scalar, at offset k's point."""
+        return f(self.ctx, self.tau_scalar(k), self.sigma_scalar(k))
+
     # operators
 
     def has_op(self, name: str) -> bool:
