@@ -362,42 +362,34 @@ def verify_endomorphism(V: WeightModule, names: Sequence[str], maps: Dict[int, M
 def _fitting_projector(V: WeightModule, phi: Dict[int, Mat]) -> Optional[Tuple[Dict[int, Mat], int]]:
     """Idempotent projecting onto the stable image of phi, if it splits.
 
-    phi^N for N at least the total dimension has the same kernel and image
-    as all later powers, and the module is their direct sum; both sides
-    are submodules because phi commutes with the operators.  Returns the
+    On each weight space, phi^N for N at least its dimension has the same
+    kernel and image as all later powers, and the space is their direct
+    sum; both sides are submodules because phi commutes with the operators.  Returns the
     projector onto the image along the kernel and its rank, or None when
     the split is trivial (phi nilpotent or invertible).
     """
-    ctx = V.ctx
     total = V.total_dim()
     rank = 0
-    pieces: Dict[int, Tuple[Mat, List[Mat]]] = {}
+    pieces: Dict[int, Tuple[Mat, Mat]] = {}
     for k in V.offsets():
         d = V.dim(k)
         if d == 0:
             continue
-        block = phi.get(k, Mat.zeros(ctx, d, d))
-        power = fitting_power(block)
-        image = power.column_space()
-        kernel = power.nullspace()
+        block = phi.get(k, Mat.zeros(V.ctx, d, d))
+        image, kernel = fitting_power(block).image_and_kernel()
         pieces[k] = (image, kernel)
         rank += image.cols
     if rank == 0 or rank == total:
         return None
 
+    # with B = [image | kernel], the projector is B diag(1, 0) B^-1: the
+    # image times the first image.cols rows of B^-1
     proj: Dict[int, Mat] = {}
     for k, (image, kernel) in pieces.items():
-        d = V.dim(k)
-        basis = image
-        for col in kernel:
-            basis = basis.hstack(col)
-        inverse = basis.inverse()
+        inverse = image.hstack(kernel).inverse()
         if inverse is None:
             raise ValueError("stable image and kernel do not split the space")
-        diag = Mat.zeros(ctx, d, d)
-        for i in range(image.cols):
-            diag.data[i][i] = ctx.one
-        proj[k] = basis * diag * inverse
+        proj[k] = image * Mat(V.ctx, inverse.data[: image.cols], cols=V.dim(k))
     return proj, rank
 
 

@@ -4,14 +4,17 @@ R = K[tau, sigma, sigma^{-1}] carries the automorphism alpha with
 alpha(tau) = tau - 1 and alpha(sigma) = sigma / q.  A weight point (a, b)
 stands for the maximal ideal (tau - a, sigma - b); b is nonzero because
 sigma is invertible.  On points, alpha^k sends (a, b) to (a + k, q^k b).
-Elements of R are only ever evaluated at points, so a LaurentPoly is just
-its terms.
+Elements of R are only ever evaluated at points, so one is a Scalar, a
+function of (ctx, tau, sigma).  PRODUCTS states D's product relations once
+as such scalars; for each lowering operator T, its T X is the t of the
+generalized Weyl algebra that keeps X and T, and a break of that algebra is
+a point where t vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, NamedTuple
 
 from .fields import Fel, FieldCtx
 
@@ -31,33 +34,30 @@ class WeightPoint:
         return f"({self.a}, {self.b})"
 
 
-class LaurentPoly:
-    """Element of K[tau, sigma, sigma^{-1}]: finitely many terms
-    coeff * tau^i * sigma^j with i >= 0 and j any integer."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: FieldCtx, terms: Dict[Tuple[int, int], Fel]):
-        self.ctx = ctx
-        self.terms = {k: v for k, v in terms.items() if v}
-        for (i, _), _c in self.terms.items():
-            if i < 0:
-                raise ValueError("tau-degree must be nonnegative")
+# an element of R at a weight point: (ctx, tau, sigma) -> scalar
+Scalar = Callable[[FieldCtx, Fel, Fel], Fel]
 
 
-# named ring elements
+class Products(NamedTuple):
+    """X with one lowering operator T: T X acts on the space at X's source
+    offset by tx, X T on the space at T's source offset by xt, each read at
+    that offset's point."""
+
+    tx_id: str
+    tx: Scalar
+    xt_id: str
+    xt: Scalar
 
 
-def lp_tau(ctx: FieldCtx) -> LaurentPoly:
-    return LaurentPoly(ctx, {(1, 0): ctx.one})
-
-
-def lp_qsigma_minus_1(ctx: FieldCtx) -> LaurentPoly:
-    """q*sigma - 1, the t-element of the A_q flavor."""
-    return LaurentPoly(ctx, {(0, 1): ctx.q, (0, 0): -ctx.one})
-
-
-# operations
+# D's product relations: YX = tau, XY = tau - 1, Y1X = q sigma - 1 and
+# XY1 = sigma - 1.  The mixed relation Y1 (tau - 1) = Y (sigma - 1) is
+# Y1 (X Y) = Y (X Y1).
+PRODUCTS = {
+    "Y": Products("YX=tau", lambda ctx, a, b: a, "XY=alpha(tau)", lambda ctx, a, b: a - ctx.one),
+    "Y1": Products("Y1X=qsigma-1", lambda ctx, a, b: ctx.q * b - ctx.one,
+                   "XY1=alpha(qsigma-1)", lambda ctx, a, b: b - ctx.one),
+}
+MIXED_ID = "Y1(tau-1)=Y(sigma-1)"
 
 
 def alpha_point(w: WeightPoint, k: int) -> WeightPoint:
@@ -66,10 +66,6 @@ def alpha_point(w: WeightPoint, k: int) -> WeightPoint:
     return WeightPoint(w.a + k, (ctx.q ** k) * w.b)
 
 
-def eval_at(f: LaurentPoly, w: WeightPoint) -> Fel:
+def eval_at(f: Scalar, w: WeightPoint) -> Fel:
     """Substitute tau -> a, sigma -> b."""
-    ctx = f.ctx
-    total = ctx.zero
-    for (i, j), c in f.terms.items():
-        total = total + c * (w.a ** i) * (w.b ** j)
-    return total
+    return f(w.a.field, w.a, w.b)

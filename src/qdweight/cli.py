@@ -228,47 +228,34 @@ def _verdict_status(raw: dict) -> str:
 
 
 def run_checks(V: WeightModule, checks, algebra, seed, trials, budget) -> Tuple[dict, int]:
+    def verdict(v) -> Tuple[dict, str]:
+        raw = v.to_json()
+        return raw, _verdict_status(raw)
+
+    def dec() -> Tuple[dict, str]:
+        d = decompose(V, algebra, seed=seed, trials=trials)
+        return d.to_json(), "ok" if d.complete else "und"
+
+    run = {
+        "dims": lambda: ({"dims": [[k, d] for k, d in weight_dims(V)]}, "ok"),
+        "equidim": lambda: verdict(equidimension_check(V)),
+        "irreducible": lambda: verdict(is_irreducible(V, algebra, budget=budget)),
+        "indecomposable": lambda: verdict(is_indecomposable(V, algebra, seed=seed, trials=trials)),
+        "end": lambda: (endomorphisms(V, algebra).to_json(), "ok"),
+        "decompose": dec,
+    }
+    for name in checks:
+        if name not in run:
+            raise CliError(f"unknown check {name!r}")
     results: Dict[str, dict] = {}
     statuses: List[str] = []
     for name in checks:
-        if name == "dims":
-            results[name] = {"dims": [[k, d] for k, d in weight_dims(V)]}
-            statuses.append("ok")
-        elif name == "equidim":
-            raw = equidimension_check(V).to_json()
-            results[name] = raw
-            statuses.append(_verdict_status(raw))
-        elif name == "irreducible":
-            raw = is_irreducible(V, algebra, budget=budget).to_json()
-            results[name] = raw
-            statuses.append(_verdict_status(raw))
-        elif name == "indecomposable":
-            raw = is_indecomposable(V, algebra, seed=seed, trials=trials).to_json()
-            results[name] = raw
-            statuses.append(_verdict_status(raw))
-        elif name == "end":
-            try:
-                results[name] = endomorphisms(V, algebra).to_json()
-                statuses.append("ok")
-            except NotApplicable as exc:
-                results[name] = {"verdict": "NOT_APPLICABLE", "reason": str(exc)}
-                statuses.append("und")
-        elif name == "decompose":
-            try:
-                dec = decompose(V, algebra, seed=seed, trials=trials)
-                results[name] = dec.to_json()
-                statuses.append("ok" if dec.complete else "und")
-            except NotApplicable as exc:
-                results[name] = {"verdict": "NOT_APPLICABLE", "reason": str(exc)}
-                statuses.append("und")
-        else:
-            raise CliError(f"unknown check {name!r}")
-    if "neg" in statuses:
-        code = 1
-    elif "und" in statuses:
-        code = 3
-    else:
-        code = 0
+        try:
+            results[name], status = run[name]()
+        except NotApplicable as exc:
+            results[name], status = {"verdict": "NOT_APPLICABLE", "reason": str(exc)}, "und"
+        statuses.append(status)
+    code = 1 if "neg" in statuses else 3 if "und" in statuses else 0
     return {"algebra": algebra, "seed": seed, "checks": results}, code
 
 

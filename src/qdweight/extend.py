@@ -5,7 +5,7 @@ exactly when the missing operator's entries solve a set of linear
 equations: the upward product relation (through X), the downward product
 relation, and the mixed relation Y1(tau-1) = Y(sigma-1) pin every entry
 of the missing graded map against the known data.  Their ids and scalars
-come from D's relation table, wmod.PRODUCTS.  The R-twisting laws
+come from D's relation table, basering.PRODUCTS.  The R-twisting laws
 hold automatically for any graded map, so they add no constraints.
 
 The equations follow the grading.  The missing operator is one block
@@ -29,10 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .basering import MIXED_ID, PRODUCTS
 from .fields import Fel, FieldCtx
 from .linalg import Echelon, Mat
+from .orbits import LOWERING
 from .verify import check_relations
-from .wmod import MIXED_ID, PRODUCTS, WeightModule
+from .wmod import WeightModule
 
 IMPOSSIBLE = "IMPOSSIBLE"
 UNIQUE = "UNIQUE"
@@ -108,13 +110,13 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
     solved apart, and the solution set classifies the extension.
     """
     missing = _missing_operator(V)
-    known = "Y1" if missing == "Y" else "Y"
-    flavor = "AQ" if missing == "Y" else "A1"
+    # the flavor the module already carries keeps the known lowering operator
+    flavor, known = next((f, T) for f, T in LOWERING.items() if T != missing)
     rep = check_relations(V, flavor)
     if not rep.passed:
         first = rep.violations[0]
         raise ValueError(
-            f"the {flavor} relations must pass before extending; "
+            f"the {flavor.value} relations must pass before extending; "
             f"{first['relation']} fails at offset {first['offset']}"
         )
 

@@ -5,7 +5,8 @@ names, catalog text and how to build it.  The windowed line families and the
 twisted circular families are pure data (a ``Line``) read by one
 interpreter, ``_line_module``; the chain, two-row and fixture families keep
 builder functions.  Generic line coefficients and the chain and two-row
-lowering scalars are read from D's product relations, ``wmod.PRODUCTS``.
+lowering scalars are read from D's product relations, ``basering.PRODUCTS``,
+and each flavour's lowering operator from ``orbits.LOWERING``.
 Constructors validate their side conditions up front and evaluate
 coefficient formulas lazily, so a bad denominator reports the offending
 offset.  They do not re-check the defining relations; that is
@@ -23,11 +24,11 @@ from fractions import Fraction
 from math import inf
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .basering import WeightPoint
+from .basering import PRODUCTS, Scalar, WeightPoint
 from .fields import Fel, FieldCtx
 from .linalg import Mat
-from .orbits import Orbit, Subalgebra, breaks, compute_orbit
-from .wmod import OP_NAMES, OP_STEP, PRODUCTS, Scalar, WeightModule, check_width, op_names_for
+from .orbits import LOWERING, Orbit, Subalgebra, breaks, compute_orbit
+from .wmod import OP_NAMES, OP_STEP, WeightModule, check_width
 
 def _norm_param(value):
     if isinstance(value, bool):
@@ -206,8 +207,8 @@ def _generic(flavour: Subalgebra) -> Dict[str, Tuple[Scalar, Optional[Scalar]]]:
     (numerator, denominator) at the point of offset k, None meaning no
     denominator: X carries T X, T acts by 1, and the other lowering
     operator U by (X U)/(X T)."""
-    T = op_names_for(flavour)[1]
-    U = "Y" if T == "Y1" else "Y1"
+    T = LOWERING[flavour]
+    (U,) = PRODUCTS.keys() - {T}
     coeffs = {
         "X": (PRODUCTS[T].tx, None),
         T: (lambda ctx, a, b: ctx.one, None),

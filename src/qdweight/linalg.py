@@ -5,7 +5,8 @@ splitting, intertwiner search, closure spinning, extension solving) reduces
 to small dense systems, so this stays deliberately simple: one incremental
 reduced-echelon kernel, `Echelon`, with exact arithmetic and the leading
 nonzero entry of each new row as its pivot.  `Mat.rref`, and through it
-rank, nullspace, column space and solve, feed their rows into it.
+rank, nullspace, column space, image_and_kernel and solve, feed their rows
+into it.
 """
 
 from __future__ import annotations
@@ -193,25 +194,33 @@ class Mat:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def nullspace(self) -> List["Mat"]:
-        """Basis of the right kernel, as column vectors."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
+    def _kernel(self, red: "Mat", pivots: List[int]) -> List[List[Fel]]:
+        """Kernel basis vectors read off the reduced form, one per free column."""
         basis = []
-        for f in free:
+        for f in sorted(set(range(self.cols)) - set(pivots)):
             vec = [self.ctx.zero] * self.cols
             vec[f] = self.ctx.one
             for r, p in enumerate(pivots):
                 vec[p] = -red.data[r][f]
-            basis.append(Mat.column(self.ctx, vec))
+            basis.append(vec)
         return basis
+
+    def _columns(self, js: List[int]) -> "Mat":
+        return Mat(self.ctx, [[row[j] for j in js] for row in self.data], cols=len(js))
+
+    def nullspace(self) -> List["Mat"]:
+        """Basis of the right kernel, as column vectors."""
+        return [Mat.column(self.ctx, v) for v in self._kernel(*self.rref())]
 
     def column_space(self) -> "Mat":
         """A matrix whose columns are a basis of the column space."""
-        _, pivots = self.rref()
-        cols = [[self.data[i][j] for j in pivots] for i in range(self.rows)]
-        return Mat(self.ctx, cols, cols=len(pivots))
+        return self._columns(self.rref()[1])
+
+    def image_and_kernel(self) -> Tuple["Mat", "Mat"]:
+        """column_space() and a matrix whose columns are nullspace(), from one elimination."""
+        red, pivots = self.rref()
+        kernel = Mat(self.ctx, self._kernel(red, pivots), cols=self.cols).transpose()
+        return self._columns(pivots), kernel
 
     def solve(self, rhs: "Mat") -> Optional["Mat"]:
         """One exact solution X of self * X = rhs, or None if inconsistent.
@@ -258,5 +267,10 @@ class Mat:
 
 
 def fitting_power(m: Mat) -> Mat:
-    """m raised to its dimension: high enough that kernel and image split."""
-    return m.pow(max(m.rows, 1))
+    """m squared until the exponent reaches its dimension: high enough that
+    kernel and image split, and they are the same for every higher power."""
+    e = 1
+    while e < m.rows:
+        m = m * m
+        e *= 2
+    return m

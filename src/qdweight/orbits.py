@@ -6,9 +6,11 @@ every orbit is therefore circular of length lcm(p, ord q), computed in
 closed form and capped at MAX_ORBIT_LENGTH before anything is built.  Every
 infinite field kind has characteristic zero, where orbits are infinite.
 
-A break for the A_q flavor is a point whose sigma-coordinate is q^{-1}
-(where q*sigma - 1 vanishes); for the A_1 flavor one whose tau-coordinate is
-0 (where tau vanishes).
+Each GWA flavor keeps X and one lowering operator T, named in LOWERING,
+and its t is T X from basering.PRODUCTS.  A break is a point where t
+vanishes: for the A_q flavor (T = Y1, t = q*sigma - 1) a point whose
+sigma-coordinate is q^{-1}; for the A_1 flavor (T = Y, t = tau) one whose
+tau-coordinate is 0.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .fields import FieldCtx
-from .basering import (
-    LaurentPoly,
-    WeightPoint,
-    alpha_point,
-    eval_at,
-    lp_qsigma_minus_1,
-    lp_tau,
-)
+from .basering import PRODUCTS, WeightPoint, alpha_point, eval_at
 
 
 # the most offsets a module may have: the longest circular orbit and the
@@ -40,13 +35,8 @@ class Subalgebra(Enum):
     D = "D"
 
 
-def t_element(ctx: FieldCtx, flavor: Subalgebra) -> LaurentPoly:
-    """The defining t of a GWA flavor: q*sigma - 1 for AQ, tau for A1."""
-    if flavor is Subalgebra.AQ:
-        return lp_qsigma_minus_1(ctx)
-    if flavor is Subalgebra.A1:
-        return lp_tau(ctx)
-    raise ValueError("t is defined only for the GWA flavors AQ and A1")
+# the lowering operator each GWA flavor keeps beside X
+LOWERING = {Subalgebra.AQ: "Y1", Subalgebra.A1: "Y"}
 
 
 @dataclass(frozen=True)
@@ -100,14 +90,13 @@ def breaks(
     flavor: Subalgebra,
     window: Optional[Tuple[int, int]] = None,
 ) -> List[Tuple[int, WeightPoint]]:
-    """All (offset, point) in range where the flavor's t vanishes.
+    """All (offset, point) in range where the flavor's t = T X vanishes.
 
     Circular orbits are scanned in full; infinite orbits need a window.
     """
     if flavor is Subalgebra.D:
         raise ValueError("breaks are defined per GWA flavor, not for D")
-    ctx = orbit.base.a.field
-    t = t_element(ctx, flavor)
+    t = PRODUCTS[LOWERING[flavor]].tx
     if orbit.circular:
         offsets = range(orbit.length)
     else:

@@ -2,7 +2,7 @@
 
 check_relations computes both sides of every defining relation as exact
 matrices, offset by offset.  The product relations and the mixed relation
-come from D's relation table, wmod.PRODUCTS, one pair per lowering operator
+come from D's relation table, basering.PRODUCTS, one pair per lowering operator
 of the algebra; each lowering operator also brings its two twist laws, and
 X's two close the list.  A twist law M c1 = c2 M (an operator M moved
 past tau or sigma) is decided on its scalars first: it holds outright when
@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
+from .basering import MIXED_ID, PRODUCTS
 from .fields import Fel, FieldCtx
 from .linalg import Mat
-from .wmod import MIXED_ID, PRODUCTS, WeightModule, as_subalgebra, op_names_for
+from .wmod import WeightModule, as_subalgebra, op_names_for
 
 # relation instances that step upward use X first (need offset k+1);
 # downward ones use Y or Y1 first (need offset k-1)

@@ -5,49 +5,22 @@ with graded matrices for the operators X (offset +1) and Y, Y1 (offset -1).
 tau and sigma act on the space at offset k by the scalars (a+k, q^k b) of
 that offset's weight point and are never stored as matrices.  Infinite
 orbits are represented on a finite window of at most MAX_ORBIT_LENGTH
-offsets; circular orbits wrap around and need no window.  PRODUCTS states
-D's product relations once, for the checker, the extension solver and the
-family builders.
+offsets; circular orbits wrap around and need no window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .basering import WeightPoint, eval_at
+from .basering import PRODUCTS, Scalar, WeightPoint, eval_at
 from .fields import Fel, FieldCtx, FieldSpec, make_field
 from .linalg import Mat
-from .orbits import MAX_ORBIT_LENGTH, Orbit, Subalgebra, breaks, compute_orbit, j_index, t_element
+from .orbits import LOWERING, MAX_ORBIT_LENGTH, Orbit, Subalgebra, breaks, compute_orbit, j_index
 
 OP_NAMES = ("X", "Y", "Y1")
 OP_STEP = {"X": 1, "Y": -1, "Y1": -1}
-
-# an element of R at a weight point: (ctx, tau, sigma) -> scalar
-Scalar = Callable[[FieldCtx, Fel, Fel], Fel]
-
-
-class Products(NamedTuple):
-    """X with one lowering operator T: T X acts on the space at X's source
-    offset by tx, X T on the space at T's source offset by xt, each read at
-    that offset's point."""
-
-    tx_id: str
-    tx: Scalar
-    xt_id: str
-    xt: Scalar
-
-
-# D's product relations: YX = tau, XY = tau - 1, Y1X = q sigma - 1 and
-# XY1 = sigma - 1.  The mixed relation Y1 (tau - 1) = Y (sigma - 1) is
-# Y1 (X Y) = Y (X Y1).  A_1 keeps X and Y, A_q keeps X and Y1.
-PRODUCTS = {
-    "Y": Products("YX=tau", lambda ctx, a, b: a, "XY=alpha(tau)", lambda ctx, a, b: a - ctx.one),
-    "Y1": Products("Y1X=qsigma-1", lambda ctx, a, b: ctx.q * b - ctx.one,
-                   "XY1=alpha(qsigma-1)", lambda ctx, a, b: b - ctx.one),
-}
-MIXED_ID = "Y1(tau-1)=Y(sigma-1)"
 
 
 def check_width(lo: int, hi: int) -> None:
@@ -64,13 +37,11 @@ def as_subalgebra(flavor) -> Subalgebra:
 
 
 def op_names_for(algebra) -> Tuple[str, ...]:
-    """The operators an algebra acts through: X plus Y1 (AQ), Y (A1), or both (D)."""
+    """The operators an algebra acts through: X and the flavor's lowering operator, or all three for D."""
     algebra = as_subalgebra(algebra)
-    if algebra is Subalgebra.AQ:
-        return ("X", "Y1")
-    if algebra is Subalgebra.A1:
-        return ("X", "Y")
-    return OP_NAMES
+    if algebra is Subalgebra.D:
+        return OP_NAMES
+    return ("X", LOWERING[algebra])
 
 
 class WeightModule:
@@ -252,6 +223,12 @@ def make_module(raw: dict) -> WeightModule:
     """Validate a raw JSON-style description and build the module."""
     if not isinstance(raw, dict):
         raise ValueError("module description must be a JSON object")
+    for key in ("field", "ops", "edge_flags"):
+        if raw.get(key) is not None and not isinstance(raw[key], dict):
+            raise ValueError(f"{key} must be a JSON object")
+    for key in ("base", "window"):
+        if raw.get(key) is not None and not (isinstance(raw[key], (list, tuple)) and len(raw[key]) == 2):
+            raise ValueError(f"{key} must be a list of two entries")
     ctx = make_field(FieldSpec.from_json(raw["field"]))
     if "q" in raw and ctx.parse(raw["q"]) != ctx.q:
         raise ValueError("q in the description disagrees with the field spec")
@@ -371,9 +348,9 @@ def construct_gwa(flavor, kind: GwaKind, base: WeightPoint, window, ctx: FieldCt
     flavor = as_subalgebra(flavor)
     if flavor is Subalgebra.D:
         raise ValueError("GWA modules are built per flavor, AQ or A1")
-    T_name = "Y1" if flavor is Subalgebra.AQ else "Y"
+    T_name = LOWERING[flavor]
+    t = PRODUCTS[T_name].tx
     orbit = compute_orbit(base, ctx)
-    t = t_element(ctx, flavor)
 
     def tval(k: int) -> Fel:
         return eval_at(t, orbit.point(k))

@@ -2,8 +2,11 @@
 decomposition, and isomorphism."""
 
 import json
+import random
 
 import pytest
+
+from qdweight import analyze
 
 from qdweight.analyze import (
     Decomposition,
@@ -452,6 +455,48 @@ def test_not_isomorphic_different_wrap_factor():
     verdict = are_isomorphic(TWISTED, other, "D")
     assert verdict.is_no
     assert verdict.witness == {"kind": "no_invertible_intertwiner", "hom_dim": 0, "exhaustive": True}
+
+
+def test_not_isomorphic_exhaustive_over_a_two_dimensional_hom():
+    # Hom(S1+S1, S1+S2) is End(S1) twice over, since S1 and S2 are the two
+    # non-isomorphic summands of A6; no line in it is invertible
+    S1, S2 = decompose(CHAIN_A6, "D", seed=0).summands
+    verdict = are_isomorphic(direct_sum(S1, S1), direct_sum(S1, S2), "D")
+    assert verdict.is_no
+    assert verdict.witness == {"kind": "no_invertible_intertwiner", "hom_dim": 2, "exhaustive": True}
+
+
+def five_twisted():
+    V = TWISTED
+    for _ in range(4):
+        V = direct_sum(V, TWISTED)
+    return V
+
+
+def test_sweep_over_a_large_space_is_seeded_and_bounded():
+    # 5 basis vectors and 20 pairwise sums and differences, then 4 seeded draws
+    sweep, exhaustive = analyze._coefficient_sweep(F9, 5, 7, 4)
+    vectors = list(sweep)
+    assert not exhaustive
+    assert len(vectors) == 29
+    rng = random.Random(7)
+    assert vectors[25:] == [[F9.random_element(rng) for _ in range(5)] for _ in range(4)]
+
+
+def test_trial_budget_unknowns(monkeypatch):
+    V = five_twisted()
+    assert endomorphisms(V, "D").dim == 25
+    monkeypatch.setattr(analyze, "_fitting_projector", lambda V, phi: None)
+    reason = "no splitting endomorphism found within the trial budget"
+    verdict = is_indecomposable(V, "D", trials=3)
+    assert verdict.kind == "UNKNOWN" and verdict.reason == reason
+    dec = decompose(V, "D", trials=3)
+    assert not dec.complete and dec.reason == reason and dec.summands == [V]
+
+    monkeypatch.setattr(analyze, "_invertible_maps", lambda V, maps: False)
+    verdict = are_isomorphic(V, V, "D", trials=3)
+    assert verdict.kind == "UNKNOWN"
+    assert verdict.reason == "no invertible intertwiner found within the trial budget"
 
 
 def test_isomorphic_zero_modules():

@@ -1,14 +1,7 @@
 import pytest
 
 from qdweight.fields import FieldSpec, make_field
-from qdweight.basering import (
-    LaurentPoly,
-    WeightPoint,
-    alpha_point,
-    eval_at,
-    lp_qsigma_minus_1,
-    lp_tau,
-)
+from qdweight.basering import PRODUCTS, WeightPoint, alpha_point, eval_at
 
 
 @pytest.fixture
@@ -50,21 +43,13 @@ class TestWeightPoint:
 
 class TestEval:
     def test_qsigma_at_break(self, rat2):
-        # q*sigma - 1 vanishes exactly at b = 1/q
+        # Y1X = q*sigma - 1 vanishes exactly at b = 1/q
         w = WeightPoint(rat2.from_int(5), rat2.parse("1/2"))
-        assert eval_at(lp_qsigma_minus_1(rat2), w) == rat2.zero
+        assert eval_at(PRODUCTS["Y1"].tx, w) == rat2.zero
+        assert eval_at(PRODUCTS["Y1"].tx, WeightPoint(rat2.from_int(5), rat2.one)) == rat2.one
 
     def test_tau_at_zero(self, rat2):
+        # YX = tau vanishes exactly at a = 0
         w = WeightPoint(rat2.zero, rat2.from_int(4))
-        assert eval_at(lp_tau(rat2), w) == rat2.zero
-
-    def test_negative_sigma_power(self, rat2):
-        # tau * sigma^{-1} at (3, 2) -> 3/2
-        f = LaurentPoly(rat2, {(1, -1): rat2.one})
-        w = WeightPoint(rat2.from_int(3), rat2.from_int(2))
-        assert eval_at(f, w) == rat2.parse("3/2")
-
-
-def test_negative_tau_degree_rejected(rat2):
-    with pytest.raises(ValueError):
-        LaurentPoly(rat2, {(-1, 0): rat2.one})
+        assert eval_at(PRODUCTS["Y"].tx, w) == rat2.zero
+        assert eval_at(PRODUCTS["Y"].tx, WeightPoint(rat2.from_int(3), rat2.from_int(4))) == rat2.from_int(3)

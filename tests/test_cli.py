@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from qdweight.analyze import WINDOWED_REASON
 from qdweight.cli import (
     SCENARIO_SCHEMA,
     CliError,
@@ -285,6 +286,19 @@ def test_verify_bad_module_file(tmp_path, capsys):
     assert code == 2 and "invalid" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("base", ["1"]), ("window", [0]), ("field", "RATIONAL"), ("edge_flags", "yes")],
+)
+def test_malformed_module_file_exits_2(tmp_path, key, value):
+    raw = {"field": QQ_FIELD, "base": ["1", "1"], "window": [0, 2], key: value}
+    path = write_json(tmp_path / "m.json", raw)
+    out = subprocess.run([sys.executable, "-m", "qdweight", "verify", path], capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"error: module {path} is invalid: {key} must be")
+    assert "Traceback" not in out.stderr
+
+
 # analyze
 
 
@@ -324,6 +338,26 @@ def test_analyze_undecided_exits_3(tmp_path, capsys):
 def test_analyze_rejects_unknown_check(capsys, twisted_file):
     code, _, err = run_cli(["analyze", twisted_file, "--checks", "spectra"], capsys)
     assert code == 2 and "spectra" in err
+
+
+def test_analyze_rejects_unknown_check_before_running_any(capsys, monkeypatch, twisted_file):
+    def fail(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("qdweight.cli.endomorphisms", fail)
+    code, out, err = run_cli(["analyze", twisted_file, "--checks", "end,bogus"], capsys)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: unknown check 'bogus'"
+
+
+def test_analyze_windowed_end_and_decompose_not_applicable(tmp_path, capsys):
+    sc = scenario(QQ_FIELD, "VQ_B_A", {"b": "3", "a": "1/2"}, (-2, 2))
+    path = build_module_file(tmp_path, "line", sc, capsys)
+    code, out, _ = run_cli(["analyze", path, "--checks", "end,decompose"], capsys)
+    assert code == 3
+    checks = json.loads(out)["checks"]
+    for name in ("end", "decompose"):
+        assert checks[name] == {"verdict": "NOT_APPLICABLE", "reason": WINDOWED_REASON}
 
 
 # extend

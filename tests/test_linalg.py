@@ -94,6 +94,26 @@ def test_fitting_power_splits():
     assert stacked.is_invertible()
 
 
+def test_image_and_kernel_match_column_space_and_nullspace():
+    a = Mat.from_ints(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    image, kernel = a.image_and_kernel()
+    assert image == a.column_space()
+    assert [kernel.col(j) for j in range(kernel.cols)] == [v.col(0) for v in a.nullspace()]
+    image, kernel = Mat.identity(QQ, 2).image_and_kernel()
+    assert image == Mat.identity(QQ, 2) and (kernel.rows, kernel.cols) == (2, 0)
+
+
+@pytest.mark.parametrize("d, products", [(1, 0), (2, 1), (4, 2), (6, 3)])
+def test_fitting_power_squares_up_to_the_dimension(monkeypatch, d, products):
+    # a nilpotent shift of index d: its power d is zero and power d - 1 is not
+    a = Mat(QQ, [[QQ.one if i == j + 1 else QQ.zero for j in range(d)] for i in range(d)])
+    calls = []
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    assert fitting_power(a).is_zero()
+    assert len(calls) == products
+
+
 def test_ragged_rejected():
     with pytest.raises(ValueError):
         Mat(QQ, [[QQ.one], [QQ.one, QQ.zero]])
