@@ -4,9 +4,10 @@ Every family is one row of the table ``_FAMILIES``: its name, parameter
 names, catalog text and how to build it.  The windowed line families and the
 twisted circular families are pure data (a ``Line``) read by one
 interpreter, ``_line_module``; the chain, two-row and fixture families keep
-builder functions.  Generic line coefficients and the chain and two-row
-lowering scalars are read from D's product relations, ``basering.PRODUCTS``,
-and each flavour's lowering operator from ``orbits.LOWERING``.
+builder functions.  Generic line coefficients are read from D's product
+relations, ``basering.PRODUCTS``, and each flavour's lowering operator from
+``orbits.LOWERING``; the chain and two-row builders pass only their junction
+blocks to ``wmod.junction_module``, which fills in the rest.
 Constructors validate their side conditions up front and evaluate
 coefficient formulas lazily, so a bad denominator reports the offending
 offset.  They do not re-check the defining relations; that is
@@ -28,7 +29,7 @@ from .basering import PRODUCTS, Scalar, WeightPoint
 from .fields import Fel, FieldCtx
 from .linalg import Mat
 from .orbits import LOWERING, Orbit, Subalgebra, breaks, compute_orbit
-from .wmod import OP_NAMES, OP_STEP, WeightModule, check_width
+from .wmod import OP_NAMES, OP_STEP, WeightModule, check_width, junction_module
 
 def _norm_param(value):
     if isinstance(value, bool):
@@ -343,39 +344,18 @@ def _chain_cycle(ctx: FieldCtx, window, m_raw, word_raw, a_raw) -> WeightModule:
     orbit = compute_orbit(WeightPoint(ctx.one, ctx.one), ctx)
     _no_window(orbit, window, "CHAIN_CYCLE")
     r = orbit.length
-    # junction matrices at offset 0 (wrapping down to offset r-1): component
+    # junction blocks at offset 0 (wrapping down to offset r-1): component
     # j closes through its own letter with eigenvalue a_j and feeds the other
     # lowering operator into component j+1
-    y0 = [[ctx.zero] * m for _ in range(m)]
-    y10 = [[ctx.zero] * m for _ in range(m)]
+    blocks = {T: [[ctx.zero] * m for _ in range(m)] for T in ("Y", "Y1")}
     for j, letter in enumerate(word):
-        nxt = (j + 1) % m
-        if letter == "Y":
-            y0[j][j] = a[j]
-            if m > 1:
-                y10[nxt][j] = ctx.one
-        else:
-            y10[j][j] = a[j]
-            if m > 1:
-                y0[nxt][j] = ctx.one
-    ident = Mat.identity(ctx, m)
-    ops: Dict[str, Dict[int, Mat]] = {
-        "X": {k: ident for k in range(r - 1)},
-        "Y": {0: Mat(ctx, y0)},
-        "Y1": {0: Mat(ctx, y10)},
-    }
-    ops["X"][r - 1] = Mat.zeros(ctx, m, m)
-    # X = 1 away from the wrap, so Y and Y1 act by X Y and X Y1
-    for k in range(1, r):
-        pt = orbit.point(k)
-        for T in ("Y", "Y1"):
-            ops[T][k] = ident.scale(PRODUCTS[T].xt(ctx, pt.a, pt.b))
-    if m == 1:
-        labels = {k: (f"v{k}",) for k in range(r)}
-    else:
-        names = tuple(f"e{i + 1}" for i in range(m))
-        labels = {k: names for k in range(r)}
-    return WeightModule(ctx, orbit, None, labels, ops)
+        blocks[letter][j][j] = a[j]
+        if m > 1:
+            blocks["Y1" if letter == "Y" else "Y"][(j + 1) % m][j] = ctx.one
+    names = tuple(f"e{i + 1}" for i in range(m))
+    labels = {k: (f"v{k}",) if m == 1 else names for k in range(r)}
+    y, y1 = (Mat(ctx, blocks[T]) for T in ("Y", "Y1"))
+    return junction_module(ctx, orbit, None, labels, r - 1, Mat.zeros(ctx, m, m), y, y1)
 
 
 def _chain_alt(ctx: FieldCtx, window, m_raw, a_raw) -> WeightModule:
@@ -391,27 +371,9 @@ def _vcd_tworow(ctx: FieldCtx, window, c_raw, d_raw) -> WeightModule:
     _check("VCD_TWOROW", _CHAR_0, ctx, {})
     orbit = compute_orbit(WeightPoint(ctx.zero, 1 / ctx.q), ctx)
     lo, hi = _take_window(orbit, window, "VCD_TWOROW")
-    labels = {
-        k: ((f"u{k}", f"w{k}") if k <= 0 else (f"v{k}",)) for k in range(lo, hi + 1)
-    }
-    ops: Dict[str, Dict[int, Mat]] = {"X": {}, "Y": {}, "Y1": {}}
-    for k in range(lo, hi):
-        if k <= -1:
-            ops["X"][k] = Mat.identity(ctx, 2)
-        elif k == 0:
-            ops["X"][0] = Mat.zeros(ctx, 1, 2)
-        else:
-            ops["X"][k] = Mat(ctx, [[ctx.one]])
-    # X = 1 off the junction, so Y and Y1 act by X Y and X Y1
-    for k in range(lo + 1, hi + 1):
-        if k == 1:
-            ops["Y"][1] = Mat(ctx, [[c], [ctx.zero]])
-            ops["Y1"][1] = Mat(ctx, [[ctx.zero], [d]])
-            continue
-        pt = orbit.point(k)
-        for T in ("Y", "Y1"):
-            ops[T][k] = Mat.identity(ctx, len(labels[k])).scale(PRODUCTS[T].xt(ctx, pt.a, pt.b))
-    return WeightModule(ctx, orbit, (lo, hi), labels, ops)
+    labels = {k: (f"u{k}", f"w{k}") if k <= 0 else (f"v{k}",) for k in range(lo, hi + 1)}
+    y, y1 = Mat(ctx, [[c], [ctx.zero]]), Mat(ctx, [[ctx.zero], [d]])
+    return junction_module(ctx, orbit, (lo, hi), labels, 0, Mat.zeros(ctx, 1, 2), y, y1)
 
 
 def _remark_136(ctx: FieldCtx, window) -> WeightModule:

@@ -330,7 +330,9 @@ class FieldCtx:
         raise NotImplementedError
 
     def parse(self, text: str) -> Fel:
-        raise NotImplementedError
+        if not isinstance(text, str):
+            raise ValueError(f"a field element must be a string, got {text!r}")
+        return self._parse(text)
 
     def show(self, a: Fel) -> str:
         raise NotImplementedError
@@ -405,7 +407,7 @@ class RationalField(FieldCtx):
     def from_int(self, n: int) -> Fel:
         return self.el(Fraction(n))
 
-    def parse(self, text: str) -> Fel:
+    def _parse(self, text: str) -> Fel:
         return self.el(self._parse_fraction(text))
 
     def show(self, a: Fel) -> str:
@@ -468,7 +470,7 @@ class CyclotomicField(FieldCtx):
     def from_int(self, n: int) -> Fel:
         return self.el(_trim((Fraction(n),)))
 
-    def parse(self, text: str) -> Fel:
+    def _parse(self, text: str) -> Fel:
         text = text.strip()
         if not text.startswith("["):
             return self.el(self._reduce((self._parse_fraction(text),)))
@@ -533,7 +535,7 @@ class FunctionField(FieldCtx):
     def from_int(self, n: int) -> Fel:
         return self.el((_trim((Fraction(n),)), (Fraction(1),)))
 
-    def parse(self, text: str) -> Fel:
+    def _parse(self, text: str) -> Fel:
         text = text.strip()
         if "|" in text:
             num_s, den_s = text.split("|", 1)
@@ -620,7 +622,7 @@ class PrimeField(_FiniteField):
     def from_int(self, n: int) -> Fel:
         return self.el(n % self.p)
 
-    def parse(self, text: str) -> Fel:
+    def _parse(self, text: str) -> Fel:
         return self.el(int(text.strip()) % self.p)
 
     def show(self, a: Fel) -> str:
@@ -776,7 +778,7 @@ class ExtField(_FiniteField):
     def from_int(self, n: int) -> Fel:
         return self.el(n % self.p)
 
-    def parse(self, text: str) -> Fel:
+    def _parse(self, text: str) -> Fel:
         text = text.strip()
         if not text.startswith("["):
             return self.el(int(text) % self.p)

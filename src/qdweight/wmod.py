@@ -274,6 +274,30 @@ def make_module(raw: dict) -> WeightModule:
     return WeightModule(ctx, orbit, window, labels, ops, raw.get("edge_flags"))
 
 
+def junction_module(ctx: FieldCtx, orbit: Orbit, window, labels, j: int, x: Mat, y: Mat, y1: Mat) -> WeightModule:
+    """The D-module with X_j = x, Y and Y1 leaving offset j+1 equal to y and
+    y1 (on a circular orbit j = r-1 gives j+1 = 0), and X = 1 on every other
+    link k.  There T X = tx(k) and X T = xt(k+1) force T leaving k+1 to be
+    that scalar times 1, for T in Y, Y1; the two scalars agree because alpha
+    shifts tau by 1 and sigma by q.  Transport along X brings any module
+    with X invertible off one link to this form.  At a double break (tau = 0,
+    q sigma = 1) both junction scalars vanish, so the junction relations are
+    those of Lambda = F<x, y, y1>/(xy, yx, xy1, y1x).  Relations are not
+    checked; a link joining spaces of different dimensions fails the shape
+    check.
+    """
+    shell = WeightModule(ctx, orbit, window, labels, {})
+    ident = {d: Mat.identity(ctx, d) for d in {shell.dim(k) for k in shell.offsets()}}
+    ops = {"X": {k: x if k == j else ident[shell.dim(k)] for k in shell.op_sources("X")}}
+    top = shell.op_target("X", j)
+    for T, t in (("Y", y), ("Y1", y1)):
+        xt = PRODUCTS[T].xt
+        ops[T] = {
+            k: t if k == top else ident[shell.dim(k)].scale(shell.scalar(xt, k)) for k in shell.op_sources(T)
+        }
+    return shell.with_ops(ops)
+
+
 def restrict(V: WeightModule, flavor) -> WeightModule:
     """Forget the operator outside the flavor: keep X, Y1 for AQ or X, Y for A1."""
     flavor = as_subalgebra(flavor)

@@ -299,6 +299,27 @@ def test_malformed_module_file_exits_2(tmp_path, key, value):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("where", ["base", "q", "matrix"])
+def test_non_string_field_element_exits_2(tmp_path, where):
+    raw = {
+        "field": {"kind": "PRIME_FIELD", "p": 7, "q": "2"},
+        "base": ["1", "1"],
+        "spaces": [{"offset": 0, "dim": 1}, {"offset": 1, "dim": 1}],
+        "ops": {"X": [{"offset": 0, "matrix": [["1"]]}]},
+    }
+    if where == "base":
+        raw["base"] = [1.5, "1"]
+    elif where == "q":
+        raw["q"] = 3
+    else:
+        raw["ops"]["X"][0]["matrix"] = [[1]]
+    path = write_json(tmp_path / "m.json", raw)
+    out = subprocess.run([sys.executable, "-m", "qdweight", "verify", path], capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
 # analyze
 
 

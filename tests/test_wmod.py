@@ -13,6 +13,7 @@ from qdweight.wmod import (
     construct_gwa,
     family1,
     family2,
+    junction_module,
     make_module,
     restrict,
     simple_no_break,
@@ -290,6 +291,42 @@ def test_shape_mismatch_rejected():
     raw["ops"]["X"][0]["matrix"] = [["1", "2"]]
     with pytest.raises(ValueError):
         make_module(raw)
+
+
+# junction modules
+
+
+def test_junction_module_windowed():
+    # orbit of (0, 1/2) over QQ, q = 2: the double break is link 0
+    orbit = compute_orbit(wp(QQ, 0, "1/2"), QQ)
+    labels = {k: ("u", "w") if k <= 0 else ("v",) for k in range(-2, 3)}
+    y, y1 = Mat(QQ, [[QQ.one], [QQ.zero]]), Mat(QQ, [[QQ.zero], [QQ.one]])
+    V = junction_module(QQ, orbit, (-2, 2), labels, 0, Mat.zeros(QQ, 1, 2), y, y1)
+    assert V.op("X", -2) is V.op("X", -1)
+    assert V.op("X", -1) == Mat.identity(QQ, 2) and V.op("X", 1) == Mat.identity(QQ, 1)
+    assert V.op("X", 0) == Mat.zeros(QQ, 1, 2)
+    assert V.op("Y", 1) is y and V.op("Y1", 1) is y1
+    # off the junction Y and Y1 leaving k are XY = tau - 1 and XY1 = sigma - 1 at k
+    assert V.op("Y", 2) == Mat(QQ, [[QQ.one]])
+    assert V.op("Y1", 0) == Mat.identity(QQ, 2).scale(QQ.parse("-1/2"))
+
+
+def test_junction_module_wraps_on_circular_orbit():
+    orbit = compute_orbit(wp(F3, 1, 1), F3)
+    r = orbit.length
+    labels = {k: ("v",) for k in range(r)}
+    x, y, y1 = (Mat(F3, [[F3.from_int(c)]]) for c in (0, 1, 2))
+    V = junction_module(F3, orbit, None, labels, r - 1, x, y, y1)
+    assert V.op("X", r - 1) is x and V.op("Y", 0) is y and V.op("Y1", 0) is y1
+    assert all(V.op("X", k) == Mat.identity(F3, 1) for k in range(r - 1))
+
+
+def test_junction_module_refuses_unequal_dims_off_the_junction():
+    orbit = compute_orbit(wp(QQ, 0, "1/2"), QQ)
+    labels = {-1: ("u", "w"), 0: ("u",), 1: ("v",)}
+    one = Mat(QQ, [[QQ.one]])
+    with pytest.raises(ValueError, match="operator X at offset -1 has shape"):
+        junction_module(QQ, orbit, (-1, 1), labels, 0, one, one, one)
 
 
 def test_kind_mismatch_rejected():
