@@ -17,6 +17,43 @@ that finds nothing reports UNKNOWN rather than guessing.
 Every NO verdict carries a witness that can be re-verified directly:
 a proper generated submodule, a nontrivial idempotent, or a dimension
 mismatch.  YES verdicts for isomorphism carry the intertwiner.
+
+Graded maps are solved on runs of invertible X links.
+
+* Where X is invertible.  In a D-module, YX = tau and Y1X = q sigma - 1 at
+  offset k make X_k injective unless tau_k = 0 and q sigma_k = 1 (a double
+  break), and XY = tau - 1, XY1 = sigma - 1 at k+1 read the same two scalars
+  of point k, so X_k is onto there as well.  X is therefore invertible off
+  the double breaks, and a circular module over a finite field has at most
+  one of them; over AQ or A1 alone X is invertible off that flavour's breaks.
+* The transport.  A graded map phi: V -> W commuting with X satisfies
+  phi_{k+1} X^V_k = X^W_k phi_k.  Where X^V_k is invertible this is
+  phi_{k+1} = X^W_k phi_k (X^V_k)^-1.  Nothing else about the modules is
+  used, so it holds whether or not V and W satisfy D's relations.
+* The system.  A run is a maximal chain of links where X is square and
+  invertible in V and in W.  On a run from offset s, phi_k = B_k Z A_k^-1
+  with Z = phi_s, A_k = X^V_{k-1} ... X^V_s and B_k the same in W, so one
+  unknown block per run fixes the map.  Every other operator instance
+  phi_t O^V = O^W phi_k, times B_t^-1 on the left and A_k on the right, is
+  Z_t (A_t^-1 O^V A_k) = (B_t^-1 O^W B_k) Z_k on the representatives' blocks,
+  with the same solutions.  A circular orbit whose every link is invertible
+  is cut at its last link, which stays an equation: Z M^V = M^W Z for the
+  monodromies M = X_{r-1} ... X_0, so End is the centralizer of M.  When
+  every X is singular each offset is its own run, every transport is 1,
+  and the system is the dense one in sum d_k^2 unknowns, row for row.
+* The output.  The solution space, lifted to (offset, row, column)
+  coordinates, does not depend on how it was solved.  The basis returned is
+  its reduced echelon basis in reversed coordinate order, listed by last
+  nonzero coordinate.  That is the basis the dense system's nullspace gave:
+  each of its vectors is 1 at its own free column and 0 at every later free
+  column, so in reversed order the vectors are in reduced echelon form, and
+  that form is unique.  So Hom, End, iso and decompose report the same bytes.
+* The Fitting split.  In End, phi_k = A_k Z A_k^-1 is conjugate to the
+  representative's block, and so is its Fitting power: the stable image and
+  kernel at k are A_k times those at s.  The split's rank is the sum of the
+  representatives' ranks times their run lengths.  The projector onto the
+  stable image along the stable kernel is unique, so A_k P_s A_k^-1 is the
+  projector a split of each weight space finds.
 """
 
 from __future__ import annotations
@@ -24,7 +61,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .fields import Fel, FieldCtx
 from .linalg import Echelon, Mat, fitting_power
@@ -277,18 +314,105 @@ def is_irreducible(V: WeightModule, algebra, budget: int = DEFAULT_LINE_BUDGET) 
     return Verdict.yes()
 
 
-# graded homomorphisms
+# graded homomorphisms, solved on runs of invertible X links
+
+
+class Runs:
+    """The runs of X for a pair of modules V, W on one orbit.
+
+    A run is a maximal chain of X links at which X is square, nonempty and
+    invertible in V and in W; an offset on no such link is a run of its own,
+    and a cycle of invertible links is cut at its last link.  members[s]
+    lists a run's offsets from its representative s along X, and rep maps
+    each offset to its representative.  For a run offset k other than s,
+    v[k] = (A_k, A_k^-1) with A_k = X_{k-1} ... X_s in V, and w[k] the same
+    in W (w is v when W is V).  links are the X links inside runs.
+    """
+
+    __slots__ = ("members", "rep", "links", "v", "w")
+
+    def __init__(self, V: WeightModule, W: WeightModule, names: Sequence[str]):
+        inv_v: Dict[int, Mat] = {}
+        inv_w: Dict[int, Mat] = {}
+        if "X" in names:
+            for k in V.op_sources("X"):
+                t = V.op_target("X", k)
+                if V.dim(k) == V.dim(t) > 0 and W.dim(k) == W.dim(t) > 0:
+                    xv = V.op("X", k).inverse()
+                    xw = xv if W is V else W.op("X", k).inverse()
+                    if xv is not None and xw is not None:
+                        inv_v[k], inv_w[k] = xv, xw
+        entered = {V.op_target("X", k) for k in inv_v}
+        offsets = V.offsets()
+
+        self.members: Dict[int, List[int]] = {}
+        self.rep: Dict[int, int] = {}
+        self.links: Set[int] = set()
+        self.v: Dict[int, Tuple[Mat, Mat]] = {}
+        self.w = self.v if W is V else {}
+        for s in [s for s in offsets if s not in entered] or offsets[:1]:
+            members = [s]
+            while members[-1] in inv_v and V.op_target("X", members[-1]) != s:
+                members.append(V.op_target("X", members[-1]))
+            self.members[s] = members
+            self.rep.update((k, s) for k in members)
+            self.links.update(members[:-1])
+            self.v.update(_transports(V, members, inv_v))
+            if W is not V:
+                self.w.update(_transports(W, members, inv_w))
+
+
+def _transports(M: WeightModule, members: List[int], inverses: Dict[int, Mat]) -> Dict[int, Tuple[Mat, Mat]]:
+    """(A_k, A_k^-1) with A_k = X_{k-1} ... X_s, for each offset k after the first s of a run."""
+    out: Dict[int, Tuple[Mat, Mat]] = {}
+    for k, t in zip(members, members[1:]):
+        x, x_inv = M.op("X", k), inverses[k]
+        out[t] = (x * out[k][0], out[k][1] * x_inv) if k in out else (x, x_inv)
+    return out
+
+
+def _to_reps(side: Dict[int, Tuple[Mat, Mat]], t: int, m: Mat, k: int) -> Mat:
+    """A block from offset k to offset t, moved to their representatives: A_t^-1 m A_k."""
+    if k in side:
+        m = m * side[k][0]
+    if t in side:
+        m = side[t][1] * m
+    return m
+
+
+class RunMaps:
+    """A graded map V -> W given by its blocks at the run representatives."""
+
+    __slots__ = ("runs", "blocks")
+
+    def __init__(self, runs: Runs, blocks: Dict[int, Mat]):
+        self.runs = runs
+        self.blocks = blocks
+
+    def lift(self) -> Dict[int, Mat]:
+        """The per-offset blocks: B_k Z A_k^-1 on the run of Z."""
+        out: Dict[int, Mat] = {}
+        runs = self.runs
+        for s, z in self.blocks.items():
+            for k in runs.members[s]:
+                out[k] = runs.w[k][0] * z * runs.v[k][1] if k in runs.v else z
+        return out
 
 
 def _graded_hom_basis(V: WeightModule, W: WeightModule, names: Sequence[str]) -> List[Dict[int, Mat]]:
-    """Basis of the graded maps V -> W commuting with the named operators."""
+    """Basis of the graded maps V -> W commuting with the named operators.
+
+    One unknown block per run; every operator instance off the run links is
+    one equation on those blocks.  The solutions are lifted to every offset
+    and brought to the canonical basis of the module docstring.
+    """
     ctx = V.ctx
-    offsets = V.offsets()
+    runs = Runs(V, W, names)
     index: Dict[Tuple[int, int, int], int] = {}
-    for k in offsets:
-        for i in range(W.dim(k)):
-            for j in range(V.dim(k)):
-                index[(k, i, j)] = len(index)
+    for s in runs.members:
+        for i in range(W.dim(s)):
+            for j in range(V.dim(s)):
+                index[(s, i, j)] = len(index)
     n = len(index)
     if n == 0:
         return []
@@ -296,27 +420,42 @@ def _graded_hom_basis(V: WeightModule, W: WeightModule, names: Sequence[str]) ->
     rows: List[List[Fel]] = []
     for name in names:
         for k in V.op_sources(name):
+            if name == "X" and k in runs.links:
+                continue
             t = V.op_target(name, k)
-            A = V.op(name, k)
-            B = W.op(name, k)
-            # phi_t A = B phi_k, entry by entry
+            s, u = runs.rep[k], runs.rep[t]
+            A = _to_reps(runs.v, t, V.op(name, k), k)
+            B = A if W is V else _to_reps(runs.w, t, W.op(name, k), k)
+            # Z_u A = B Z_s, entry by entry
             for i in range(W.dim(t)):
                 for j in range(V.dim(k)):
                     row = [ctx.zero] * n
                     for l in range(V.dim(t)):
-                        row[index[(t, i, l)]] += A.data[l][j]
+                        row[index[(u, i, l)]] += A.data[l][j]
                     for l in range(W.dim(k)):
-                        row[index[(k, l, j)]] -= B.data[i][l]
+                        row[index[(s, l, j)]] -= B.data[i][l]
                     if any(row):
                         rows.append(row)
 
-    basis = []
+    # reduced echelon basis of the lifted solutions, in reversed coordinates
+    shapes = [(k, W.dim(k), V.dim(k)) for k in V.offsets() if W.dim(k) and V.dim(k)]
+    ech = Echelon()
     for sol in Mat(ctx, rows, cols=n).nullspace():
-        maps = {}
-        for k in offsets:
-            dw, dv = W.dim(k), V.dim(k)
-            if dw and dv:
-                maps[k] = Mat(ctx, [[sol.data[index[(k, i, j)]][0] for j in range(dv)] for i in range(dw)])
+        blocks = {
+            s: Mat(ctx, [[sol.data[index[(s, i, j)]][0] for j in range(dv)] for i in range(dw)])
+            for s, dw, dv in shapes
+            if s in runs.members
+        }
+        maps = RunMaps(runs, blocks).lift()
+        ech.insert([c for k, _, _ in reversed(shapes) for row in reversed(maps[k].data) for c in reversed(row)])
+
+    basis = []
+    for vec in reversed(ech.rows):
+        vec = vec[::-1]
+        maps, at = {}, 0
+        for k, dw, dv in shapes:
+            maps[k] = Mat(ctx, [vec[at + i * dv : at + (i + 1) * dv] for i in range(dw)])
+            at += dw * dv
         basis.append(maps)
     return basis
 
@@ -359,38 +498,40 @@ def verify_endomorphism(V: WeightModule, names: Sequence[str], maps: Dict[int, M
 # decomposition
 
 
-def _fitting_projector(V: WeightModule, phi: Dict[int, Mat]) -> Optional[Tuple[Dict[int, Mat], int]]:
+def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[Dict[int, Mat], int]]:
     """Idempotent projecting onto the stable image of phi, if it splits.
 
     On each weight space, phi^N for N at least its dimension has the same
     kernel and image as all later powers, and the space is their direct
-    sum; both sides are submodules because phi commutes with the operators.  Returns the
-    projector onto the image along the kernel and its rank, or None when
-    the split is trivial (phi nilpotent or invertible).
+    sum; both sides are submodules because phi commutes with the operators.
+    On a run phi is conjugate to its representative block, so one Fitting
+    power per run gives the rank there.  Returns the projector onto the
+    image along the kernel, per offset, and its rank, or None when the
+    split is trivial (phi nilpotent or invertible).
     """
     total = V.total_dim()
     rank = 0
     pieces: Dict[int, Tuple[Mat, Mat]] = {}
-    for k in V.offsets():
-        d = V.dim(k)
+    for s, members in phi.runs.members.items():
+        d = V.dim(s)
         if d == 0:
             continue
-        block = phi.get(k, Mat.zeros(V.ctx, d, d))
+        block = phi.blocks.get(s, Mat.zeros(V.ctx, d, d))
         image, kernel = fitting_power(block).image_and_kernel()
-        pieces[k] = (image, kernel)
-        rank += image.cols
+        pieces[s] = (image, kernel)
+        rank += image.cols * len(members)
     if rank == 0 or rank == total:
         return None
 
     # with B = [image | kernel], the projector is B diag(1, 0) B^-1: the
     # image times the first image.cols rows of B^-1
     proj: Dict[int, Mat] = {}
-    for k, (image, kernel) in pieces.items():
+    for s, (image, kernel) in pieces.items():
         inverse = image.hstack(kernel).inverse()
         if inverse is None:
             raise ValueError("stable image and kernel do not split the space")
-        proj[k] = image * Mat(V.ctx, inverse.data[: image.cols], cols=V.dim(k))
-    return proj, rank
+        proj[s] = image * Mat(V.ctx, inverse.data[: image.cols], cols=V.dim(s))
+    return RunMaps(phi.runs, proj).lift(), rank
 
 
 def _coefficient_sweep(
@@ -433,9 +574,12 @@ def _find_split(
     """
     if end.dim <= 1:
         return None, True
+    # each basis map is fixed by its blocks at the run representatives
+    runs = Runs(V, V, op_names_for(end.algebra))
+    reps = [{s: maps[s] for s in runs.members if s in maps} for maps in end.maps]
     sweep, exhaustive = _coefficient_sweep(V.ctx, end.dim, seed, trials)
     for coefs in sweep:
-        phi = _combine(V, end.maps, coefs)
+        phi = RunMaps(runs, _combine(V, reps, coefs))
         got = _fitting_projector(V, phi)
         if got is not None:
             return got, True

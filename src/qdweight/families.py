@@ -31,6 +31,11 @@ from .linalg import Mat
 from .orbits import LOWERING, Orbit, Subalgebra, breaks, compute_orbit
 from .wmod import OP_NAMES, OP_STEP, WeightModule, check_width, junction_module
 
+# a chain module stores 3 r m^2 matrix entries (X, Y and Y1 on r offsets of
+# dimension m); larger ones are refused before any block is built
+MAX_CHAIN_ENTRIES = 2**16
+
+
 def _norm_param(value):
     if isinstance(value, bool):
         raise ValueError("family parameters must be numbers, strings, or lists")
@@ -344,6 +349,9 @@ def _chain_cycle(ctx: FieldCtx, window, m_raw, word_raw, a_raw) -> WeightModule:
     orbit = compute_orbit(WeightPoint(ctx.one, ctx.one), ctx)
     _no_window(orbit, window, "CHAIN_CYCLE")
     r = orbit.length
+    entries = 3 * r * m * m
+    if entries > MAX_CHAIN_ENTRIES:
+        raise ValueError(f"CHAIN_CYCLE would store {entries} matrix entries, over the limit of {MAX_CHAIN_ENTRIES}")
     # junction blocks at offset 0 (wrapping down to offset r-1): component
     # j closes through its own letter with eigenvalue a_j and feeds the other
     # lowering operator into component j+1

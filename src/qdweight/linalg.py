@@ -261,6 +261,8 @@ class Mat:
 
     @staticmethod
     def from_json(ctx: FieldCtx, data: list, rows: int, cols: int) -> "Mat":
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError("a matrix must be a list of rows, each a list of entries")
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError(f"matrix shape mismatch: expected {rows}x{cols}")
         return Mat(ctx, [[ctx.parse(v) for v in row] for row in data], cols=cols)

@@ -615,3 +615,154 @@ def test_ungraded_closure_matches_graded_componentwise():
     graded = _closure(V, names, [(k, [ctx.from_int(c) for c in coords]) for k, coords in seeds.items()])
     for k in V.offsets():
         assert ungraded[k] == graded[k].rank
+
+
+# the graded Hom solve on runs of invertible X links, against the dense
+# solve in sum d_k^2 unknowns that it replaced
+
+
+def dense_hom_basis(V, W, names):
+    ctx = V.ctx
+    offsets = V.offsets()
+    index = {}
+    for k in offsets:
+        for i in range(W.dim(k)):
+            for j in range(V.dim(k)):
+                index[(k, i, j)] = len(index)
+    n = len(index)
+    if n == 0:
+        return []
+
+    rows = []
+    for name in names:
+        for k in V.op_sources(name):
+            t = V.op_target(name, k)
+            A = V.op(name, k)
+            B = W.op(name, k)
+            # phi_t A = B phi_k, entry by entry
+            for i in range(W.dim(t)):
+                for j in range(V.dim(k)):
+                    row = [ctx.zero] * n
+                    for l in range(V.dim(t)):
+                        row[index[(t, i, l)]] += A.data[l][j]
+                    for l in range(W.dim(k)):
+                        row[index[(k, l, j)]] -= B.data[i][l]
+                    if any(row):
+                        rows.append(row)
+
+    basis = []
+    for sol in Mat(ctx, rows, cols=n).nullspace():
+        maps = {}
+        for k in offsets:
+            dw, dv = W.dim(k), V.dim(k)
+            if dw and dv:
+                maps[k] = Mat(ctx, [[sol.data[index[(k, i, j)]][0] for j in range(dv)] for i in range(dw)])
+        basis.append(maps)
+    return basis
+
+
+F5Q4 = make_field(FieldSpec(kind="PRIME_FIELD", p=5, q="4"))
+
+
+def random_block(rng, ctx, rows, cols, kind):
+    """A random matrix: zero, identity, scalar, invertible, singular (rank <= 1) or any."""
+    square = rows == cols
+    if kind == "identity" and square:
+        return Mat.identity(ctx, rows)
+    if kind == "scalar" and square:
+        return Mat.identity(ctx, rows).scale(ctx.random_element(rng))
+    if kind == "invertible" and square:
+        while True:
+            m = Mat(ctx, [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rows)], cols=cols)
+            if m.is_invertible():
+                return m
+    if kind == "singular" and min(rows, cols) > 1:
+        col = Mat.column(ctx, [ctx.random_element(rng) for _ in range(rows)])
+        return col * Mat(ctx, [[ctx.random_element(rng) for _ in range(cols)]])
+    if kind == "any":
+        return Mat(ctx, [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rows)], cols=cols)
+    return Mat.zeros(ctx, rows, cols)
+
+
+X_KINDS = {
+    "mixed": ("identity", "invertible", "singular", "zero", "any"),
+    "invertible": ("identity", "invertible"),
+    "singular": ("singular", "zero"),
+}
+T_KINDS = ("zero", "scalar", "identity", "any")
+
+
+def random_module(rng, ctx, orbit, window, dims, x_mode):
+    """A module of random blocks; relations are not imposed, so most of these break them."""
+    labels = {k: tuple(f"e{i}" for i in range(d)) for k, d in dims.items() if d}
+    shell = WeightModule(ctx, orbit, window, labels, {})
+    ops = {}
+    for name in ("X", "Y", "Y1"):
+        kinds = X_KINDS[x_mode] if name == "X" else T_KINDS
+        ops[name] = {
+            k: random_block(rng, ctx, shell.dim(shell.op_target(name, k)), shell.dim(k), rng.choice(kinds))
+            for k in shell.op_sources(name)
+        }
+    return shell.with_ops(ops)
+
+
+def gauge(rng, V):
+    """V moved by a random invertible block per offset: a module isomorphic to V."""
+    g = {k: random_block(rng, V.ctx, V.dim(k), V.dim(k), "invertible") for k in V.offsets()}
+    ops = {
+        name: {k: g[V.op_target(name, k)] * V.op(name, k) * g[k].inverse() for k in V.op_sources(name)}
+        for name in V.ops
+    }
+    return V.with_ops(ops)
+
+
+def random_pair(rng):
+    ctx, base, window = rng.choice(
+        [
+            (F3, (1, 1), None),
+            (F4, (1, 1), None),
+            (F5Q4, (2, 1), None),
+            (QQ, ("1/2", 3), (0, rng.randint(1, 3))),
+        ]
+    )
+    orbit = compute_orbit(wp(ctx, *base), ctx)
+    shell = WeightModule(ctx, orbit, window, {}, {})
+    d = rng.choice([1, 1, 2, 2, 3])
+    vary = rng.choice([0, 0.3])
+    dims = {k: (0 if rng.random() < 0.1 else rng.randint(1, 3)) if rng.random() < vary else d for k in shell.offsets()}
+    x_mode = rng.choice(list(X_KINDS))
+    V = random_module(rng, ctx, orbit, window, dims, x_mode)
+    how = rng.choice(["self", "gauge", "gauge", "random", "sum"])
+    if how == "self":
+        W = V
+    elif how == "gauge":
+        W = gauge(rng, V)
+    elif how == "random":
+        W = random_module(rng, ctx, orbit, window, dims, x_mode)
+    else:
+        other = {k: rng.randint(0, 1) for k in shell.offsets()}
+        W = direct_sum(V, random_module(rng, ctx, orbit, window, other, x_mode))
+    return V, W, rng.choice(["D", "AQ", "A1"]), x_mode
+
+
+def test_run_solver_matches_dense_hom_basis():
+    rng = random.Random(20261018)
+    seen = {"hom": 0, "big hom": 0, "circular": 0, "windowed": 0, "zero space": 0, "V != W": 0, "cut cycle": 0}
+    seen.update({mode: 0 for mode in X_KINDS})
+    for _ in range(200):
+        V, W, algebra, x_mode = random_pair(rng)
+        names = op_names_for(algebra)
+        want = dense_hom_basis(V, W, names)
+        got = analyze._graded_hom_basis(V, W, names)
+        assert [{k: m.to_json() for k, m in maps.items()} for maps in got] == [
+            {k: m.to_json() for k, m in maps.items()} for maps in want
+        ]
+        seen["hom"] += bool(want)
+        seen["big hom"] += len(want) > 2
+        seen["circular" if V.circular else "windowed"] += 1
+        seen["zero space"] += any(V.dim(k) == 0 or W.dim(k) == 0 for k in V.offsets())
+        seen["V != W"] += W is not V
+        seen[x_mode] += 1
+        # every link invertible: one run, cut at its last link
+        seen["cut cycle"] += V.circular and len(analyze.Runs(V, W, names).links) == V.orbit.length - 1
+    assert min(seen.values()) >= 10, seen

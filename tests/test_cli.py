@@ -161,6 +161,17 @@ def test_orbit_over_the_length_cap_exits_2(tmp_path, capsys):
     assert err.strip() == f"error: module {path} is invalid: orbit length 4292935920 is over the limit of 65536"
 
 
+def test_chain_over_the_size_cap_exits_2(tmp_path, capsys):
+    # CHAIN_ALT m=62 over F9 (r = 6) would store 3 * 6 * 62^2 = 69192 entries
+    field = {"kind": "EXT_FIELD", "p": 3, "f": [1, 0, 1], "q": "2"}
+    path = write_json(tmp_path / "big.json", scenario(field, "CHAIN_ALT", {"m": 62, "a": ["1"] * 62}))
+    start = time.perf_counter()
+    code, _, err = run_cli(["construct", "--scenario", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.strip() == "error: cannot construct: CHAIN_CYCLE would store 69192 matrix entries, over the limit of 65536"
+
+
 def test_window_over_the_width_cap_exits_2(tmp_path, capsys):
     # 70001 offsets is over the cap; both are refused before any point or
     # label is built
@@ -317,6 +328,22 @@ def test_non_string_field_element_exits_2(tmp_path, where):
     out = subprocess.run([sys.executable, "-m", "qdweight", "verify", path], capture_output=True, text=True)
     assert out.returncode == 2
     assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("matrix", [["3"], "3", [["1"], "2"]])
+def test_string_matrix_row_exits_2(tmp_path, matrix):
+    # a row given as a string was read entry by entry: ["3"] loaded as [[3]]
+    raw = {
+        "field": {"kind": "PRIME_FIELD", "p": 7, "q": "2"},
+        "base": ["1", "1"],
+        "spaces": [{"offset": 0, "dim": len(matrix)}, {"offset": 1, "dim": len(matrix)}],
+        "ops": {"X": [{"offset": 0, "matrix": matrix}]},
+    }
+    path = write_json(tmp_path / "m.json", raw)
+    out = subprocess.run([sys.executable, "-m", "qdweight", "verify", path], capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"error: module {path} is invalid: a matrix must be a list of rows")
     assert "Traceback" not in out.stderr
 
 

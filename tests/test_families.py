@@ -390,6 +390,22 @@ def test_chain_rejections():
         construct_family(FamilyId("CHAIN_CYCLE", {"m": 2, "word": "YY", "a": [1]}), F3)
 
 
+def test_chain_cycle_size_cap_refuses_before_building(monkeypatch):
+    # F9's orbit of (1, 1) has r = 6, so m = 60 stores 64800 entries and
+    # m = 62 stores 69192, over the cap of 65536
+    import qdweight.families as families
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(families, "Mat", refuse)
+    monkeypatch.setattr(families, "junction_module", refuse)
+    with pytest.raises(ValueError, match="CHAIN_CYCLE would store 69192 matrix entries, over the limit of 65536"):
+        construct_family(FamilyId("CHAIN_ALT", {"m": 62, "a": ["1"] * 62}), F9)
+    with pytest.raises(AssertionError, match="a matrix was built"):
+        construct_family(FamilyId("CHAIN_ALT", {"m": 60, "a": ["1"] * 60}), F9)
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_chain_cycle_property(data):
