@@ -54,19 +54,25 @@ Graded maps are solved on runs of invertible X links.
   representatives' ranks times their run lengths.  The projector onto the
   stable image along the stable kernel is unique, so A_k P_s A_k^-1 is the
   projector a split of each weight space finds.
+* The sweep.  Lifting Z to phi_k = B_k Z A_k^-1 is linear, so a combination
+  of basis maps is the lift of the same combination of their blocks at the
+  representatives, and the sweep combines those blocks only.  With A_k and
+  B_k invertible, phi_k is invertible exactly when Z is, so an intertwiner
+  is found on the representatives, as a split is, and only the winner is
+  lifted: the same map, and the same bytes, as combining every offset.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from .fields import Fel, FieldCtx
 from .linalg import Echelon, Mat, fitting_power
 from .orbits import Subalgebra
-from .wmod import WeightModule, as_subalgebra, op_names_for
+from .wmod import WeightModule, as_subalgebra, default_labels, op_names_for
 
 YES = "YES"
 NO = "NO"
@@ -136,11 +142,14 @@ class EndBasis:
     """Basis of the graded endomorphisms commuting with an algebra's action.
 
     Each basis element is a per-offset family of square blocks; the family
-    commutes with every stored operator matrix of the chosen algebra.
+    commutes with every stored operator matrix of the chosen algebra.  runs
+    are the runs it was solved on, so each map is fixed by its blocks at
+    their representatives.
     """
 
     algebra: Subalgebra
     maps: List[Dict[int, Mat]]
+    runs: Runs = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -223,10 +232,14 @@ def _maps_to_json(maps: Dict[int, Mat]) -> List[dict]:
     return [{"offset": k, "matrix": maps[k].to_json()} for k in sorted(maps)]
 
 
-def _require_ops(V: WeightModule, names: Sequence[str]) -> None:
-    missing = [n for n in names if not V.has_op(n)]
-    if missing:
-        raise ValueError(f"module has no operator(s) {', '.join(missing)}")
+def _op_names(algebra, *modules: WeightModule) -> Tuple[str, ...]:
+    """The algebra's operator names; every module must carry them all."""
+    names = op_names_for(algebra)
+    for V in modules:
+        missing = [n for n in names if not V.has_op(n)]
+        if missing:
+            raise ValueError(f"module has no operator(s) {', '.join(missing)}")
+    return names
 
 
 # dimensions
@@ -283,9 +296,7 @@ def is_irreducible(V: WeightModule, algebra, budget: int = DEFAULT_LINE_BUDGET) 
     A circular module lives over a finite field, so the lines are
     enumerated exhaustively.
     """
-    algebra = as_subalgebra(algebra)
-    names = op_names_for(algebra)
-    _require_ops(V, names)
+    names = _op_names(algebra, V)
     if not V.circular:
         return Verdict.not_applicable(WINDOWED_REASON)
     total = V.total_dim()
@@ -399,8 +410,11 @@ class RunMaps:
         return out
 
 
-def _graded_hom_basis(V: WeightModule, W: WeightModule, names: Sequence[str]) -> List[Dict[int, Mat]]:
-    """Basis of the graded maps V -> W commuting with the named operators.
+def _graded_hom_basis(
+    V: WeightModule, W: WeightModule, names: Sequence[str]
+) -> Tuple[List[Dict[int, Mat]], Runs]:
+    """Basis of the graded maps V -> W commuting with the named operators,
+    and the runs it was solved on.
 
     One unknown block per run; every operator instance off the run links is
     one equation on those blocks.  The solutions are lifted to every offset
@@ -415,7 +429,7 @@ def _graded_hom_basis(V: WeightModule, W: WeightModule, names: Sequence[str]) ->
                 index[(s, i, j)] = len(index)
     n = len(index)
     if n == 0:
-        return []
+        return [], runs
 
     rows: List[List[Fel]] = []
     for name in names:
@@ -457,29 +471,17 @@ def _graded_hom_basis(V: WeightModule, W: WeightModule, names: Sequence[str]) ->
             maps[k] = Mat(ctx, [vec[at + i * dv : at + (i + 1) * dv] for i in range(dw)])
             at += dw * dv
         basis.append(maps)
-    return basis
+    return basis, runs
 
 
 def endomorphisms(V: WeightModule, algebra) -> EndBasis:
     """Basis of the graded endomorphisms commuting with the algebra's ops."""
     algebra = as_subalgebra(algebra)
-    names = op_names_for(algebra)
-    _require_ops(V, names)
+    names = _op_names(algebra, V)
     if not V.circular:
         raise NotApplicable(WINDOWED_REASON)
-    return EndBasis(algebra=algebra, maps=_graded_hom_basis(V, V, names))
-
-
-def _combine(V: WeightModule, basis: List[Dict[int, Mat]], coefs: Sequence[Fel]) -> Dict[int, Mat]:
-    """Linear combination of hom-basis elements, as per-offset blocks."""
-    out: Dict[int, Mat] = {}
-    for maps, c in zip(basis, coefs):
-        if not c:
-            continue
-        for k, m in maps.items():
-            scaled = m.scale(c)
-            out[k] = (out[k] + scaled) if k in out else scaled
-    return out
+    maps, runs = _graded_hom_basis(V, V, names)
+    return EndBasis(algebra=algebra, maps=maps, runs=runs)
 
 
 def verify_endomorphism(V: WeightModule, names: Sequence[str], maps: Dict[int, Mat]) -> bool:
@@ -564,37 +566,52 @@ def _coefficient_sweep(
     return itertools.chain(quick(), sampled()), False
 
 
+T = TypeVar("T")
+
+
+def _search(
+    ctx: FieldCtx, basis: List[Dict[int, Mat]], runs: Runs, seed: int, trials: int,
+    test: Callable[[RunMaps], Optional[T]]
+) -> Tuple[Optional[T], bool]:
+    """Sweep combinations of a Hom basis solved on runs: the first result of
+    test that is not None, and whether the sweep is exhaustive.
+
+    A combination is formed at the run representatives only and handed to
+    test as RunMaps; the module docstring says why that is enough.
+    """
+    reps = [{s: maps[s] for s in runs.members if s in maps} for maps in basis]
+    sweep, exhaustive = _coefficient_sweep(ctx, len(basis), seed, trials)
+    for coefs in sweep:
+        blocks: Dict[int, Mat] = {}
+        for rep, c in zip(reps, coefs):
+            if not c:
+                continue
+            for s, z in rep.items():
+                scaled = z.scale(c)
+                blocks[s] = (blocks[s] + scaled) if s in blocks else scaled
+        got = test(RunMaps(runs, blocks))
+        if got is not None:
+            return got, exhaustive
+    return None, exhaustive
+
+
 def _find_split(
-    V: WeightModule, end: EndBasis, seed: int, trials: int
+    V: WeightModule, algebra, seed: int, trials: int
 ) -> Tuple[Optional[Tuple[Dict[int, Mat], int]], bool]:
     """Search End(V) for a splitting idempotent.
 
     Returns (projector-and-rank or None, decided).  decided is True when
     the sweep was exhaustive up to scalars, so None means indecomposable.
     """
+    end = endomorphisms(V, algebra)
     if end.dim <= 1:
         return None, True
-    # each basis map is fixed by its blocks at the run representatives
-    runs = Runs(V, V, op_names_for(end.algebra))
-    reps = [{s: maps[s] for s in runs.members if s in maps} for maps in end.maps]
-    sweep, exhaustive = _coefficient_sweep(V.ctx, end.dim, seed, trials)
-    for coefs in sweep:
-        phi = RunMaps(runs, _combine(V, reps, coefs))
-        got = _fitting_projector(V, phi)
-        if got is not None:
-            return got, True
-    return None, exhaustive
+    return _search(V.ctx, end.maps, end.runs, seed, trials, lambda phi: _fitting_projector(V, phi))
 
 
 def _subspace_module(V: WeightModule, names: Sequence[str], bases: Dict[int, Mat]) -> WeightModule:
     """Restriction of V to op-stable subspaces given by basis columns."""
-    labels = {}
-    for k in V.offsets():
-        s = bases[k].cols if k in bases else 0
-        if s == 1:
-            labels[k] = (f"v{k}",)
-        elif s > 1:
-            labels[k] = tuple(f"v{k}_{i + 1}" for i in range(s))
+    labels = {k: default_labels(k, b.cols) for k, b in bases.items()}
     ops: Dict[str, Dict[int, Mat]] = {}
     for name in names:
         table = {}
@@ -633,15 +650,12 @@ def is_indecomposable(
     V: WeightModule, algebra, seed: int = 0, trials: int = DEFAULT_TRIALS
 ) -> Verdict:
     """Does the module admit no splitting into two nonzero summands?"""
-    algebra = as_subalgebra(algebra)
-    names = op_names_for(algebra)
-    _require_ops(V, names)
+    names = _op_names(algebra, V)
     if not V.circular:
         return Verdict.not_applicable(WINDOWED_REASON)
     if V.total_dim() == 0:
         return Verdict.no({"kind": "zero_module"})
-    end = endomorphisms(V, algebra)
-    found, decided = _find_split(V, end, seed, trials)
+    found, decided = _find_split(V, algebra, seed, trials)
     if found is not None:
         proj, rank = found
         return Verdict.no({"kind": "idempotent", "maps": _maps_to_json(proj), "rank": rank})
@@ -660,9 +674,7 @@ def decompose(
     not exhaustive and finds nothing, the current piece is kept whole and
     the result is flagged incomplete.
     """
-    algebra = as_subalgebra(algebra)
-    names = op_names_for(algebra)
-    _require_ops(V, names)
+    names = _op_names(algebra, V)
     if not V.circular:
         raise NotApplicable(WINDOWED_REASON)
     if V.total_dim() == 0:
@@ -670,8 +682,7 @@ def decompose(
     if V.ops.keys() - set(names):
         # summands are only stable under the chosen algebra, so drop the rest
         V = V.with_ops({n: V.ops[n] for n in names})
-    end = endomorphisms(V, algebra)
-    found, decided = _find_split(V, end, seed, trials)
+    found, decided = _find_split(V, algebra, seed, trials)
     if found is None:
         if decided:
             return Decomposition([V], True)
@@ -689,14 +700,19 @@ def decompose(
 # isomorphism
 
 
-def _invertible_maps(V: WeightModule, maps: Dict[int, Mat]) -> bool:
-    for k in V.offsets():
-        if V.dim(k) == 0:
-            continue
-        m = maps.get(k)
-        if m is None or not m.is_invertible():
-            return False
-    return True
+def _invertible(V: WeightModule, phi: RunMaps) -> bool:
+    """Is the graded map invertible at every nonzero weight space?"""
+    return all(s in phi.blocks and phi.blocks[s].is_invertible() for s in phi.runs.members if V.dim(s))
+
+
+def _require_same_line(V: WeightModule, W: WeightModule) -> None:
+    """Both modules over one field, on one orbit, and with one window."""
+    if V.ctx != W.ctx:
+        raise ValueError("modules live over different fields")
+    if V.orbit.base != W.orbit.base:
+        raise ValueError("modules live on different weight orbits")
+    if V.window != W.window:
+        raise ValueError("modules must be both circular or share the same window")
 
 
 def are_isomorphic(
@@ -714,16 +730,8 @@ def are_isomorphic(
     invertible element is exhaustive up to scalars over a small finite
     coefficient space, otherwise seeded and bounded.
     """
-    algebra = as_subalgebra(algebra)
-    names = op_names_for(algebra)
-    _require_ops(V, names)
-    _require_ops(W, names)
-    if V.ctx != W.ctx:
-        raise ValueError("modules live over different fields")
-    if V.orbit.base != W.orbit.base:
-        raise ValueError("modules live on different weight orbits")
-    if V.window != W.window:
-        raise ValueError("modules must be both circular or share the same window")
+    names = _op_names(algebra, V, W)
+    _require_same_line(V, W)
 
     for k in V.offsets():
         if V.dim(k) != W.dim(k):
@@ -733,15 +741,13 @@ def are_isomorphic(
     if V.total_dim() == 0:
         return Verdict.yes({"kind": "intertwiner", "maps": []})
 
-    homs = _graded_hom_basis(V, W, names)
+    homs, runs = _graded_hom_basis(V, W, names)
     if not homs:
         return Verdict.no({"kind": "no_invertible_intertwiner", "hom_dim": 0, "exhaustive": True})
 
-    sweep, exhaustive = _coefficient_sweep(V.ctx, len(homs), seed, trials)
-    for coefs in sweep:
-        phi = _combine(V, homs, coefs)
-        if _invertible_maps(V, phi):
-            return Verdict.yes({"kind": "intertwiner", "maps": _maps_to_json(phi)})
+    phi, exhaustive = _search(V.ctx, homs, runs, seed, trials, lambda phi: phi if _invertible(V, phi) else None)
+    if phi is not None:
+        return Verdict.yes({"kind": "intertwiner", "maps": _maps_to_json(phi.lift())})
     if exhaustive:
         return Verdict.no(
             {"kind": "no_invertible_intertwiner", "hom_dim": len(homs), "exhaustive": True}
@@ -754,12 +760,7 @@ def are_isomorphic(
 
 def direct_sum(V: WeightModule, W: WeightModule) -> WeightModule:
     """External direct sum of two modules on the same orbit and window."""
-    if V.ctx != W.ctx:
-        raise ValueError("modules live over different fields")
-    if V.orbit.base != W.orbit.base:
-        raise ValueError("modules live on different weight orbits")
-    if V.window != W.window:
-        raise ValueError("modules must be both circular or share the same window")
+    _require_same_line(V, W)
     if set(V.ops) != set(W.ops):
         raise ValueError("modules carry different operator sets")
     ctx = V.ctx
@@ -778,22 +779,8 @@ def direct_sum(V: WeightModule, W: WeightModule) -> WeightModule:
     for name in V.ops:
         table = {}
         for k in V.op_sources(name):
-            t = V.op_target(name, k)
-            dv_k, dw_k = V.dim(k), W.dim(k)
-            dv_t, dw_t = V.dim(t), W.dim(t)
-            if (dv_k + dw_k) == 0 or (dv_t + dw_t) == 0:
-                continue
-            block = Mat.zeros(ctx, dv_t + dw_t, dv_k + dw_k)
-            if dv_k and dv_t:
-                a = V.op(name, k)
-                for i in range(dv_t):
-                    for j in range(dv_k):
-                        block.data[i][j] = a.data[i][j]
-            if dw_k and dw_t:
-                b = W.op(name, k)
-                for i in range(dw_t):
-                    for j in range(dw_k):
-                        block.data[dv_t + i][dv_k + j] = b.data[i][j]
-            table[k] = block
+            a, b = V.op(name, k), W.op(name, k)
+            rows = [row + [ctx.zero] * b.cols for row in a.data] + [[ctx.zero] * a.cols + row for row in b.data]
+            table[k] = Mat(ctx, rows, cols=a.cols + b.cols)
         ops[name] = table
     return WeightModule(ctx, V.orbit, V.window, labels, ops)

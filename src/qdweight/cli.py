@@ -219,12 +219,12 @@ def cmd_verify(args) -> int:
 
 
 def _verdict_status(raw: dict) -> str:
-    v = raw.get("verdict")
-    if v == "YES":
-        return "ok"
-    if v == "NO":
-        return "neg"
-    return "und"
+    return {"YES": "ok", "NO": "neg"}.get(raw.get("verdict"), "und")
+
+
+def _exit_code(statuses: List[str]) -> int:
+    """1 if any check came out negative, else 3 if any is undecided, else 0."""
+    return 1 if "neg" in statuses else 3 if "und" in statuses else 0
 
 
 def run_checks(V: WeightModule, checks, algebra, seed, trials, budget) -> Tuple[dict, int]:
@@ -255,8 +255,7 @@ def run_checks(V: WeightModule, checks, algebra, seed, trials, budget) -> Tuple[
         except NotApplicable as exc:
             results[name], status = {"verdict": "NOT_APPLICABLE", "reason": str(exc)}, "und"
         statuses.append(status)
-    code = 1 if "neg" in statuses else 3 if "und" in statuses else 0
-    return {"algebra": algebra, "seed": seed, "checks": results}, code
+    return {"algebra": algebra, "seed": seed, "checks": results}, _exit_code(statuses)
 
 
 def cmd_analyze(args) -> int:
@@ -285,12 +284,9 @@ def cmd_iso(args) -> int:
     W = load_module(args.right)
     seed = args.seed if args.seed is not None else default_seed()
     verdict = are_isomorphic(V, W, args.algebra, seed=seed, trials=args.trials)
-    emit(verdict.to_json(), args.pretty)
-    if verdict.is_yes:
-        return 0
-    if verdict.is_no:
-        return 1
-    return 3
+    raw = verdict.to_json()
+    emit(raw, args.pretty)
+    return _exit_code([_verdict_status(raw)])
 
 
 def cmd_realize(args) -> int:

@@ -219,6 +219,18 @@ class WeightModule:
         return out
 
 
+def default_labels(k: int, dim: int) -> Tuple[str, ...]:
+    """Labels of a weight space given none: v{k} for a line, else v{k}_1, ..., v{k}_dim."""
+    return (f"v{k}",) if dim == 1 else tuple(f"v{k}_{i + 1}" for i in range(dim))
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer; a bool, float or string is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def make_module(raw: dict) -> WeightModule:
     """Validate a raw JSON-style description and build the module."""
     if not isinstance(raw, dict):
@@ -247,14 +259,16 @@ def make_module(raw: dict) -> WeightModule:
     else:
         if window is None:
             raise ValueError("a module on an infinite orbit needs a window")
-        window = (int(window[0]), int(window[1]))
-    labels: Dict[int, List[str]] = {}
+        window = (_json_int(window[0], "a window end"), _json_int(window[1], "a window end"))
+    labels: Dict[int, Sequence[str]] = {}
     for space in raw.get("spaces", []):
-        k = int(space["offset"])
-        dim = int(space["dim"])
+        k = _json_int(space["offset"], "an offset")
+        dim = _json_int(space["dim"], "a dim")
         labs = space.get("labels")
         if labs is None:
-            labs = [f"v{k}"] if dim == 1 else [f"v{k}_{i+1}" for i in range(dim)]
+            labs = default_labels(k, dim)
+        elif not (isinstance(labs, list) and all(isinstance(lab, str) for lab in labs)):
+            raise ValueError(f"offset {k}: labels must be a list of strings")
         if len(labs) != dim:
             raise ValueError(f"offset {k}: {len(labs)} labels for dimension {dim}")
         if k in labels:
@@ -265,7 +279,7 @@ def make_module(raw: dict) -> WeightModule:
     for name, entries in (raw.get("ops") or {}).items():
         table: Dict[int, Mat] = {}
         for entry in entries:
-            k = int(entry["offset"])
+            k = _json_int(entry["offset"], "an offset")
             if k not in shell.op_sources(name):
                 raise ValueError(f"operator {name} has a matrix at offset {k} outside its sources")
             tgt = shell.op_target(name, k)

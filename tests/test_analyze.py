@@ -493,7 +493,7 @@ def test_trial_budget_unknowns(monkeypatch):
     dec = decompose(V, "D", trials=3)
     assert not dec.complete and dec.reason == reason and dec.summands == [V]
 
-    monkeypatch.setattr(analyze, "_invertible_maps", lambda V, maps: False)
+    monkeypatch.setattr(analyze, "_invertible", lambda V, phi: False)
     verdict = are_isomorphic(V, V, "D", trials=3)
     assert verdict.kind == "UNKNOWN"
     assert verdict.reason == "no invertible intertwiner found within the trial budget"
@@ -753,7 +753,7 @@ def test_run_solver_matches_dense_hom_basis():
         V, W, algebra, x_mode = random_pair(rng)
         names = op_names_for(algebra)
         want = dense_hom_basis(V, W, names)
-        got = analyze._graded_hom_basis(V, W, names)
+        got, _ = analyze._graded_hom_basis(V, W, names)
         assert [{k: m.to_json() for k, m in maps.items()} for maps in got] == [
             {k: m.to_json() for k, m in maps.items()} for maps in want
         ]
@@ -766,3 +766,73 @@ def test_run_solver_matches_dense_hom_basis():
         # every link invertible: one run, cut at its last link
         seen["cut cycle"] += V.circular and len(analyze.Runs(V, W, names).links) == V.orbit.length - 1
     assert min(seen.values()) >= 10, seen
+
+
+def per_offset_iso(V, W, algebra, seed=0, trials=analyze.DEFAULT_TRIALS):
+    """The isomorphism search offset by offset: the oracle for the run sweep.
+
+    Combines every offset's block of the dense Hom basis and asks each one to
+    be invertible.
+    """
+    for k in V.offsets():
+        if V.dim(k) != W.dim(k):
+            return Verdict.no({"kind": "support_mismatch", "offset": k, "dims": [V.dim(k), W.dim(k)]})
+    if V.total_dim() == 0:
+        return Verdict.yes({"kind": "intertwiner", "maps": []})
+    homs = dense_hom_basis(V, W, op_names_for(algebra))
+    if not homs:
+        return Verdict.no({"kind": "no_invertible_intertwiner", "hom_dim": 0, "exhaustive": True})
+    sweep, exhaustive = analyze._coefficient_sweep(V.ctx, len(homs), seed, trials)
+    for coefs in sweep:
+        phi = {}
+        for maps, c in zip(homs, coefs):
+            if c:
+                for k, m in maps.items():
+                    phi[k] = phi[k] + m.scale(c) if k in phi else m.scale(c)
+        if all(k in phi and phi[k].is_invertible() for k in V.offsets() if V.dim(k)):
+            maps = [{"offset": k, "matrix": phi[k].to_json()} for k in sorted(phi)]
+            return Verdict.yes({"kind": "intertwiner", "maps": maps})
+    if exhaustive:
+        return Verdict.no({"kind": "no_invertible_intertwiner", "hom_dim": len(homs), "exhaustive": True})
+    return Verdict.unknown("no invertible intertwiner found within the trial budget")
+
+
+def test_iso_on_run_representatives_matches_per_offset_search():
+    rng = random.Random(20261019)
+    seen = {"self": 0, "iso, V != W": 0, "no invertible": 0, "support mismatch": 0, "windowed": 0, "cut cycle": 0}
+    seen.update({mode: 0 for mode in X_KINDS})
+    for _ in range(200):
+        V, W, algebra, x_mode = random_pair(rng)
+        want = per_offset_iso(V, W, algebra)
+        got = are_isomorphic(V, W, algebra)
+        assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+        kind = (got.witness or {}).get("kind")
+        seen["self"] += W is V
+        seen["iso, V != W"] += got.is_yes and W is not V
+        seen["no invertible"] += kind == "no_invertible_intertwiner"
+        seen["support mismatch"] += kind == "support_mismatch"
+        seen["windowed"] += not V.circular
+        seen[x_mode] += 1
+        seen["cut cycle"] += V.circular and len(analyze.Runs(V, W, op_names_for(algebra)).links) == V.orbit.length - 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_runs_built_once_per_end_solve(monkeypatch):
+    built, solves = [], []
+    runs, ends = analyze.Runs, analyze.endomorphisms
+
+    def counting_runs(*args):
+        built.append(args)
+        return runs(*args)
+
+    def counting_ends(*args):
+        solves.append(args)
+        return ends(*args)
+
+    monkeypatch.setattr(analyze, "Runs", counting_runs)
+    monkeypatch.setattr(analyze, "endomorphisms", counting_ends)
+    V = direct_sum(TWISTED, TWISTED)
+    assert is_indecomposable(V, "D").is_no
+    assert len(solves) == 1 and len(built) == 1
+    assert decompose(V, "D").count == 2
+    assert len(solves) == 4 and len(built) == 4

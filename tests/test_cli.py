@@ -347,6 +347,34 @@ def test_string_matrix_row_exits_2(tmp_path, matrix):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "space, ops, message",
+    [
+        ({"offset": 0, "dim": 2, "labels": "ab"}, {}, "offset 0: labels must be a list of strings"),
+        ({"offset": 0, "dim": 2, "labels": [1, 2]}, {}, "offset 0: labels must be a list of strings"),
+        ({"offset": True, "dim": True}, {}, "an offset must be an integer, got True"),
+        ({"offset": 0, "dim": 1.9}, {}, "a dim must be an integer, got 1.9"),
+        ({"offset": 0, "dim": 1}, {"X": [{"offset": "0", "matrix": [["1"]]}]}, "an offset must be an integer, got '0'"),
+    ],
+    ids=["labels-string", "labels-not-strings", "bool-offset-and-dim", "float-dim", "string-op-offset"],
+)
+def test_malformed_space_exits_2(tmp_path, space, ops, message):
+    # int() read true and 1.9 as 1, and a labels string letter by letter
+    raw = {
+        "field": {"kind": "PRIME_FIELD", "p": 7, "q": "2"},
+        "base": ["1", "1"],
+        "spaces": [space, {"offset": 1, "dim": 1}],
+        "ops": ops,
+    }
+    path = write_json(tmp_path / "m.json", raw)
+    out = subprocess.run(
+        [sys.executable, "-m", "qdweight", "analyze", path, "--checks", "dims"], capture_output=True, text=True
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"error: module {path} is invalid: {message}")
+    assert "Traceback" not in out.stderr
+
+
 # analyze
 
 
