@@ -518,8 +518,18 @@ class FunctionField(FieldCtx):
             den = tuple(c / lead for c in den)
         return (num, den)
 
+    # a sum with a zero operand, and a sum or product of two polynomials
+    # (denominator 1), is canonical as it stands, so _normalize and its gcd
+    # are skipped
+
     def _add(self, a, b):
         (n1, d1), (n2, d2) = a, b
+        if not n1:
+            return b
+        if not n2:
+            return a
+        if d1 == d2 == (1,):
+            return (_padd(n1, n2), d1)
         return self._normalize(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
     def _neg(self, a):
@@ -527,6 +537,8 @@ class FunctionField(FieldCtx):
 
     def _mul(self, a, b):
         (n1, d1), (n2, d2) = a, b
+        if d1 == d2 == (1,):
+            return (_pmul(n1, n2), d1)
         return self._normalize(_pmul(n1, n2), _pmul(d1, d2))
 
     def _inv(self, a):

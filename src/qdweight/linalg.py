@@ -6,7 +6,9 @@ to small dense systems, so this stays deliberately simple: one incremental
 reduced-echelon kernel, `Echelon`, with exact arithmetic and the leading
 nonzero entry of each new row as its pivot.  `Mat.rref`, and through it
 rank, nullspace, column space, image_and_kernel and solve, feed their rows
-into it.
+into it.  Products and scales skip zero entries of both factors, so a
+shift, diagonal or identity factor costs one field product per nonzero
+pair rather than d^3.
 """
 
 from __future__ import annotations
@@ -122,22 +124,23 @@ class Mat:
         return self + other.scale(-self.ctx.one)
 
     def scale(self, c: Fel) -> "Mat":
-        return Mat(self.ctx, [[v * c for v in row] for row in self.data], cols=self.cols)
+        return Mat(self.ctx, [[v * c if v else v for v in row] for row in self.data], cols=self.cols)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        # row i of the product is the sum of a_ik times row k of other, over
+        # the nonzero a_ik and the nonzero entries of that row only
         zero = self.ctx.zero
+        support = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
-        for i in range(self.rows):
-            row = []
-            a = self.data[i]
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    if a[k]:
-                        acc = acc + a[k] * other.data[k][j]
-                row.append(acc)
+        for a in self.data:
+            row = [zero] * other.cols
+            for c, terms in zip(a, support):
+                if c:
+                    for j, b in terms:
+                        acc = row[j]
+                        row[j] = acc + c * b if acc else c * b
             out.append(row)
         return Mat(self.ctx, out, cols=other.cols)
 

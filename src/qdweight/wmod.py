@@ -231,6 +231,17 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_objects(value, what: str, keys: Sequence[str]) -> list:
+    """A JSON list of objects, each carrying every key in keys."""
+    if not (isinstance(value, list) and all(isinstance(entry, dict) for entry in value)):
+        raise ValueError(f"{what} must be a list of objects")
+    for entry in value:
+        for key in keys:
+            if key not in entry:
+                raise ValueError(f"an entry of {what} has no {key}")
+    return value
+
+
 def make_module(raw: dict) -> WeightModule:
     """Validate a raw JSON-style description and build the module."""
     if not isinstance(raw, dict):
@@ -261,7 +272,7 @@ def make_module(raw: dict) -> WeightModule:
             raise ValueError("a module on an infinite orbit needs a window")
         window = (_json_int(window[0], "a window end"), _json_int(window[1], "a window end"))
     labels: Dict[int, Sequence[str]] = {}
-    for space in raw.get("spaces", []):
+    for space in _json_objects(raw.get("spaces", []), "spaces", ("offset", "dim")):
         k = _json_int(space["offset"], "an offset")
         dim = _json_int(space["dim"], "a dim")
         labs = space.get("labels")
@@ -278,7 +289,7 @@ def make_module(raw: dict) -> WeightModule:
     ops: Dict[str, Dict[int, Mat]] = {}
     for name, entries in (raw.get("ops") or {}).items():
         table: Dict[int, Mat] = {}
-        for entry in entries:
+        for entry in _json_objects(entries, f"ops.{name}", ("offset", "matrix")):
             k = _json_int(entry["offset"], "an offset")
             if k not in shell.op_sources(name):
                 raise ValueError(f"operator {name} has a matrix at offset {k} outside its sources")

@@ -375,6 +375,27 @@ def test_malformed_space_exits_2(tmp_path, space, ops, message):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "spaces, ops, message",
+    [
+        ({"offset": 0, "dim": 1}, {}, "spaces must be a list of objects"),
+        ([3], {}, "spaces must be a list of objects"),
+        ([{"offset": 0}], {}, "an entry of spaces has no dim"),
+        ([{"dim": 1}], {}, "an entry of spaces has no offset"),
+        ([{"offset": 0, "dim": 1}], {"X": {"offset": 0, "matrix": [["1"]]}}, "ops.X must be a list of objects"),
+        ([{"offset": 0, "dim": 1}], {"X": [{"offset": 0}]}, "an entry of ops.X has no matrix"),
+    ],
+    ids=["spaces-object", "spaces-int", "space-no-dim", "space-no-offset", "ops-object", "op-no-matrix"],
+)
+def test_malformed_spaces_and_ops_name_the_field(tmp_path, capsys, spaces, ops, message):
+    # these ended in bare Python messages such as "'int' object is not subscriptable"
+    raw = {"field": {"kind": "PRIME_FIELD", "p": 7, "q": "2"}, "base": ["1", "1"], "spaces": spaces, "ops": ops}
+    path = write_json(tmp_path / "m.json", raw)
+    code, out, err = run_cli(["analyze", path, "--checks", "dims"], capsys)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: module {path} is invalid: {message}"
+
+
 # analyze
 
 
@@ -572,6 +593,28 @@ def test_bad_gwa_seed_is_a_usage_error(capsys, monkeypatch, twisted_file):
     monkeypatch.setenv("GWA_SEED", "many")
     code, _, err = run_cli(["analyze", twisted_file, "--checks", "decompose"], capsys)
     assert code == 2 and "GWA_SEED" in err
+
+
+def test_main_calls_share_no_state(capsys, monkeypatch, twisted_file):
+    monkeypatch.setenv("GWA_SEED", "11")
+    code, out, _ = run_cli(["--pretty", "analyze", twisted_file, "--checks", "dims", "--seed", "5"], capsys)
+    assert code == 0 and "weight line" in out and '"seed": 5' in out
+    # neither --seed nor --pretty carries over to the next call
+    code, out, _ = run_cli(["analyze", twisted_file, "--checks", "dims"], capsys)
+    assert code == 0 and out.count("\n") == 1 and json.loads(out)["seed"] == 11
+
+
+def test_patched_callees_take_effect_after_the_first_call(capsys, monkeypatch, twisted_file):
+    code, out, _ = run_cli(["analyze", twisted_file, "--checks", "end"], capsys)
+    assert code == 0 and json.loads(out)["checks"]["end"]["dim"] == 1
+
+    class Fake:
+        def to_json(self):
+            return {"dim": -1}
+
+    monkeypatch.setattr("qdweight.cli.endomorphisms", lambda V, algebra: Fake())
+    code, out, _ = run_cli(["analyze", twisted_file, "--checks", "end"], capsys)
+    assert code == 0 and json.loads(out)["checks"]["end"] == {"dim": -1}
 
 
 # pretty rendering

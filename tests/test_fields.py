@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qdweight import fields as fields_module
 from qdweight.fields import (
     FieldSpec,
+    _padd,
     _pdivmod_modp,
     _pmul,
     _trim,
@@ -445,3 +446,25 @@ def test_finite_arithmetic_returns_shared_elements(spec):
     for a in els:
         for b in els:
             assert any(a + b is x for x in els) and any(a * b is x for x in els)
+
+
+def test_function_field_fast_paths_match_the_general_formula():
+    # _add and _mul skip _normalize for a zero operand and for two
+    # polynomials; the results must be what the general formula normalizes to
+    ctx = make_field(FieldSpec(kind="FUNCTION_FIELD"))
+    rng = random.Random(0)
+    texts = ["0", "1", "-3/2", "[0,1]", "[1,0,-2]", "[1/3,2]", "[1]|[1,1]", "[0,2]|[3,0,1]", "[1,1]|[-1,1]"]
+    els = [ctx.parse(t) for t in texts]
+    els += [ctx.random_element(rng) for _ in range(12)]
+    els += [ctx.from_int(rng.randint(-5, 5)) for _ in range(4)]
+    els += [ctx.el((_trim(tuple(Fraction(rng.randint(-4, 4)) for _ in range(3))), (Fraction(1),))) for _ in range(4)]
+    normalize = fields_module.FunctionField._normalize
+    for a in els:
+        for b in els:
+            (n1, d1), (n2, d2) = a.val, b.val
+            for fast, general in (
+                (ctx._add(a.val, b.val), normalize(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))),
+                (ctx._mul(a.val, b.val), normalize(_pmul(n1, n2), _pmul(d1, d2))),
+            ):
+                assert fast == general
+                assert ctx.show(ctx.el(fast)) == ctx.show(ctx.el(general))

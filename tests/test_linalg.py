@@ -1,10 +1,12 @@
 """Exact linear algebra tests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdweight.fields import FieldSpec, make_field
+from qdweight.fields import FieldCtx, FieldSpec, make_field
 from qdweight.linalg import Mat, fitting_power
 
 QQ = make_field(FieldSpec(kind="RATIONAL", q="2"))
@@ -124,6 +126,8 @@ def test_shape_mismatch_rejected():
     b = Mat.from_ints(QQ, [[1, 2]])
     with pytest.raises(ValueError):
         a * b
+    with pytest.raises(ValueError):
+        a - b.transpose()
 
 
 def test_json_round_trip():
@@ -193,3 +197,70 @@ def test_transpose_involution_and_product():
     b = Mat.from_ints(QQ, [[1, 0], [0, 1], [1, 1]])
     assert a.transpose().transpose() == a
     assert (a * b).transpose() == b.transpose() * a.transpose()
+
+
+# the products and scales against a naive triple loop, over every field kind
+
+KERNEL_FIELDS = {
+    "RATIONAL": QQ,
+    "CYCLOTOMIC": make_field(FieldSpec(kind="CYCLOTOMIC", n=5)),
+    "FUNCTION_FIELD": make_field(FieldSpec(kind="FUNCTION_FIELD")),
+    "PRIME_FIELD": make_field(FieldSpec(kind="PRIME_FIELD", p=7, q="3")),
+    "EXT_FIELD": F9,
+}
+# (rows of A, cols of A = rows of B, cols of B), empty shapes included
+KERNEL_SHAPES = [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (1, 1, 1), (4, 4, 4), (3, 5, 2)]
+
+
+def random_mat(ctx, rng, rows, cols, density):
+    return Mat(
+        ctx,
+        [[ctx.random_element(rng) if rng.random() < density else ctx.zero for _ in range(cols)] for _ in range(rows)],
+        cols=cols,
+    )
+
+
+def naive_product(a, b):
+    zero = a.ctx.zero
+    return [[sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), zero) for j in range(b.cols)] for i in range(a.rows)]
+
+
+def assert_mat(m, rows, cols, data):
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m.data == data
+
+
+@pytest.mark.parametrize("density", [0, 0.2, 1])
+@pytest.mark.parametrize("kind", sorted(KERNEL_FIELDS))
+def test_kernels_match_the_naive_loops(kind, density):
+    ctx = KERNEL_FIELDS[kind]
+    rng = random.Random(f"{kind}/{density}")
+    for r, k, c in KERNEL_SHAPES:
+        a = random_mat(ctx, rng, r, k, density)
+        b = random_mat(ctx, rng, k, c, density)
+        assert_mat(a * b, r, c, naive_product(a, b))
+        other = random_mat(ctx, rng, r, k, density)
+        assert_mat(a - other, r, k, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, other.data)])
+        for s in (ctx.zero, ctx.one, -ctx.one, ctx.random_element(rng)):
+            assert_mat(a.scale(s), r, k, [[x * s for x in row] for row in a.data])
+        # small powers of small squares: over Q(t) the degrees grow fast
+        e = min(k, 3)
+        square = random_mat(ctx, rng, e, e, density)
+        acc = Mat.identity(ctx, e)
+        for n in range(4):
+            assert_mat(square.pow(n), e, e, acc.data)
+            acc = Mat(ctx, naive_product(acc, square), cols=e)
+
+
+@pytest.mark.parametrize("d", [1, 5, 9])
+def test_identity_product_costs_at_most_d_squared_products(monkeypatch, d):
+    rng = random.Random(d)
+    a = random_mat(F9, rng, d, d, 1)
+    calls = []
+    mul = FieldCtx.mul
+    monkeypatch.setattr(FieldCtx, "mul", lambda ctx, x, y: calls.append(1) or mul(ctx, x, y))
+    ident = Mat.identity(F9, d)
+    for left, right, want in ((ident, a, a), (a, ident, a), (ident, ident, ident)):
+        calls.clear()
+        assert left * right == want
+        assert len(calls) <= d * d

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qdweight.basering import WeightPoint
 from qdweight.families import construct_family
-from qdweight.fields import FieldSpec, make_field
+from qdweight.fields import FieldCtx, FieldSpec, make_field
 from qdweight.linalg import Mat
 from qdweight.verify import check_relations, polynomial_realization
 from qdweight.wmod import (
@@ -355,6 +355,17 @@ def test_realization_function_field():
     assert all(not mats["d1"].data[i][0] for i in range(5))
     assert rep.passed
     assert rep.checked == 12 * 4
+
+
+def test_realization_work_count_is_pinned(monkeypatch):
+    # products skip zero entries of both factors: the shift, bidiagonal and
+    # diagonal factors of the realization cost 489 field products, not 3032
+    calls = []
+    mul = FieldCtx.mul
+    monkeypatch.setattr(FieldCtx, "mul", lambda ctx, x, y: calls.append(1) or mul(ctx, x, y))
+    _, rep = polynomial_realization(FF, 8)
+    assert rep.passed
+    assert len(calls) == 489
 
 
 def test_realization_finite_field():
