@@ -159,11 +159,13 @@ def _is_int_scalar(ctx: FieldCtx, a: Fel) -> bool:
     kind = ctx.spec.kind
     if kind == "RATIONAL":
         return a.val.denominator == 1
+    # CYCLOTOMIC (coeffs, den) and FUNCTION_FIELD (N, D) are canonical: the
+    # denominator is coprime to the content, so an integer has it equal to 1
     if kind == "CYCLOTOMIC":
-        vec = a.val
-        return all(c == 0 for c in vec[1:]) and (not vec or vec[0].denominator == 1)
+        coeffs, den = a.val
+        return len(coeffs) <= 1 and den == 1
     num, den = a.val
-    return len(num) <= 1 and len(den) == 1 and (not num or (num[0] / den[0]).denominator == 1)
+    return len(num) <= 1 and den == (1,)
 
 
 def _take_window(orbit: Orbit, window, name: str) -> Tuple[int, int]:

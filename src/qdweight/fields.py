@@ -11,7 +11,19 @@ Five field kinds cover everything the library needs:
   EXT_FIELD       GF(p^k) as residues mod an irreducible monic polynomial f,
                   q a nonzero residue; arithmetic on log/Zech tables
 
-Finite fields have at most MAX_FIELD_ORDER elements, each interned once.
+Values, each in one canonical form:
+
+  RATIONAL        a ``Fraction``
+  CYCLOTOMIC(n)   ``(coeffs, den)``: int coefficients of the residue over one
+                  positive int denominator, gcd(content, den) = 1
+  FUNCTION_FIELD  ``(N, D)``: int coefficients of numerator and denominator,
+                  gcd(N, D) = 1 in Q[t], joint content 1, lc(D) > 0
+  PRIME_FIELD     the int residue 0..p-1
+  EXT_FIELD       the int c_0 + c_1 p + ... of the residue's coefficients
+
+The two characteristic-0 extensions compute on ints only; ``Fraction`` meets
+them in ``parse``, ``show`` and the cyclotomic inverse.  Finite fields have at
+most MAX_FIELD_ORDER elements, each interned once.
 
 Every element has a unique canonical form and a canonical text encoding that
 round-trips through ``parse``/``show``.  Elements are immutable and hashable.
@@ -21,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul as mul_int
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -89,26 +101,68 @@ def _pdivmod_frac(a: FracPoly, b: FracPoly) -> Tuple[FracPoly, FracPoly]:
     return _trim(quot), _trim(rem)
 
 
-def _pgcd_frac(a: FracPoly, b: FracPoly) -> FracPoly:
-    while b:
-        a, b = b, _pdivmod_frac(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)  # monic normal form
-    return a
+def _pdivmod_int(a: IntPoly, b: IntPoly) -> Tuple[IntPoly, IntPoly]:
+    """Division with remainder in Z[t], where b is monic or divides a."""
+    rem = list(a)
+    lead, nb = b[-1], len(b)
+    quot = [0] * max(0, len(a) - nb + 1)
+    for d in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[d + nb - 1], lead)
+        assert not r
+        if c:
+            quot[d] = c
+            for i in range(nb - 1):
+                rem[d + i] -= c * b[i]
+    return _trim(quot), _trim(rem[: nb - 1])
+
+
+def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """A nonzero integer multiple of the remainder of a by b, len(a) >= len(b)."""
+    rem = list(a)
+    lead, nb = b[-1], len(b)
+    while len(rem) >= nb:
+        c = rem.pop()
+        if c:
+            # lead * rem - c * t^d * b, both factors divided by gcd(c, lead)
+            g = gcd(c, lead)
+            u, v = lead // g, c // g
+            if u != 1:
+                rem = [u * x for x in rem]
+            d = len(rem) - nb + 1
+            for i in range(nb - 1):
+                rem[d + i] -= v * b[i]
+    return _trim(rem)
+
+
+def _primitive(a: IntPoly) -> IntPoly:
+    """a divided by its content, with a positive leading coefficient."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def _pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The primitive gcd with positive leading coefficient of nonzero a and b,
+    by the primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1)."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = _prem(a, b)
+        a, b = b, _primitive(r) if r else ()
+    return a if not b else (1,)
 
 
 def _cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, integer coefficients."""
-    # (t^n - 1) divided by the product of all lower-order cyclotomics.
-    num = tuple(Fraction(c) for c in [-1] + [0] * (n - 1) + [1])
+    # (t^n - 1) divided exactly by the monic cyclotomics of the proper divisors
+    num: IntPoly = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
-            phi_d = tuple(Fraction(c) for c in _cyclotomic(d))
-            num, rem = _pdivmod_frac(num, phi_d)
+            num, rem = _pdivmod_int(num, _cyclotomic(d))
             assert not rem
-    poly = tuple(int(c) for c in num)
-    return poly
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +478,22 @@ class RationalField(FieldCtx):
         return self.el(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
 
+def _over_common_den(coeffs: Sequence[Fraction]) -> Tuple[IntPoly, int]:
+    """Rational coefficients as int coefficients over their least common
+    denominator."""
+    den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
 class CyclotomicField(FieldCtx):
     """Q(zeta_n) as rational-coefficient residues mod the n-th cyclotomic
-    polynomial; q is the residue class of the generator."""
+    polynomial Phi_n; q is the residue class of the generator.
+
+    A value is ``(coeffs, den)``: the residue's int coefficients (lowest
+    degree first, fewer than deg Phi_n, no trailing zeros) over one positive
+    int denominator, with gcd(content, den) = 1.  Zero is ``((), 1)``.
+    Phi_n is monic, so reducing an integer product keeps it integral.
+    """
 
     characteristic = 0
     is_finite = False
@@ -435,92 +502,135 @@ class CyclotomicField(FieldCtx):
         if n < 1:
             raise ValueError("cyclotomic order must be >= 1")
         self.n = n
-        self.modulus: FracPoly = tuple(Fraction(c) for c in _cyclotomic(n))
+        self.modulus: IntPoly = _cyclotomic(n)
         self.degree = len(self.modulus) - 1
         self.spec = FieldSpec(kind="CYCLOTOMIC", n=n)
-        self.zero = self.el(())
-        self.one = self.el((Fraction(1),))
-        qval = self._reduce((Fraction(0), Fraction(1)))
-        self.q = self.el(qval)
+        self.zero = self.el(((), 1))
+        self.one = self.el(((1,), 1))
+        self.q = self.el((self._reduce((0, 1)), 1))
 
-    def _reduce(self, poly: FracPoly) -> FracPoly:
-        return _pdivmod_frac(_trim(poly), self.modulus)[1]
+    def _reduce(self, poly: IntPoly) -> IntPoly:
+        return poly if len(poly) <= self.degree else _pdivmod_int(poly, self.modulus)[1]
+
+    @staticmethod
+    def _canon(coeffs: IntPoly, den: int):
+        if not coeffs:
+            return ((), 1)
+        if den == 1:
+            return (coeffs, 1)
+        g = gcd(den, *coeffs)
+        if g == 1:
+            return (coeffs, den)
+        return (tuple(c // g for c in coeffs), den // g)
+
+    def _from_fractions(self, coeffs: Sequence[Fraction]):
+        ints, den = _over_common_den(coeffs)
+        return self._canon(self._reduce(_trim(ints)), den)
 
     def _add(self, a, b):
-        return _padd(a, b)
+        (c1, d1), (c2, d2) = a, b
+        if not c1:
+            return b
+        if not c2:
+            return a
+        if d1 == d2:
+            return self._canon(_padd(c1, c2), d1)
+        return self._canon(_padd([c * d2 for c in c1], [c * d1 for c in c2]), d1 * d2)
 
     def _neg(self, a):
-        return _pneg(a)
+        return (_pneg(a[0]), a[1])
 
     def _mul(self, a, b):
-        return self._reduce(_pmul(a, b))
+        (c1, d1), (c2, d2) = a, b
+        if not c1 or not c2:
+            return ((), 1)
+        return self._canon(self._reduce(_pmul(c1, c2)), d1 * d2)
 
     def _inv(self, a):
-        # extended Euclid in Q[t] against the modulus
-        r0, r1 = self.modulus, a
+        # extended Euclid in Q[t] against the modulus; 1 / (c / den) = den / c
+        coeffs, den = a
+        r0, r1 = tuple(map(Fraction, self.modulus)), tuple(map(Fraction, coeffs))
         s0, s1 = (), (Fraction(1),)
         while r1:
             quot, rem = _pdivmod_frac(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _padd(s0, _pneg(_pmul(quot, s1)))
         assert len(r0) == 1  # gcd is a unit: the modulus is irreducible
-        scale = (Fraction(1) / r0[0],)
-        return self._reduce(_pmul(s0, scale))
+        scale = den / r0[0]
+        return self._from_fractions([c * scale for c in s0])
 
     def from_int(self, n: int) -> Fel:
-        return self.el(_trim((Fraction(n),)))
+        return self.el(((n,) if n else (), 1))
 
     def _parse(self, text: str) -> Fel:
         text = text.strip()
         if not text.startswith("["):
-            return self.el(self._reduce((self._parse_fraction(text),)))
+            return self.el(self._from_fractions([self._parse_fraction(text)]))
         parts = self._parse_bracket_list(text)
-        return self.el(self._reduce(tuple(self._parse_fraction(s) for s in parts)))
+        return self.el(self._from_fractions([self._parse_fraction(s) for s in parts]))
 
     def show(self, a: Fel) -> str:
-        if not a.val:
+        coeffs, den = a.val
+        if not coeffs:
             return "[0]"
-        return "[" + ",".join(self._show_fraction(c) for c in a.val) + "]"
+        return "[" + ",".join(self._show_fraction(Fraction(c, den)) for c in coeffs) + "]"
 
     def q_order(self) -> Optional[int]:
         return self.n  # primitive n-th root by construction
 
     def random_element(self, rng) -> Fel:
-        coeffs = tuple(Fraction(rng.randint(-4, 4)) for _ in range(self.degree))
-        return self.el(_trim(coeffs))
+        coeffs = tuple(rng.randint(-4, 4) for _ in range(self.degree))
+        return self.el((_trim(coeffs), 1))
 
 
 class FunctionField(FieldCtx):
-    """Q(t), elements as reduced num/den pairs with monic denominator; q = t."""
+    """Q(t) as reduced fractions of integer polynomials; q = t.
+
+    A value is ``(N, D)``: two tuples of int coefficients (lowest degree
+    first, no trailing zeros) with gcd(N, D) = 1 in Q[t], content 1 over the
+    coefficients of N and D together, and lc(D) > 0.  Zero is ``((), (1,))``.
+    ``show`` divides by lc(D), so the text has a monic denominator.
+    """
 
     characteristic = 0
     is_finite = False
 
     def __init__(self):
         self.spec = FieldSpec(kind="FUNCTION_FIELD")
-        self.zero = self.el(((), (Fraction(1),)))
-        self.one = self.el(((Fraction(1),), (Fraction(1),)))
-        self.q = self.el(((Fraction(0), Fraction(1)), (Fraction(1),)))
+        self.zero = self.el(((), (1,)))
+        self.one = self.el(((1,), (1,)))
+        self.q = self.el(((0, 1), (1,)))
 
     @staticmethod
-    def _normalize(num: FracPoly, den: FracPoly):
+    def _unit(num: IntPoly, den: IntPoly):
+        # divide num and den by their joint content, signed so lc(den) > 0
+        c = gcd(*num, *den)
+        if den[-1] < 0:
+            c = -c
+        if c == 1:
+            return (num, den)
+        return (tuple(x // c for x in num), tuple(x // c for x in den))
+
+    @staticmethod
+    def _cancel(num: IntPoly, den: IntPoly) -> Tuple[IntPoly, IntPoly]:
+        # divide out gcd(num, den); the gcd is primitive, so the division
+        # is exact in Z[t] (Gauss's lemma)
+        if len(num) > 1 and len(den) > 1:
+            g = _pgcd(num, den)
+            if len(g) > 1:
+                return _pdivmod_int(num, g)[0], _pdivmod_int(den, g)[0]
+        return num, den
+
+    @staticmethod
+    def _normalize(num: IntPoly, den: IntPoly):
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return ((), (Fraction(1),))
-        g = _pgcd_frac(num, den)
-        if len(g) > 1:
-            num = _pdivmod_frac(num, g)[0]
-            den = _pdivmod_frac(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        return (num, den)
+            return ((), (1,))
+        return FunctionField._unit(*FunctionField._cancel(num, den))
 
     # a sum with a zero operand, and a sum or product of two polynomials
-    # (denominator 1), is canonical as it stands, so _normalize and its gcd
-    # are skipped
+    # (denominator 1), is canonical as it stands, so no gcd is taken
 
     def _add(self, a, b):
         (n1, d1), (n2, d2) = a, b
@@ -539,13 +649,23 @@ class FunctionField(FieldCtx):
         (n1, d1), (n2, d2) = a, b
         if d1 == d2 == (1,):
             return (_pmul(n1, n2), d1)
-        return self._normalize(_pmul(n1, n2), _pmul(d1, d2))
+        if not n1 or not n2:
+            return ((), (1,))
+        # gcd(n1, d1) = gcd(n2, d2) = 1 already, so cancelling across leaves
+        # a reduced product and the gcds work on the factors' smaller degrees
+        # (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1)
+        n1, d2 = self._cancel(n1, d2)
+        n2, d1 = self._cancel(n2, d1)
+        return self._unit(_pmul(n1, n2), _pmul(d1, d2))
 
     def _inv(self, a):
-        return self._normalize(a[1], a[0])
+        num, den = a
+        if num[-1] < 0:
+            return (_pneg(den), _pneg(num))
+        return (den, num)
 
     def from_int(self, n: int) -> Fel:
-        return self.el((_trim((Fraction(n),)), (Fraction(1),)))
+        return self.el(((n,) if n else (), (1,)))
 
     def _parse(self, text: str) -> Fel:
         text = text.strip()
@@ -553,29 +673,35 @@ class FunctionField(FieldCtx):
             num_s, den_s = text.split("|", 1)
         else:
             num_s, den_s = text, "[1]"
-        def side(s: str) -> FracPoly:
+        def side(s: str) -> Tuple[IntPoly, int]:
             s = s.strip()
             if not s.startswith("["):
-                return _trim((self._parse_fraction(s),))
-            return _trim(tuple(self._parse_fraction(x) for x in self._parse_bracket_list(s)))
-        return self.el(self._normalize(side(num_s), side(den_s)))
+                coeffs = [self._parse_fraction(s)]
+            else:
+                coeffs = [self._parse_fraction(x) for x in self._parse_bracket_list(s)]
+            ints, den = _over_common_den(coeffs)
+            return _trim(ints), den
+        (num, num_den), (den, den_den) = side(num_s), side(den_s)
+        # (num / num_den) / (den / den_den)
+        return self.el(self._normalize(tuple(c * den_den for c in num), tuple(c * num_den for c in den)))
 
     def show(self, a: Fel) -> str:
         num, den = a.val
-        def side(poly: FracPoly) -> str:
+        lead = den[-1]
+        def side(poly: IntPoly) -> str:
             if not poly:
                 return "[0]"
-            return "[" + ",".join(self._show_fraction(c) for c in poly) + "]"
+            return "[" + ",".join(self._show_fraction(Fraction(c, lead)) for c in poly) + "]"
         return side(num) + "|" + side(den)
 
     def q_order(self) -> Optional[int]:
         return None  # t is transcendental
 
     def random_element(self, rng) -> Fel:
-        num = _trim(tuple(Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))))
-        den: FracPoly = ()
+        num = _trim(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3))))
+        den: IntPoly = ()
         while not den:
-            den = _trim(tuple(Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 2))))
+            den = _trim(tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 2))))
         return self.el(self._normalize(num, den))
 
 

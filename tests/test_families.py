@@ -608,3 +608,40 @@ def test_family_case_is_pinned(name):
     else:
         V = construct_family(case["family"], ctx, window=window)
         assert canonical_json(V.to_json()) == canonical_json(case["module"])
+
+
+C4 = make_field(FieldSpec(kind="CYCLOTOMIC", n=4))
+
+# (field, text, is an integer, is a power of q), as answered when every
+# CYCLOTOMIC and FUNCTION_FIELD coefficient was still a Fraction
+SCALAR_TABLE = [
+    (FF, "0", True, False),
+    (FF, "1", True, True),
+    (FF, "-3", True, False),
+    (FF, "3/2", False, False),
+    (FF, "[4]|[2]", True, False),
+    (FF, "[0,1]", False, True),
+    (FF, "[1]|[0,0,1]", False, True),
+    (C5, "0", True, False),
+    (C5, "1", True, True),
+    (C5, "-3", True, False),
+    (C5, "3/2", False, False),
+    (C5, "[1/2]", False, False),
+    (C5, "[2]", True, False),
+    (C5, "[0,1]", False, True),
+    (C4, "[0,1]", False, True),
+    (C4, "[-1]", True, True),
+    (C4, "[0,0,1]", True, True),
+    (C4, "[1/2]", False, False),
+]
+
+
+@pytest.mark.parametrize(
+    "ctx,text,is_int,is_power", SCALAR_TABLE, ids=[f"{c.spec.kind}{c.spec.n or ''}:{t}" for c, t, _, _ in SCALAR_TABLE]
+)
+def test_int_scalar_and_q_power_read_the_int_values(ctx, text, is_int, is_power):
+    from qdweight.families import _is_int_scalar, _is_q_power
+
+    a = ctx.parse(text)
+    assert _is_int_scalar(ctx, a) is is_int
+    assert _is_q_power(ctx, a) is is_power

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -457,7 +458,7 @@ def test_function_field_fast_paths_match_the_general_formula():
     els = [ctx.parse(t) for t in texts]
     els += [ctx.random_element(rng) for _ in range(12)]
     els += [ctx.from_int(rng.randint(-5, 5)) for _ in range(4)]
-    els += [ctx.el((_trim(tuple(Fraction(rng.randint(-4, 4)) for _ in range(3))), (Fraction(1),))) for _ in range(4)]
+    els += [ctx.el((_trim(tuple(rng.randint(-4, 4) for _ in range(3))), (1,))) for _ in range(4)]
     normalize = fields_module.FunctionField._normalize
     for a in els:
         for b in els:
@@ -468,3 +469,256 @@ def test_function_field_fast_paths_match_the_general_formula():
             ):
                 assert fast == general
                 assert ctx.show(ctx.el(fast)) == ctx.show(ctx.el(general))
+
+
+# ---------------------------------------------------------------------------
+# The Fraction-based Q(t) and Q(zeta_n) arithmetic that the integer kernels
+# replaced, kept as an oracle: values are FracPoly tuples (FUNCTION_FIELD a
+# reduced (num, den) pair with monic den), and the text is what the library
+# has always printed.
+
+
+def _frac_divmod(a, b):
+    rem = list(a)
+    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    lead = b[-1]
+    while len(rem) >= len(b):
+        while rem and not rem[-1]:
+            rem.pop()
+        if len(rem) < len(b):
+            break
+        c = rem[-1] / lead
+        d = len(rem) - len(b)
+        quot[d] = c
+        for i, y in enumerate(b):
+            rem[d + i] -= c * y
+        rem.pop()
+    return _trim(quot), _trim(rem)
+
+
+def _frac_gcd(a, b):
+    while b:
+        a, b = b, _frac_divmod(a, b)[1]
+    if a:
+        lead = a[-1]
+        a = tuple(c / lead for c in a)
+    return a
+
+
+def _frac_cyclotomic(n):
+    num = tuple(Fraction(c) for c in [-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            num, rem = _frac_divmod(num, tuple(Fraction(c) for c in _frac_cyclotomic(d)))
+            assert not rem
+    return tuple(int(c) for c in num)
+
+
+def _show_frac(x):
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _parse_side(text):
+    text = text.strip()
+    if not text.startswith("["):
+        return _trim((Fraction(text),))
+    inner = text[1:-1].strip()
+    return _trim(tuple(Fraction(x.strip()) for x in inner.split(","))) if inner else ()
+
+
+class FracFunctionField:
+    @staticmethod
+    def normalize(num, den):
+        if not num:
+            return ((), (Fraction(1),))
+        g = _frac_gcd(num, den)
+        if len(g) > 1:
+            num = _frac_divmod(num, g)[0]
+            den = _frac_divmod(den, g)[0]
+        lead = den[-1]
+        return (tuple(c / lead for c in num), tuple(c / lead for c in den))
+
+    def add(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        return self.normalize(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+
+    def neg(self, a):
+        return (tuple(-c for c in a[0]), a[1])
+
+    def mul(self, a, b):
+        return self.normalize(_pmul(a[0], b[0]), _pmul(a[1], b[1]))
+
+    def inv(self, a):
+        return self.normalize(a[1], a[0])
+
+    def parse(self, text):
+        num_s, den_s = text.split("|", 1) if "|" in text else (text, "[1]")
+        return self.normalize(_parse_side(num_s), _parse_side(den_s))
+
+    def show(self, a):
+        def side(poly):
+            return "[" + ",".join(_show_frac(c) for c in poly) + "]" if poly else "[0]"
+
+        return side(a[0]) + "|" + side(a[1])
+
+    def random_element(self, rng):
+        num = _trim(tuple(Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))))
+        den = ()
+        while not den:
+            den = _trim(tuple(Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 2))))
+        return self.normalize(num, den)
+
+
+class FracCyclotomicField:
+    def __init__(self, n):
+        self.modulus = tuple(Fraction(c) for c in _frac_cyclotomic(n))
+        self.degree = len(self.modulus) - 1
+
+    def reduce(self, poly):
+        return _frac_divmod(_trim(poly), self.modulus)[1]
+
+    def add(self, a, b):
+        return _padd(a, b)
+
+    def neg(self, a):
+        return tuple(-c for c in a)
+
+    def mul(self, a, b):
+        return self.reduce(_pmul(a, b))
+
+    def inv(self, a):
+        r0, r1 = self.modulus, a
+        s0, s1 = (), (Fraction(1),)
+        while r1:
+            quot, rem = _frac_divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _padd(s0, tuple(-c for c in _pmul(quot, s1)))
+        return self.reduce(_pmul(s0, (Fraction(1) / r0[0],)))
+
+    def parse(self, text):
+        return self.reduce(_parse_side(text))
+
+    def show(self, a):
+        return "[" + ",".join(_show_frac(c) for c in a) + "]" if a else "[0]"
+
+    def random_element(self, rng):
+        return _trim(tuple(Fraction(rng.randint(-4, 4)) for _ in range(self.degree)))
+
+
+CHAR0_SPECS = [FieldSpec(kind="FUNCTION_FIELD")] + [
+    FieldSpec(kind="CYCLOTOMIC", n=n) for n in (1, 2, 3, 4, 5, 6, 8, 12)
+]
+
+
+def frac_oracle(spec):
+    return FracFunctionField() if spec.kind == "FUNCTION_FIELD" else FracCyclotomicField(spec.n)
+
+
+def assert_canonical_ints(ctx, a):
+    """a.val holds only ints, in the kind's canonical form."""
+    if ctx.spec.kind == "FUNCTION_FIELD":
+        num, den = a.val
+        assert all(type(c) is int for c in num + den)
+        assert num == _trim(num) and den == _trim(den) and den and den[-1] > 0
+        if not num:
+            assert den == (1,)
+            return
+        assert gcd(*num, *den) == 1
+        assert len(_frac_gcd(tuple(map(Fraction, num)), tuple(map(Fraction, den)))) == 1
+    else:
+        coeffs, den = a.val
+        assert all(type(c) is int for c in coeffs) and type(den) is int
+        assert coeffs == _trim(coeffs) and len(coeffs) <= ctx.degree
+        assert den > 0 and gcd(den, *coeffs) == 1
+        if not coeffs:
+            assert den == 1
+
+
+def random_chain(ctx, oracle, seed, steps=60, max_text=96):
+    """Seeded + - * / ** steps on pairs (element, oracle value) from a pool
+    of random elements; yields each result pair.  A result joins the pool
+    only if its text has at most max_text characters, so degrees stay small."""
+    rng = random.Random(seed)
+    pool = []
+    for _ in range(6):
+        state = rng.getstate()
+        x = ctx.random_element(rng)
+        rng.setstate(state)
+        y = oracle.random_element(rng)
+        assert ctx.show(x) == oracle.show(y)  # seeded values are unchanged
+        pool.append((x, y))
+    for _ in range(steps):
+        op = rng.choice("+-*/^")
+        (a, oa), (b, ob) = rng.choice(pool), rng.choice(pool)
+        if op == "+":
+            r, o = a + b, oracle.add(oa, ob)
+        elif op == "-":
+            r, o = a - b, oracle.add(oa, oracle.neg(ob))
+        elif op == "*":
+            r, o = a * b, oracle.mul(oa, ob)
+        elif op == "/":
+            if not b:
+                continue
+            r, o = a / b, oracle.mul(oa, oracle.inv(ob))
+        else:
+            k = rng.randint(-3, 3)
+            if k < 0 and not a:
+                continue
+            r, o = a**k, oracle.parse("1")
+            base = oa if k >= 0 else oracle.inv(oa)
+            for _ in range(abs(k)):
+                o = oracle.mul(o, base)
+        yield r, o
+        if len(str(r)) <= max_text:
+            pool.append((r, o))
+
+
+@pytest.mark.parametrize("spec", CHAR0_SPECS, ids=lambda s: f"{s.kind}-{s.n or ''}")
+@pytest.mark.parametrize("seed", range(4))
+def test_int_kernels_agree_with_the_fraction_oracle(spec, seed):
+    ctx, oracle = make_field(spec), frac_oracle(spec)
+    for r, o in random_chain(ctx, oracle, seed):
+        text = ctx.show(r)
+        assert text == oracle.show(o)
+        assert oracle.show(oracle.parse(text)) == text
+        back = ctx.parse(text)
+        assert back == r and hash(back) == hash(r) and back.val == r.val
+        assert_canonical_ints(ctx, r)
+
+
+@pytest.mark.parametrize("spec", CHAR0_SPECS, ids=lambda s: f"{s.kind}-{s.n or ''}")
+def test_equal_values_by_different_paths_are_equal_and_hash_equal(spec):
+    ctx = make_field(spec)
+    rng = random.Random(11)
+    els = [ctx.random_element(rng) for _ in range(8)] + [ctx.parse(t) for t in ("3/2", "-1/6", "0")]
+    for a in els:
+        for b in els:
+            for same in ((a + b) - b, (a - b) + b) + (((a * b) / b, (a / b) * b, b * a / b) if b else ()):
+                assert same == a and hash(same) == hash(a) and same.val == a.val
+                assert_canonical_ints(ctx, same)
+        if a:
+            assert (a**2) / a == a and hash(a**-2 * a**3) == hash(a)
+
+
+@pytest.mark.parametrize("spec", CHAR0_SPECS, ids=lambda s: f"{s.kind}-{s.n or ''}")
+def test_parse_and_constants_give_canonical_ints(spec):
+    ctx = make_field(spec)
+    texts = ["0", "1", "-7", "6/4", "[1/2,1/3]", "[2,4,6]", "[0,0,0,1/5]"]
+    if spec.kind == "FUNCTION_FIELD":
+        texts += ["[2,4]|[6,-2]", "[1/2]|[-1/3,0,2/3]", "[-1,1]|[1,-2,1]", "[0]|[-5,1]"]
+    for x in [ctx.zero, ctx.one, ctx.q, ctx.from_int(-4), ctx.from_int(0)] + [ctx.parse(t) for t in texts]:
+        assert_canonical_ints(ctx, x)
+        assert_canonical_ints(ctx, -x)
+        if x:
+            assert_canonical_ints(ctx, x.inverse())
+
+
+@pytest.mark.parametrize("n", range(1, 37))
+def test_cyclotomic_polynomials_by_exact_integer_division(n):
+    phi = _cyclotomic(n)
+    assert phi == _frac_cyclotomic(n) and all(type(c) is int for c in phi)
+    product = (1,)
+    for d in range(1, n + 1):
+        if n % d == 0:
+            product = _pmul(product, _cyclotomic(d))
+    assert product == (-1,) + (0,) * (n - 1) + (1,)
