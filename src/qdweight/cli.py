@@ -103,17 +103,19 @@ def default_seed() -> int:
 
 def load_scenario(path: str) -> dict:
     # imported here: only scenario files need it, and it is costly to load
-    import jsonschema
+    from jsonschema import Draft7Validator
+    from jsonschema.exceptions import best_match
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read scenario {path}: {exc}") from None
-    try:
-        jsonschema.validate(raw, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise CliError(f"scenario {path} is invalid: {exc.message}") from None
+    # jsonschema.validate less its meta-check: the schema is a constant,
+    # which the tests check once
+    error = best_match(Draft7Validator(SCENARIO_SCHEMA).iter_errors(raw))
+    if error is not None:
+        raise CliError(f"scenario {path} is invalid: {error.message}")
     return raw
 
 

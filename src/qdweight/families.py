@@ -142,7 +142,7 @@ def _is_q_power(ctx: FieldCtx, b: Fel) -> bool:
             x = x * ctx.q
         return False
     if ctx.spec.kind == "RATIONAL":
-        return _is_fraction_power(ctx.q.val, b.val)
+        return _is_fraction_power(Fraction(*ctx.q.val), Fraction(*b.val))
     # FUNCTION_FIELD with q = t: the degree pins the only possible exponent.
     num, den = b.val
     if not num:
@@ -157,10 +157,11 @@ def _is_int_scalar(ctx: FieldCtx, a: Fel) -> bool:
         # the image of Z is the prime subfield, which Frobenius fixes exactly
         return a ** ctx.characteristic == a
     kind = ctx.spec.kind
+    # RATIONAL (n, d), CYCLOTOMIC (coeffs, den) and FUNCTION_FIELD (N, D) are
+    # canonical: the denominator is coprime to the numerator or content, so
+    # an integer has it equal to 1
     if kind == "RATIONAL":
-        return a.val.denominator == 1
-    # CYCLOTOMIC (coeffs, den) and FUNCTION_FIELD (N, D) are canonical: the
-    # denominator is coprime to the content, so an integer has it equal to 1
+        return a.val[1] == 1
     if kind == "CYCLOTOMIC":
         coeffs, den = a.val
         return len(coeffs) <= 1 and den == 1

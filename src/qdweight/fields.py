@@ -13,7 +13,7 @@ Five field kinds cover everything the library needs:
 
 Values, each in one canonical form:
 
-  RATIONAL        a ``Fraction``
+  RATIONAL        ``(n, d)``: two ints, d > 0 and gcd(n, d) = 1
   CYCLOTOMIC(n)   ``(coeffs, den)``: int coefficients of the residue over one
                   positive int denominator, gcd(content, den) = 1
   FUNCTION_FIELD  ``(N, D)``: int coefficients of numerator and denominator,
@@ -21,9 +21,9 @@ Values, each in one canonical form:
   PRIME_FIELD     the int residue 0..p-1
   EXT_FIELD       the int c_0 + c_1 p + ... of the residue's coefficients
 
-The two characteristic-0 extensions compute on ints only; ``Fraction`` meets
-them in ``parse``, ``show`` and the cyclotomic inverse.  Finite fields have at
-most MAX_FIELD_ORDER elements, each interned once.
+The three characteristic-0 kinds compute on ints only; ``Fraction`` meets
+them only in ``parse``.  Finite fields have at most MAX_FIELD_ORDER elements,
+each interned once.
 
 Every element has a unique canonical form and a canonical text encoding that
 round-trips through ``parse``/``show``.  Elements are immutable and hashable.
@@ -46,7 +46,6 @@ MAX_FIELD_ORDER = 2**16
 # zeros; the empty tuple is the zero polynomial)
 
 IntPoly = Tuple[int, ...]
-FracPoly = Tuple[Fraction, ...]
 
 
 def _trim(coeffs: Sequence) -> tuple:
@@ -78,27 +77,6 @@ def _pmul(a: Sequence, b: Sequence) -> tuple:
             for j, y in enumerate(b):
                 out[i + j] = out[i + j] + x * y
     return _trim(out)
-
-
-def _pdivmod_frac(a: FracPoly, b: FracPoly) -> Tuple[FracPoly, FracPoly]:
-    """Division with remainder over the rationals."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        while rem and not rem[-1]:
-            rem.pop()
-        if len(rem) < len(b):
-            break
-        c = rem[-1] / lead
-        d = len(rem) - len(b)
-        quot[d] = c
-        for i, y in enumerate(b):
-            rem[d + i] -= c * y
-        rem.pop()
-    return _trim(quot), _trim(rem)
 
 
 def _pdivmod_int(a: IntPoly, b: IntPoly) -> Tuple[IntPoly, IntPoly]:
@@ -386,7 +364,11 @@ class FieldCtx:
     def parse(self, text: str) -> Fel:
         if not isinstance(text, str):
             raise ValueError(f"a field element must be a string, got {text!r}")
-        return self._parse(text)
+        try:
+            return self._parse(text)
+        except ZeroDivisionError:
+            # bad input, not arithmetic: every caller reports a ValueError
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     def show(self, a: Fel) -> str:
         raise NotImplementedError
@@ -416,8 +398,12 @@ class FieldCtx:
 
     # shared encoding helpers
     @staticmethod
-    def _show_fraction(x: Fraction) -> str:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    def _show_fraction(n: int, d: int) -> str:
+        # n/d in lowest terms; d > 0
+        g = gcd(n, d)
+        if g != 1:
+            n, d = n // g, d // g
+        return str(n) if d == 1 else f"{n}/{d}"
 
     @staticmethod
     def _parse_fraction(text: str) -> Fraction:
@@ -435,47 +421,67 @@ class FieldCtx:
 
 
 class RationalField(FieldCtx):
+    """Q as reduced int pairs: a value is ``(n, d)`` with d > 0 and
+    gcd(n, d) = 1.  Zero is ``(0, 1)``."""
+
     characteristic = 0
     is_finite = False
 
-    def __init__(self, q: Fraction):
-        if q == 0:
+    def __init__(self, q_text: str):
+        self.zero = self.el((0, 1))
+        self.one = self.el((1, 1))
+        self.q = self.parse(q_text)
+        if not self.q:
             raise ValueError("q must be nonzero")
-        self.spec = FieldSpec(kind="RATIONAL", q=self._show_fraction(q))
-        self.zero = self.el(Fraction(0))
-        self.one = self.el(Fraction(1))
-        self.q = self.el(q)
+        self.spec = FieldSpec(kind="RATIONAL", q=self.show(self.q))
 
     def _add(self, a, b):
-        return a + b
+        (n1, d1), (n2, d2) = a, b
+        if d1 == 1 == d2:
+            return (n1 + n2, 1)
+        if not n1:
+            return b
+        if not n2:
+            return a
+        n, d = n1 * d2 + n2 * d1, d1 * d2
+        g = gcd(n, d)
+        return (n, d) if g == 1 else (n // g, d // g)
 
     def _neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def _mul(self, a, b):
-        return a * b
+        # both pairs are reduced, so cancelling across leaves a reduced
+        # product (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1)
+        (n1, d1), (n2, d2) = a, b
+        g1, g2 = gcd(n1, d2), gcd(n2, d1)
+        return ((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1))
 
     def _inv(self, a):
-        return 1 / a
+        n, d = a
+        return (-d, -n) if n < 0 else (d, n)
 
     def from_int(self, n: int) -> Fel:
-        return self.el(Fraction(n))
+        return self.el((n, 1))
 
     def _parse(self, text: str) -> Fel:
-        return self.el(self._parse_fraction(text))
+        x = self._parse_fraction(text)
+        return self.el((x.numerator, x.denominator))
 
     def show(self, a: Fel) -> str:
-        return self._show_fraction(a.val)
+        return self._show_fraction(*a.val)
 
     def q_order(self) -> Optional[int]:
-        if self.q.val == 1:
+        if self.q.val == (1, 1):
             return 1
-        if self.q.val == -1:
+        if self.q.val == (-1, 1):
             return 2
         return None  # no other rational lies on the unit circle
 
     def random_element(self, rng) -> Fel:
-        return self.el(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        n, d = rng.randint(-9, 9), rng.randint(1, 9)
+        g = gcd(n, d)
+        return self.el((n // g, d // g))
 
 
 def _over_common_den(coeffs: Sequence[Fraction]) -> Tuple[IntPoly, int]:
@@ -547,17 +553,22 @@ class CyclotomicField(FieldCtx):
         return self._canon(self._reduce(_pmul(c1, c2)), d1 * d2)
 
     def _inv(self, a):
-        # extended Euclid in Q[t] against the modulus; 1 / (c / den) = den / c
+        # c times the product P of its other Galois conjugates c(t^k), k a
+        # unit mod n, is the norm N of c, an integer (Cohen, GTM 138, 4.3);
+        # so 1 / (c / den) = den P / N
         coeffs, den = a
-        r0, r1 = tuple(map(Fraction, self.modulus)), tuple(map(Fraction, coeffs))
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            quot, rem = _pdivmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _padd(s0, _pneg(_pmul(quot, s1)))
-        assert len(r0) == 1  # gcd is a unit: the modulus is irreducible
-        scale = den / r0[0]
-        return self._from_fractions([c * scale for c in s0])
+        n = self.n
+        prod: IntPoly = (1,)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = [0] * n
+                for i, c in enumerate(coeffs):
+                    conj[i * k % n] = c
+                prod = self._reduce(_pmul(prod, _trim(conj)))
+        (norm,), _ = self._mul((coeffs, 1), (prod, 1))
+        if norm < 0:
+            norm, den = -norm, -den
+        return self._canon(tuple(den * c for c in prod), norm)
 
     def from_int(self, n: int) -> Fel:
         return self.el(((n,) if n else (), 1))
@@ -573,7 +584,7 @@ class CyclotomicField(FieldCtx):
         coeffs, den = a.val
         if not coeffs:
             return "[0]"
-        return "[" + ",".join(self._show_fraction(Fraction(c, den)) for c in coeffs) + "]"
+        return "[" + ",".join(self._show_fraction(c, den) for c in coeffs) + "]"
 
     def q_order(self) -> Optional[int]:
         return self.n  # primitive n-th root by construction
@@ -691,7 +702,7 @@ class FunctionField(FieldCtx):
         def side(poly: IntPoly) -> str:
             if not poly:
                 return "[0]"
-            return "[" + ",".join(self._show_fraction(Fraction(c, lead)) for c in poly) + "]"
+            return "[" + ",".join(self._show_fraction(c, lead) for c in poly) + "]"
         return side(num) + "|" + side(den)
 
     def q_order(self) -> Optional[int]:
@@ -966,8 +977,7 @@ def make_field(spec: FieldSpec) -> FieldCtx:
     """Build a field context from a spec; validates all invariants."""
     kind = spec.kind
     if kind == "RATIONAL":
-        q = Fraction(spec.q) if spec.q is not None else Fraction(2)
-        return RationalField(q)
+        return RationalField(spec.q if spec.q is not None else "2")
     if kind == "CYCLOTOMIC":
         if spec.n is None:
             raise ValueError("CYCLOTOMIC requires n")

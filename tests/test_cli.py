@@ -291,6 +291,37 @@ def test_verify_flavor_restriction(capsys, remark_file):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "field, text",
+    [(QQ_FIELD, "1/0"), ({"kind": "CYCLOTOMIC", "n": 4}, "[1/0]"), ({"kind": "FUNCTION_FIELD"}, "[1]|[0]")],
+    ids=["RATIONAL", "CYCLOTOMIC", "FUNCTION_FIELD"],
+)
+def test_zero_denominator_in_a_module_file_exits_2(tmp_path, capsys, field, text):
+    path = write_json(tmp_path / "m.json", {"field": field, "base": [text, "3"], "kind": "INFINITE", "window": [0, 2]})
+    code, _, err = run_cli(["verify", path], capsys)
+    assert code == 2
+    assert err == f"error: module {path} is invalid: zero denominator in {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "field, params, message",
+    [
+        (QQ_FIELD, {"b": "1/0", "a": "1/2"}, "cannot construct: zero denominator in '1/0'"),
+        ({"kind": "RATIONAL", "q": "1/0"}, {"b": "3", "a": "1/2"}, "bad field spec: zero denominator in '1/0'"),
+    ],
+    ids=["param", "q"],
+)
+def test_zero_denominator_in_a_scenario_exits_2(tmp_path, capsys, field, params, message):
+    path = write_json(tmp_path / "s.json", scenario(field, "VQ_B_A", params, (-2, 2)))
+    code, _, err = run_cli(["construct", "--scenario", path], capsys)
+    assert code == 2 and err == f"error: {message}\n"
+
+
+def test_zero_denominator_in_realize_q_exits_2(capsys):
+    code, _, err = run_cli(["realize", "--field", "RATIONAL", "--q", "1/0", "--N", "3"], capsys)
+    assert code == 2 and err == "error: zero denominator in '1/0'\n"
+
+
 def test_verify_bad_module_file(tmp_path, capsys):
     path = write_json(tmp_path / "m.json", {"field": QQ_FIELD})
     code, _, err = run_cli(["verify", path], capsys)
@@ -552,6 +583,44 @@ def test_grid_covers_every_family_and_field_kind():
 
     for r in rows:
         jsonschema.validate(r, SCENARIO_SCHEMA)
+
+
+def test_scenario_schema_is_a_valid_draft7_schema():
+    # load_scenario skips this meta-check on every call, so it is made here
+    from jsonschema import Draft7Validator
+
+    Draft7Validator.check_schema(SCENARIO_SCHEMA)
+
+
+def _with(sc, **changes):
+    out = dict(sc, **changes)
+    return {k: v for k, v in out.items() if v is not None}
+
+
+_GOOD = scenario(QQ_FIELD, "VQ_B_A", {"b": "3", "a": "1/2"}, (-2, 2))
+INVALID_SCENARIOS = {
+    "schema": _with(_GOOD, schema="2"),
+    "schema+extra+window": _with(_GOOD, schema=2, extra=1, window=[0, "x", 3]),
+    "action+field": _with(_GOOD, action="verify", field={"kind": "REAL"}),
+    "missing field": _with(_GOOD, field=None),
+    "field extra+q": _with(_GOOD, field={"kind": "RATIONAL", "q": 2, "r": 1}),
+    "family": _with(_GOOD, family={"params": [], "title": "x"}),
+    "window short": _with(_GOOD, window=[1]),
+    "not an object": ["schema", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_SCENARIOS))
+def test_scenario_errors_match_jsonschema_validate(tmp_path, name):
+    import jsonschema
+
+    raw = INVALID_SCENARIOS[name]
+    path = write_json(tmp_path / "s.json", raw)
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(raw, SCENARIO_SCHEMA)
+    with pytest.raises(CliError) as got:
+        load_scenario(path)
+    assert str(got.value) == f"scenario {path} is invalid: {want.value.message}"
 
 
 def test_suite_report_passes_and_is_deterministic(capsys):

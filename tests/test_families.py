@@ -645,3 +645,37 @@ def test_int_scalar_and_q_power_read_the_int_values(ctx, text, is_int, is_power)
     a = ctx.parse(text)
     assert _is_int_scalar(ctx, a) is is_int
     assert _is_q_power(ctx, a) is is_power
+
+
+QM3 = make_field(FieldSpec(kind="RATIONAL", q="-3"))
+
+# (field, text, is an integer, is a power of q), as answered when a RATIONAL
+# value was still a Fraction; the parameter form of each is its text
+RATIONAL_SCALARS = [
+    (QQ, "0", True, False),
+    (QQ, "1", True, True),
+    (QQ, "-3", True, False),
+    (QQ, "3/2", False, False),
+    (QQ, "1/2", False, True),
+    (QQ, "4", True, True),
+    (QQ, "-1/8", False, False),
+    (QQ, "2", True, True),
+    (QQ, "1/1024", False, True),
+    (QM3, "3", True, False),
+    (QM3, "-3", True, True),
+    (QM3, "9", True, True),
+    (QM3, "-1/27", False, True),
+]
+
+
+@pytest.mark.parametrize(
+    "ctx,text,is_int,is_power", RATIONAL_SCALARS, ids=[f"q={c.spec.q}:{t}" for c, t, _, _ in RATIONAL_SCALARS]
+)
+def test_rational_scalar_answers_are_pinned(ctx, text, is_int, is_power):
+    from qdweight.families import _is_int_scalar, _is_q_power, _norm_param
+
+    a = ctx.parse(text)
+    assert _is_int_scalar(ctx, a) is is_int
+    assert _is_q_power(ctx, a) is is_power
+    assert _norm_param(a) == text
+    assert _norm_param(Fraction(text)) == text

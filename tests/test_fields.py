@@ -472,10 +472,10 @@ def test_function_field_fast_paths_match_the_general_formula():
 
 
 # ---------------------------------------------------------------------------
-# The Fraction-based Q(t) and Q(zeta_n) arithmetic that the integer kernels
-# replaced, kept as an oracle: values are FracPoly tuples (FUNCTION_FIELD a
-# reduced (num, den) pair with monic den), and the text is what the library
-# has always printed.
+# The Fraction-based Q, Q(t) and Q(zeta_n) arithmetic that the integer kernels
+# replaced, kept as an oracle: values are Fractions (RATIONAL) or FracPoly
+# tuples (FUNCTION_FIELD a reduced (num, den) pair with monic den), and the
+# text is what the library has always printed.
 
 
 def _frac_divmod(a, b):
@@ -524,6 +524,29 @@ def _parse_side(text):
         return _trim((Fraction(text),))
     inner = text[1:-1].strip()
     return _trim(tuple(Fraction(x.strip()) for x in inner.split(","))) if inner else ()
+
+
+class FracRationalField:
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return 1 / a
+
+    def parse(self, text):
+        return Fraction(text.strip())
+
+    def show(self, a):
+        return _show_frac(a)
+
+    def random_element(self, rng):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
 class FracFunctionField:
@@ -605,18 +628,24 @@ class FracCyclotomicField:
         return _trim(tuple(Fraction(rng.randint(-4, 4)) for _ in range(self.degree)))
 
 
-CHAR0_SPECS = [FieldSpec(kind="FUNCTION_FIELD")] + [
+CHAR0_SPECS = [RATIONAL_Q2, FieldSpec(kind="RATIONAL", q="-3/2"), FieldSpec(kind="FUNCTION_FIELD")] + [
     FieldSpec(kind="CYCLOTOMIC", n=n) for n in (1, 2, 3, 4, 5, 6, 8, 12)
 ]
 
 
 def frac_oracle(spec):
+    if spec.kind == "RATIONAL":
+        return FracRationalField()
     return FracFunctionField() if spec.kind == "FUNCTION_FIELD" else FracCyclotomicField(spec.n)
 
 
 def assert_canonical_ints(ctx, a):
     """a.val holds only ints, in the kind's canonical form."""
-    if ctx.spec.kind == "FUNCTION_FIELD":
+    if ctx.spec.kind == "RATIONAL":
+        num, den = a.val
+        assert type(a.val) is tuple and type(num) is int and type(den) is int
+        assert den > 0 and gcd(num, den) == 1
+    elif ctx.spec.kind == "FUNCTION_FIELD":
         num, den = a.val
         assert all(type(c) is int for c in num + den)
         assert num == _trim(num) and den == _trim(den) and den and den[-1] > 0
@@ -673,7 +702,11 @@ def random_chain(ctx, oracle, seed, steps=60, max_text=96):
             pool.append((r, o))
 
 
-@pytest.mark.parametrize("spec", CHAR0_SPECS, ids=lambda s: f"{s.kind}-{s.n or ''}")
+def char0_id(spec):
+    return f"{spec.kind}-{spec.n or spec.q or ''}"
+
+
+@pytest.mark.parametrize("spec", CHAR0_SPECS, ids=char0_id)
 @pytest.mark.parametrize("seed", range(4))
 def test_int_kernels_agree_with_the_fraction_oracle(spec, seed):
     ctx, oracle = make_field(spec), frac_oracle(spec)
@@ -686,7 +719,7 @@ def test_int_kernels_agree_with_the_fraction_oracle(spec, seed):
         assert_canonical_ints(ctx, r)
 
 
-@pytest.mark.parametrize("spec", CHAR0_SPECS, ids=lambda s: f"{s.kind}-{s.n or ''}")
+@pytest.mark.parametrize("spec", CHAR0_SPECS, ids=char0_id)
 def test_equal_values_by_different_paths_are_equal_and_hash_equal(spec):
     ctx = make_field(spec)
     rng = random.Random(11)
@@ -700,10 +733,12 @@ def test_equal_values_by_different_paths_are_equal_and_hash_equal(spec):
             assert (a**2) / a == a and hash(a**-2 * a**3) == hash(a)
 
 
-@pytest.mark.parametrize("spec", CHAR0_SPECS, ids=lambda s: f"{s.kind}-{s.n or ''}")
+@pytest.mark.parametrize("spec", CHAR0_SPECS, ids=char0_id)
 def test_parse_and_constants_give_canonical_ints(spec):
     ctx = make_field(spec)
-    texts = ["0", "1", "-7", "6/4", "[1/2,1/3]", "[2,4,6]", "[0,0,0,1/5]"]
+    texts = ["0", "1", "-7", "6/4", " -12/8 ", "0/5"]
+    if spec.kind != "RATIONAL":
+        texts += ["[1/2,1/3]", "[2,4,6]", "[0,0,0,1/5]"]
     if spec.kind == "FUNCTION_FIELD":
         texts += ["[2,4]|[6,-2]", "[1/2]|[-1/3,0,2/3]", "[-1,1]|[1,-2,1]", "[0]|[-5,1]"]
     for x in [ctx.zero, ctx.one, ctx.q, ctx.from_int(-4), ctx.from_int(0)] + [ctx.parse(t) for t in texts]:
@@ -722,3 +757,107 @@ def test_cyclotomic_polynomials_by_exact_integer_division(n):
         if n % d == 0:
             product = _pmul(product, _cyclotomic(d))
     assert product == (-1,) + (0,) * (n - 1) + (1,)
+
+
+# ---------------------------------------------------------------------------
+# the cyclotomic inverse from Galois conjugates, against the extended Euclid
+# over Fraction it replaced
+
+
+def euclid_inverse(ctx, a):
+    """1 / a for a CYCLOTOMIC value (coeffs, den), by the extended Euclid in
+    Q[t] against Phi_n, as a canonical (coeffs, den) pair."""
+    coeffs, den = a
+    r0, r1 = tuple(map(Fraction, ctx.modulus)), tuple(map(Fraction, coeffs))
+    s0, s1 = (), (Fraction(1),)
+    while r1:
+        quot, rem = _frac_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _padd(s0, tuple(-c for c in _pmul(quot, s1)))
+    assert len(r0) == 1  # gcd is a unit: the modulus is irreducible
+    scale = den / r0[0]
+    return ctx._from_fractions([c * scale for c in s0])
+
+
+@pytest.mark.parametrize("n", range(1, 37))
+def test_cyclotomic_inverse_agrees_with_the_euclid_oracle(n):
+    ctx = make_field(FieldSpec(kind="CYCLOTOMIC", n=n))
+    rng = random.Random(n)
+    els = [ctx.one, ctx.q, -ctx.q, ctx.q + 1, ctx.from_int(-6), ctx.parse("[3/4,-5/6]")]
+    for _ in range(3):
+        x = ctx.random_element(rng)
+        els += [x, x / rng.randint(2, 12), x * ctx.parse(f"[{rng.randint(-5, 5)}/7,1/{rng.randint(1, 9)}]")]
+    for a in (a for a in els if a):
+        inv = a.inverse()
+        assert inv.val == euclid_inverse(ctx, a.val)
+        assert_canonical_ints(ctx, inv)
+        assert a * inv == ctx.one
+
+
+# ---------------------------------------------------------------------------
+# Fraction stays out of the arithmetic
+
+
+@pytest.mark.parametrize("spec", CHAR0_SPECS, ids=char0_id)
+def test_char0_arithmetic_constructs_no_fraction(spec, monkeypatch):
+    ctx = make_field(spec)
+    rng = random.Random(5)
+    pool = [ctx.random_element(rng) for _ in range(6)] + [ctx.q, ctx.from_int(3)]
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    seen = []
+    for _ in range(40):
+        a, b = rng.choice(pool), rng.choice(pool)
+        results = [a + b, a - b, a * b, -a, a**2]
+        if b:
+            results += [a / b, b.inverse(), b**-2]
+        seen += results
+        r = rng.choice(results)
+        if len(str(r)) <= 96:  # keeps degrees small
+            pool = pool[-11:] + [r]
+    assert made == []
+    monkeypatch.undo()  # the canonical-form check itself uses Fraction
+    for r in seen:
+        assert_canonical_ints(ctx, r)
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        (RATIONAL_Q2, "1/0"),
+        (RATIONAL_Q2, " -3/0 "),
+        (FieldSpec(kind="CYCLOTOMIC", n=4), "[1/0]"),
+        (FieldSpec(kind="CYCLOTOMIC", n=4), "[1,2/0]"),
+        (FieldSpec(kind="CYCLOTOMIC", n=4), "1/0"),
+        (FieldSpec(kind="FUNCTION_FIELD"), "[1]|[0]"),
+        (FieldSpec(kind="FUNCTION_FIELD"), "[0]|[0,0]"),
+        (FieldSpec(kind="FUNCTION_FIELD"), "[1/0]"),
+        (FieldSpec(kind="FUNCTION_FIELD"), "[1]|5/0"),
+    ],
+)
+def test_zero_denominator_text_is_a_value_error(spec, text):
+    with pytest.raises(ValueError) as exc:
+        make_field(spec).parse(text)
+    assert str(exc.value) == f"zero denominator in {text!r}"
+
+
+def test_zero_denominator_q_is_a_value_error():
+    with pytest.raises(ValueError) as exc:
+        make_field(FieldSpec(kind="RATIONAL", q="1/0"))
+    assert str(exc.value) == "zero denominator in '1/0'"
+
+
+@pytest.mark.parametrize(
+    "spec", [RATIONAL_Q2, FieldSpec(kind="FUNCTION_FIELD"), FieldSpec(kind="CYCLOTOMIC", n=5)], ids=char0_id
+)
+def test_division_by_zero_stays_zero_division_error(spec):
+    ctx = make_field(spec)
+    for compute in (ctx.zero.inverse, lambda: ctx.one / ctx.zero, lambda: ctx.zero**-1, lambda: ctx.q / 0):
+        with pytest.raises(ZeroDivisionError):
+            compute()
