@@ -60,6 +60,14 @@ Graded maps are solved on runs of invertible X links.
   B_k invertible, phi_k is invertible exactly when Z is, so an intertwiner
   is found on the representatives, as a split is, and only the winner is
   lifted: the same map, and the same bytes, as combining every offset.
+* Irreducibility (Norton's criterion; Parker 1984, Holt and Rees 1994).
+  Let k0 be the first offset with V_k0 nonzero, and let the operators act
+  on V* by their transposes, each from the dual of its target to the dual
+  of its source.  V is simple iff every line of V_k0 generates V and every
+  line of V*_k0 generates V*.  For a proper nonzero graded submodule N:
+  if N_k0 is nonzero, a line of N_k0 generates a subspace of N; if N_k0 is
+  0, its annihilator N^perp is a proper graded submodule of V* containing
+  V*_k0.  Conversely V is simple iff V* is, and then every line generates.
 """
 
 from __future__ import annotations
@@ -193,13 +201,31 @@ class Decomposition:
 # closure
 
 
-def _apply(m: Mat, vec: Sequence[Fel]) -> List[Fel]:
-    return [sum((m.data[i][j] * vec[j] for j in range(m.cols)), m.ctx.zero) for i in range(m.rows)]
+def _arrows(V: WeightModule, names: Sequence[str], dual: bool = False) -> Dict[int, List[Tuple[int, List[List[Fel]]]]]:
+    """For each offset, the (target, block rows) of the named operators
+    leaving it between nonzero weight spaces.
+
+    With dual, the arrows of V*: an operator O from V_k to V_t acts from
+    V*_t to V*_k by its transpose, in the dual bases.
+    """
+    out: Dict[int, List[Tuple[int, List[List[Fel]]]]] = {k: [] for k in V.offsets()}
+    for name in names:
+        for k in V.op_sources(name):
+            t = V.op_target(name, k)
+            if V.dim(k) and V.dim(t):
+                if dual:
+                    out[t].append((k, V.op(name, k).transpose().data))
+                else:
+                    out[k].append((t, V.op(name, k).data))
+    return out
 
 
-def _closure(V: WeightModule, names: Sequence[str], seeds: Sequence[Tuple[int, Sequence[Fel]]]) -> Dict[int, Echelon]:
-    """Smallest graded subspace containing the seeds and closed under ops."""
-    spans = {k: Echelon() for k in V.offsets()}
+def _spin(
+    ctx: FieldCtx, arrows: Dict[int, List[Tuple[int, List[List[Fel]]]]], seeds: Sequence[Tuple[int, Sequence[Fel]]]
+) -> Dict[int, Echelon]:
+    """Smallest graded subspace containing the seeds and closed under the arrows."""
+    zero = ctx.zero
+    spans = {k: Echelon() for k in arrows}
     queue: List[Tuple[int, List[Fel]]] = []
     for k, vec in seeds:
         got = spans[k].insert(vec)
@@ -207,15 +233,17 @@ def _closure(V: WeightModule, names: Sequence[str], seeds: Sequence[Tuple[int, S
             queue.append((k, got))
     while queue:
         k, vec = queue.pop()
-        for name in names:
-            tgt = V.op_target(name, k)
-            if tgt is None or V.dim(tgt) == 0:
-                continue
-            img = _apply(V.op(name, k), vec)
-            got = spans[tgt].insert(img)
+        support = [(j, c) for j, c in enumerate(vec) if c]
+        for tgt, rows in arrows[k]:
+            got = spans[tgt].insert([sum((row[j] * c for j, c in support), zero) for row in rows])
             if got is not None:
                 queue.append((tgt, got))
     return spans
+
+
+def _closure(V: WeightModule, names: Sequence[str], seeds: Sequence[Tuple[int, Sequence[Fel]]]) -> Dict[int, Echelon]:
+    """Smallest graded subspace containing the seeds and closed under ops."""
+    return _spin(V.ctx, _arrows(V, names), seeds)
 
 
 def _spans_to_json(V: WeightModule, spans: Dict[int, Echelon]) -> List[dict]:
@@ -288,13 +316,23 @@ def _unit_line_count(ctx: FieldCtx, dim: int) -> int:
 
 
 def is_irreducible(V: WeightModule, algebra, budget: int = DEFAULT_LINE_BUDGET) -> Verdict:
-    """Does every nonzero weight vector generate the whole module?
+    """Is the module simple, with no proper nonzero submodule?
 
-    A graded module is irreducible iff it has no proper nonzero graded
-    submodule, and any submodule of a weight module is graded, so it is
-    enough that the submodule generated by each weight line is everything.
-    A circular module lives over a finite field, so the lines are
-    enumerated exhaustively.
+    Any submodule of a weight module is graded, so V is simple iff every
+    weight line generates V, and a circular module lives over a finite
+    field, so its lines can be enumerated.  By Norton's criterion (module
+    docstring) the lines of the first nonzero weight space V_k0 decide it:
+    a YES spins each of them in V and then in the dual V*, 2 L(d_k0)
+    closures, where L(d) = (|F|^d - 1)/(|F| - 1) counts the lines of F^d.
+    A line of V_k0 that generates less than V is a NO at once.  When a line
+    of V*_k0 generates less than V*, V is not simple but its submodules all
+    miss V_k0, so the scan goes on through the lines of the later offsets.
+    Either way the NO names the first line in offset order that generates a
+    proper submodule.
+
+    The budget is checked before any line is made, against the sum of
+    L(d_k) over every offset that a full scan would spin; on a reducible
+    module the dual pass adds at most L(d_k0) closures to that.
     """
     names = _op_names(algebra, V)
     if not V.circular:
@@ -309,9 +347,11 @@ def is_irreducible(V: WeightModule, algebra, budget: int = DEFAULT_LINE_BUDGET) 
     count = sum(_unit_line_count(ctx, d) for _, d in dims)
     if count > budget:
         return Verdict.unknown(f"irreducibility needs {count} line checks, over the budget of {budget}")
+
+    arrows = _arrows(V, names)
     for k, d in dims:
         for vec in _unit_lines(ctx, d):
-            spans = _closure(V, names, [(k, vec)])
+            spans = _spin(ctx, arrows, [(k, vec)])
             got = sum(s.rank for s in spans.values())
             if got < total:
                 return Verdict.no(
@@ -322,7 +362,12 @@ def is_irreducible(V: WeightModule, algebra, budget: int = DEFAULT_LINE_BUDGET) 
                         "dim": got,
                     }
                 )
-    return Verdict.yes()
+        if k == dims[0][0]:
+            # every line of V_k0 generates V: Norton's criterion asks V* the same
+            dual = _arrows(V, names, dual=True)
+            if all(sum(s.rank for s in _spin(ctx, dual, [(k, vec)]).values()) == total for vec in _unit_lines(ctx, d)):
+                return Verdict.yes()
+    return Verdict.yes()  # every weight line generates V
 
 
 # graded homomorphisms, solved on runs of invertible X links

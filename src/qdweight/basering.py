@@ -14,9 +14,17 @@ a point where t vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .fields import Fel, FieldCtx
+if TYPE_CHECKING:
+    # typing caches a subscripted alias with its arguments, which would keep
+    # this package's classes alive after a re-import replaced them
+    from typing import Callable
+
+    from .fields import Fel, FieldCtx
+
+    # an element of R at a weight point: (ctx, tau, sigma) -> scalar
+    Scalar = Callable[[FieldCtx, Fel, Fel], Fel]
 
 
 @dataclass(frozen=True)
@@ -32,10 +40,6 @@ class WeightPoint:
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b})"
-
-
-# an element of R at a weight point: (ctx, tau, sigma) -> scalar
-Scalar = Callable[[FieldCtx, Fel, Fel], Fel]
 
 
 class Products(NamedTuple):

@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
-from .basering import PRODUCTS, Scalar, WeightPoint
+from .basering import PRODUCTS, WeightPoint
 from .fields import Fel, FieldCtx
 from .linalg import Mat
 from .orbits import LOWERING, Orbit, Subalgebra, breaks, compute_orbit
@@ -194,8 +194,10 @@ def _no_window(orbit: Orbit, window, name: str) -> None:
 # line families: one-dimensional weight spaces along one orbit
 
 # A guard is a test that rejects the field or the parameter values, and what
-# the family needs instead; the error reads "<family> <needs ...>".
-Guard = Tuple[Callable[[FieldCtx, Dict[str, Fel]], bool], str]
+# the family needs instead; the error reads "<family> <needs ...>".  Like
+# basering.Scalar, the alias exists for the type checker only.
+if TYPE_CHECKING:
+    Guard = Tuple[Callable[[FieldCtx, Dict[str, Fel]], bool], str]
 
 _INFINITE_Q: Guard = (
     lambda ctx, v: ctx.q_order() is not None,

@@ -553,22 +553,49 @@ class CyclotomicField(FieldCtx):
         return self._canon(self._reduce(_pmul(c1, c2)), d1 * d2)
 
     def _inv(self, a):
-        # c times the product P of its other Galois conjugates c(t^k), k a
-        # unit mod n, is the norm N of c, an integer (Cohen, GTM 138, 4.3);
-        # so 1 / (c / den) = den P / N
+        # c times the product P of its other Galois conjugates sigma_k(c) =
+        # c(t^k), k a unit mod n, is the norm N of c, an integer (Cohen,
+        # GTM 138, 4.3); so 1 / (c / den) = den P / N.  P grows along a
+        # chain of subgroups H of the units: cur is the product of sigma_h(c)
+        # over H and P the same without h = 1.  A unit g outside H, of order
+        # m modulo H, extends H to the cosets g^i H, i < m, and both products
+        # by S = sigma_g(R_{m-1}), where R_j is the product of sigma_{g^i}(cur)
+        # over i < j; so each step costs O(log m) products, not m.
         coeffs, den = a
         n = self.n
-        prod: IntPoly = (1,)
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                conj = [0] * n
-                for i, c in enumerate(coeffs):
-                    conj[i * k % n] = c
-                prod = self._reduce(_pmul(prod, _trim(conj)))
-        (norm,), _ = self._mul((coeffs, 1), (prod, 1))
+        cur, prod = coeffs, (1,)
+        group = {1 % n}
+        for g in range(2, n):
+            if gcd(g, n) != 1 or g in group:
+                continue
+            m, gm = 1, g
+            while gm not in group:
+                m, gm = m + 1, gm * g % n
+            s = self._conj(self._conj_run(cur, g, m - 1), g)
+            cur, prod = self._reduce(_pmul(cur, s)), self._reduce(_pmul(prod, s))
+            group = {pow(g, i, n) * h % n for i in range(m) for h in group}
+        (norm,) = cur
         if norm < 0:
             norm, den = -norm, -den
         return self._canon(tuple(den * c for c in prod), norm)
+
+    def _conj(self, coeffs: IntPoly, k: int) -> IntPoly:
+        """sigma_k(c) = c(t^k) for a unit k mod n."""
+        n = self.n
+        out = [0] * n
+        for i, c in enumerate(coeffs):
+            out[i * k % n] = c
+        return self._reduce(_trim(out))
+
+    def _conj_run(self, coeffs: IntPoly, g: int, j: int) -> IntPoly:
+        """R_j = sigma_{g^0}(c) ... sigma_{g^(j-1)}(c), for j >= 1, by doubling:
+        R_{a+b} = R_a sigma_{g^a}(R_b), read off the bits of j."""
+        run, a = coeffs, 1
+        for bit in bin(j)[3:]:
+            run, a = self._reduce(_pmul(run, self._conj(run, pow(g, a, self.n)))), 2 * a
+            if bit == "1":
+                run, a = self._reduce(_pmul(coeffs, self._conj(run, g))), a + 1
+        return run
 
     def from_int(self, n: int) -> Fel:
         return self.el(((n,) if n else (), 1))

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .basering import PRODUCTS, Scalar, WeightPoint, eval_at
+from .basering import PRODUCTS, WeightPoint, eval_at
 from .fields import Fel, FieldCtx, FieldSpec, make_field
 from .linalg import Mat
 from .orbits import LOWERING, MAX_ORBIT_LENGTH, Orbit, Subalgebra, breaks, compute_orbit, j_index
+
+if TYPE_CHECKING:
+    from .basering import Scalar
 
 OP_NAMES = ("X", "Y", "Y1")
 OP_STEP = {"X": 1, "Y": -1, "Y1": -1}

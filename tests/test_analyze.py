@@ -26,7 +26,7 @@ from qdweight.analyze import (
 from qdweight.basering import WeightPoint
 from qdweight.families import construct_family
 from qdweight.fields import FieldSpec, make_field
-from qdweight.linalg import Mat
+from qdweight.linalg import Echelon, Mat
 from qdweight.orbits import compute_orbit
 from qdweight.verify import check_relations
 from qdweight.wmod import (
@@ -836,3 +836,164 @@ def test_runs_built_once_per_end_solve(monkeypatch):
     assert len(solves) == 1 and len(built) == 1
     assert decompose(V, "D").count == 2
     assert len(solves) == 4 and len(built) == 4
+
+
+# irreducibility by Norton's criterion, against the scan of every weight line
+# that it replaced
+
+
+def scan_closure(V, names, k, vec):
+    """The graded closure of one weight vector, each operator looked up per vector."""
+    ctx = V.ctx
+    spans = {j: Echelon() for j in V.offsets()}
+    queue = [(k, spans[k].insert(vec))]
+    while queue:
+        k, vec = queue.pop()
+        for name in names:
+            t = V.op_target(name, k)
+            if t is None or V.dim(t) == 0:
+                continue
+            m = V.op(name, k)
+            got = spans[t].insert([sum((m.data[i][j] * vec[j] for j in range(m.cols)), ctx.zero) for i in range(m.rows)])
+            if got is not None:
+                queue.append((t, got))
+    return spans
+
+
+def full_scan_irreducible(V, algebra, budget=analyze.DEFAULT_LINE_BUDGET):
+    """Every weight line spun, in offset order: the oracle for Norton's criterion.
+
+    Returns the verdict and how many closures it took.
+    """
+    names = op_names_for(algebra)
+    if not V.circular:
+        return Verdict.not_applicable(analyze.WINDOWED_REASON), 0
+    total = V.total_dim()
+    if total == 0:
+        return Verdict.no({"kind": "zero_module", "spaces": []}), 0
+    ctx = V.ctx
+    dims = [(k, V.dim(k)) for k in V.offsets() if V.dim(k)]
+    count = sum(analyze._unit_line_count(ctx, d) for _, d in dims)
+    if count > budget:
+        return Verdict.unknown(f"irreducibility needs {count} line checks, over the budget of {budget}"), 0
+    spins = 0
+    for k, d in dims:
+        for vec in analyze._unit_lines(ctx, d):
+            spins += 1
+            spans = scan_closure(V, names, k, vec)
+            got = sum(s.rank for s in spans.values())
+            if got < total:
+                witness = {
+                    "kind": "submodule",
+                    "generator": {"offset": k, "vector": [ctx.show(c) for c in vec]},
+                    "spaces": analyze._spans_to_json(V, spans),
+                    "dim": got,
+                }
+                return Verdict.no(witness), spins
+    return Verdict.yes(), spins
+
+
+def count_spins(monkeypatch):
+    """Record the seeds of every analyze._spin call."""
+    calls = []
+    spin = analyze._spin
+
+    def counting(ctx, arrows, seeds):
+        calls.append(seeds)
+        return spin(ctx, arrows, seeds)
+
+    monkeypatch.setattr(analyze, "_spin", counting)
+    return calls
+
+
+def first_space_lines(V):
+    k0 = next(k for k in V.offsets() if V.dim(k))
+    return k0, analyze._unit_line_count(V.ctx, V.dim(k0))
+
+
+def test_irreducible_matches_full_scan_on_random_modules(monkeypatch):
+    rng = random.Random(20261020)
+    calls = count_spins(monkeypatch)
+    seen = {"YES": 0, "NO in V_k0": 0, "NO past V_k0": 0, "windowed": 0}
+    for _ in range(200):
+        V, W, algebra, _ = random_pair(rng)
+        for M in (V, W) if W is not V else (V,):
+            want, scanned = full_scan_irreducible(M, algebra)
+            del calls[:]
+            got = is_irreducible(M, algebra)
+            assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+            if not M.circular:
+                seen["windowed"] += 1
+                continue
+            if not M.total_dim():
+                continue
+            k0, lines = first_space_lines(M)
+            if got.is_yes:
+                seen["YES"] += 1
+                assert len(calls) == 2 * lines
+            elif got.witness["generator"]["offset"] == k0:
+                seen["NO in V_k0"] += 1
+                assert len(calls) == scanned
+            else:
+                # the primal pass over V_k0, at most that many dual spins,
+                # then the scan from the next offset
+                seen["NO past V_k0"] += 1
+                assert scanned < len(calls) <= scanned + lines
+    assert min(seen.values()) >= 5, seen
+
+
+def test_irreducible_witness_past_the_first_weight_space(monkeypatch):
+    # one-dimensional spaces on an orbit of length 6 with X = 1 up the line
+    # 0 -> 1 -> ... -> 5 and Y = 1 down it to offset 1; X_5, Y_1 and Y_0 are
+    # 0.  Offsets 1..5 span the only proper submodule and it misses V_0, so
+    # every line of V_0 generates V, the dual line at 0 generates only V*_0,
+    # and the witness is the line at offset 1
+    orbit = compute_orbit(wp(F3, 1, 1), F3)
+    r = orbit.length
+    one, zero = Mat.identity(F3, 1), Mat.zeros(F3, 1, 1)
+    ops = {
+        "X": {k: one if k < r - 1 else zero for k in range(r)},
+        "Y": {k: one if k > 1 else zero for k in range(r)},
+        "Y1": {k: zero for k in range(r)},
+    }
+    V = WeightModule(F3, orbit, None, {k: ("e",) for k in range(r)}, ops)
+    calls = count_spins(monkeypatch)
+    got = is_irreducible(V, "D")
+    want, scanned = full_scan_irreducible(V, "D")
+    assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+    assert got.witness["generator"] == {"offset": 1, "vector": ["1"]}
+    assert got.witness["dim"] == r - 1
+    check_submodule_witness(V, op_names_for("D"), got.witness)
+    # V_0 in V, V*_0 in V*, then the line at offset 1
+    assert scanned == 2 and len(calls) == 3
+
+
+F7Q3 = make_field(FieldSpec(kind="PRIME_FIELD", p=7, q="3"))
+
+
+@pytest.mark.parametrize(
+    "ctx, params, spins, scanned",
+    [
+        (F7Q3, {"m": 1, "word": "Y1", "a": ["3"]}, 2, 42),
+        (F9, {"m": 2, "word": "YY1", "a": ["1", "2"]}, 20, 60),
+    ],
+    ids=["F7-m1", "F9-m2"],
+)
+def test_irreducible_yes_spins_the_first_weight_space_twice(monkeypatch, ctx, params, spins, scanned):
+    V = fam("CHAIN_CYCLE", params, ctx)
+    calls = count_spins(monkeypatch)
+    assert is_irreducible(V, "D").is_yes
+    assert len(calls) == spins == 2 * first_space_lines(V)[1]
+    assert full_scan_irreducible(V, "D") == (Verdict.yes(), scanned)
+
+
+@pytest.mark.parametrize(
+    "V", [direct_sum(CHAIN1, CHAIN1), fam("CHAIN_ALT", {"m": 2, "a": ["1", "1"]}, F9)], ids=["CHAIN1+CHAIN1", "F9-alt2"]
+)
+def test_irreducible_no_in_the_first_weight_space_spins_as_the_scan(monkeypatch, V):
+    calls = count_spins(monkeypatch)
+    got = is_irreducible(V, "D")
+    want, scanned = full_scan_irreducible(V, "D")
+    assert got == want and got.is_no
+    assert got.witness["generator"]["offset"] == first_space_lines(V)[0]
+    assert len(calls) == scanned

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import qdweight
 from qdweight.fields import FieldSpec, make_field
 from qdweight.basering import PRODUCTS, WeightPoint, alpha_point, eval_at
 
@@ -53,3 +59,27 @@ class TestEval:
         w = WeightPoint(rat2.zero, rat2.from_int(4))
         assert eval_at(PRODUCTS["Y"].tx, w) == rat2.zero
         assert eval_at(PRODUCTS["Y"].tx, WeightPoint(rat2.from_int(3), rat2.from_int(4))) == rat2.from_int(3)
+
+
+def test_reimport_frees_the_replaced_package():
+    # typing caches a subscripted alias with its arguments, so an alias over
+    # the package's classes made at import time would keep every copy of the
+    # package that a re-import replaces alive
+    code = textwrap.dedent(
+        """
+        import contextlib, gc, importlib, io, sys, weakref
+        cli = importlib.import_module("qdweight.cli")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["suite", "--seed", "0"])
+        old = weakref.ref(sys.modules["qdweight.fields"].FieldCtx)
+        del cli
+        for name in [n for n in sys.modules if n == "qdweight" or n.startswith("qdweight.")]:
+            del sys.modules[name]
+        importlib.import_module("qdweight.cli")
+        gc.collect()
+        sys.exit(0 if old() is None else 1)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qdweight.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -794,6 +794,59 @@ def test_cyclotomic_inverse_agrees_with_the_euclid_oracle(n):
         assert a * inv == ctx.one
 
 
+
+def conjugate_product_inverse(ctx, a):
+    """1 / a for a CYCLOTOMIC value: den times the product of every Galois
+    conjugate c(t^k), k a unit mod n other than 1, over the norm N of c,
+    with one product per conjugate."""
+    coeffs, den = a
+    n = ctx.n
+    prod = (1,)
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            conj = [0] * n
+            for i, c in enumerate(coeffs):
+                conj[i * k % n] = c
+            prod = ctx._reduce(fields_module._pmul(prod, _trim(conj)))
+    (norm,), _ = ctx._mul((coeffs, 1), (prod, 1))
+    if norm < 0:
+        norm, den = -norm, -den
+    return ctx._canon(tuple(den * c for c in prod), norm)
+
+
+@pytest.mark.parametrize("n", range(1, 37))
+def test_cyclotomic_inverse_by_doubling_agrees_with_the_conjugate_product(n):
+    ctx = make_field(FieldSpec(kind="CYCLOTOMIC", n=n))
+    rng = random.Random(1000 + n)
+    els = [ctx.q, ctx.q + 1, ctx.parse("[3/4,-5/6]"), ctx.parse("[-1,0,2/9]")]
+    for _ in range(4):
+        x = ctx.random_element(rng)
+        els += [x, x / rng.randint(2, 12)]
+    assert any(a.val[1] > 1 for a in els)
+    for a in (a for a in els if a):
+        assert a.inverse().val == conjugate_product_inverse(ctx, a.val)
+
+
+def test_cyclotomic_inverse_makes_few_products(monkeypatch):
+    # (Z/360)^* has 96 units; the conjugate product makes one product per
+    # conjugate and the doubling chain a few per generator
+    ctx = make_field(FieldSpec(kind="CYCLOTOMIC", n=360))
+    calls = []
+    pmul = fields_module._pmul
+
+    def counting(a, b):
+        calls.append(1)
+        return pmul(a, b)
+
+    monkeypatch.setattr(fields_module, "_pmul", counting)
+    a = ctx.q + 1
+    want = conjugate_product_inverse(ctx, a.val)
+    assert len(calls) == 96
+    del calls[:]
+    assert a.inverse().val == want
+    assert len(calls) == 13
+
+
 # ---------------------------------------------------------------------------
 # Fraction stays out of the arithmetic
 

@@ -21,10 +21,10 @@ under the junction blocks.  So every verdict reduces to d x d matrices:
   invertible.
 """
 
+import json
 import random
 
 import pytest
-
 from qdweight.analyze import are_isomorphic, decompose, endomorphisms, is_irreducible
 from qdweight.basering import PRODUCTS, WeightPoint, eval_at
 from qdweight.extend import FAMILY, UNIQUE, extend_to_D
@@ -34,6 +34,7 @@ from qdweight.linalg import Mat
 from qdweight.orbits import compute_orbit
 from qdweight.verify import check_relations
 from qdweight.wmod import junction_module, restrict
+from test_analyze import full_scan_irreducible
 
 F4 = make_field(FieldSpec(kind="EXT_FIELD", p=2, f=(1, 1, 1), q="[0,1]"))
 F5 = make_field(FieldSpec(kind="PRIME_FIELD", p=5, q="2"))
@@ -81,6 +82,10 @@ def _random_invertible(ctx, rng, d):
             return P
 
 
+def same_json(got, want):
+    return json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+
+
 def _centralizer_dim(ctx, mats):
     """Dimension of {Z : Z A = A Z for every A in mats}, unknowns Z[i][k] at i*d + k."""
     d = mats[0].rows
@@ -117,7 +122,9 @@ def test_monodromy_modules_match_conjugacy_classes(ctx, base, count):
         parts = decompose(V, "D")
         assert parts.complete
         assert parts.count == (2 if scalar or roots == 2 else 1)
-        assert is_irreducible(V, "D").kind == ("YES" if roots == 0 else "NO")
+        irreducible = is_irreducible(V, "D")
+        assert irreducible.kind == ("YES" if roots == 0 else "NO")
+        assert same_json(irreducible, full_scan_irreducible(V, "D")[0])
         P = _random_invertible(ctx, rng, 2)
         assert are_isomorphic(V, monodromy_module(ctx, base, P * M * P.inverse()), "D").is_yes
         other, _ = classes[(n + 1) % len(classes)]
@@ -166,6 +173,7 @@ def test_lambda_modules(ctx, x, y, y1, rank):
     V = lambda_module(ctx, x, y, y1)
     assert check_relations(V, "D").passed
     assert endomorphisms(V, "D").dim == _centralizer_dim(ctx, [x, y, y1])
+    assert same_json(is_irreducible(V, "D"), full_scan_irreducible(V, "D")[0])
     Q = _random_invertible(ctx, random.Random(d * 31 + rank), d)
     Qinv = Q.inverse()
     W = lambda_module(ctx, *(Q * a * Qinv for a in (x, y, y1)))
