@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from .fields import Fel, FieldCtx
-from .linalg import Echelon, Mat, fitting_power
+from .linalg import Echelon, Mat, fitting_power, product_terms, solution
 from .orbits import Subalgebra
 from .wmod import WeightModule, as_subalgebra, default_labels, op_names_for
 
@@ -467,16 +467,13 @@ def _graded_hom_basis(
     """
     ctx = V.ctx
     runs = Runs(V, W, names)
-    index: Dict[Tuple[int, int, int], int] = {}
-    for s in runs.members:
-        for i in range(W.dim(s)):
-            for j in range(V.dim(s)):
-                index[(s, i, j)] = len(index)
-    n = len(index)
+    # unknowns: the entries of each representative's block, row-major, block after block
+    sizes = [W.dim(s) * V.dim(s) for s in runs.members]
+    base, n = dict(zip(runs.members, itertools.accumulate([0] + sizes))), sum(sizes)
     if n == 0:
         return [], runs
 
-    rows: List[List[Fel]] = []
+    system = Echelon()
     for name in names:
         for k in V.op_sources(name):
             if name == "X" and k in runs.links:
@@ -485,23 +482,25 @@ def _graded_hom_basis(
             s, u = runs.rep[k], runs.rep[t]
             A = _to_reps(runs.v, t, V.op(name, k), k)
             B = A if W is V else _to_reps(runs.w, t, W.op(name, k), k)
-            # Z_u A = B Z_s, entry by entry
-            for i in range(W.dim(t)):
-                for j in range(V.dim(k)):
-                    row = [ctx.zero] * n
-                    for l in range(V.dim(t)):
-                        row[index[(u, i, l)]] += A.data[l][j]
-                    for l in range(W.dim(k)):
-                        row[index[(s, l, j)]] -= B.data[i][l]
-                    if any(row):
-                        rows.append(row)
+            if u == s and B is A and A == Mat.scalar(ctx, A.rows, A.data[0][0] if A.rows else ctx.zero):
+                continue  # Z c = c Z holds for every Z: only zero rows
+            # Z_u A = B Z_s, entry by entry; the two sides may share a block
+            za = product_terms((W.dim(t), V.dim(t)), right=A)
+            bz = product_terms((W.dim(k), V.dim(k)), left=B)
+            for plus, minus in zip(za, bz):
+                terms = [(base[u] + e, c) for e, c in plus] + [(base[s] + e, -c) for e, c in minus]
+                row = [ctx.zero] * n
+                for e, c in terms:
+                    row[e] += c
+                if any(row[e] for e, _ in terms):
+                    system.insert(row)
 
     # reduced echelon basis of the lifted solutions, in reversed coordinates
     shapes = [(k, W.dim(k), V.dim(k)) for k in V.offsets() if W.dim(k) and V.dim(k)]
     ech = Echelon()
-    for sol in Mat(ctx, rows, cols=n).nullspace():
+    for sol in solution(ctx, system.pivots, system.rows, n)[1]:
         blocks = {
-            s: Mat(ctx, [[sol.data[index[(s, i, j)]][0] for j in range(dv)] for i in range(dw)])
+            s: Mat(ctx, [sol[base[s] + i * dv : base[s] + (i + 1) * dv] for i in range(dw)])
             for s, dw, dv in shapes
             if s in runs.members
         }

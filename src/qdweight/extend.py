@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .basering import MIXED_ID, PRODUCTS
 from .fields import Fel, FieldCtx
-from .linalg import Echelon, Mat
+from .linalg import Echelon, Mat, product_terms, solution
 from .orbits import LOWERING
 from .verify import check_relations
 from .wmod import WeightModule
@@ -120,7 +120,7 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
             f"{first['relation']} fails at offset {first['offset']}"
         )
 
-    ctx = V.ctx
+    ctx, zero = V.ctx, V.ctx.zero
     rel = PRODUCTS[missing]
 
     # unknowns: entries of the missing operator, one block per source
@@ -132,6 +132,13 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
     lo, hi = (None, None) if V.circular else V.window
     instances: List[Tuple[str, int, int, List[List[Fel]], List[Fel]]] = []
 
+    def add(rel_id: str, k: int, b: int, terms: List[List[Tuple[int, Fel]]], rhs: Mat) -> None:
+        rows = [[zero] * widths[b] for _ in terms]
+        for row, entry in zip(rows, terms):
+            for e, c in entry:
+                row[e] = c
+        instances.append((rel_id, k, b, rows, [c for row in rhs.data for c in row]))
+
     for k in V.offsets():
         dk = V.dim(k)
         if not dk:
@@ -139,46 +146,20 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
         # upward product: T'_{k+1} X_k = c(k) I on V_k
         if V.circular or k != hi:
             u = V.op_target("X", k)
-            du = V.dim(u)
-            x = V.op("X", k)
-            c = V.scalar(rel.tx, k)
-            rows, rhs = [], []
-            for i in range(dk):
-                for j in range(dk):
-                    row = [ctx.zero] * (dk * du)
-                    for l in range(du):
-                        row[i * du + l] = x.data[l][j]
-                    rows.append(row)
-                    rhs.append(c if i == j else ctx.zero)
-            instances.append((rel.tx_id, k, block[u], rows, rhs))
+            terms = product_terms((dk, V.dim(u)), right=V.op("X", k))
+            add(rel.tx_id, k, block[u], terms, Mat.scalar(ctx, dk, V.scalar(rel.tx, k)))
         # downward product: X_{k-1} T'_k = c(k) I on V_k
         if V.circular or k != lo:
             d = V.op_target(missing, k)
             dd = V.dim(d)
-            x = V.op("X", d)
             c = V.scalar(rel.xt, k)
-            rows, rhs = [], []
-            for i in range(dk):
-                for j in range(dk):
-                    row = [ctx.zero] * (dd * dk)
-                    for l in range(dd):
-                        row[l * dk + j] = x.data[i][l]
-                    rows.append(row)
-                    rhs.append(c if i == j else ctx.zero)
-            instances.append((rel.xt_id, k, block[k], rows, rhs))
+            add(rel.xt_id, k, block[k], product_terms((dd, dk), left=V.op("X", d)), Mat.scalar(ctx, dk, c))
             # mixed relation Y1 (X Y) = Y (X Y1): the missing operator times
             # the known one's X T equals the known operator times the missing one's
             if dd:
-                g = V.op(known, k)
-                s, u_ = V.scalar(PRODUCTS[known].xt, k), V.scalar(rel.xt, k)
-                rows, rhs = [], []
-                for i in range(dd):
-                    for j in range(dk):
-                        row = [ctx.zero] * (dd * dk)
-                        row[i * dk + j] = s
-                        rows.append(row)
-                        rhs.append(u_ * g.data[i][j])
-                instances.append((MIXED_ID, k, block[k], rows, rhs))
+                s = Mat.scalar(ctx, dd, V.scalar(PRODUCTS[known].xt, k))
+                rhs = V.op(known, k).scale(c)
+                add(MIXED_ID, k, block[k], product_terms((dd, dk), left=s), rhs)
 
     conflict, particular, kernel = solve_blocks(ctx, widths, [inst[2:] for inst in instances])
     if conflict is not None:
@@ -229,19 +210,11 @@ def solve_blocks(
             return n, None, None  # a pivot reached the rhs column: 0 = 1
     particular: List[Fel] = []
     kernel: List[List[Fel]] = []
-    total = sum(widths)
-    base = 0
+    zero, total, base = ctx.zero, sum(widths), 0
     for ech, w in zip(echelons, widths):
-        value = dict(zip(ech.pivots, (row[w] for row in ech.rows)))
-        particular.extend(value.get(j, ctx.zero) for j in range(w))
-        for f in range(w):
-            if f in value:
-                continue
-            vec = [ctx.zero] * total
-            vec[base + f] = ctx.one
-            for p, row in zip(ech.pivots, ech.rows):
-                vec[base + p] = -row[f]
-            kernel.append(vec)
+        x, free = solution(ctx, ech.pivots, ech.rows, w, 1)
+        particular.extend(v for v, in x)
+        kernel.extend([zero] * base + vec + [zero] * (total - base - w) for vec in free)
         base += w
     return None, particular, kernel
 

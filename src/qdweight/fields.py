@@ -22,8 +22,9 @@ Values, each in one canonical form:
   EXT_FIELD       the int c_0 + c_1 p + ... of the residue's coefficients
 
 The three characteristic-0 kinds compute on ints only; ``Fraction`` meets
-them only in ``parse``.  Finite fields have at most MAX_FIELD_ORDER elements,
-each interned once.
+them only in ``parse``, which refuses exponent notation.  Finite fields have
+at most MAX_FIELD_ORDER elements, each interned once, and cyclotomic orders
+are at most MAX_CYCLOTOMIC_ORDER.
 
 Every element has a unique canonical form and a canonical text encoding that
 round-trips through ``parse``/``show``.  Elements are immutable and hashable.
@@ -33,13 +34,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 from operator import mul as mul_int
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 # largest number of elements of a finite field: its tables and interned
 # elements are built up front
 MAX_FIELD_ORDER = 2**16
+
+# largest cyclotomic order n: an inverse in Q(zeta_n) multiplies residues of
+# degree phi(n); for n up to 1024 one takes under a second on a 2-core host
+MAX_CYCLOTOMIC_ORDER = 1024
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficient tuples, lowest degree first, no trailing
@@ -134,13 +140,26 @@ def _pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def _cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, integer coefficients."""
-    # (t^n - 1) divided exactly by the monic cyclotomics of the proper divisors
-    num: IntPoly = (-1,) + (0,) * (n - 1) + (1,)
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = _pdivmod_int(num, _cyclotomic(d))
-            assert not rem
-    return num
+    # Phi_n(t) = Phi_m(t^(n/m)) for m the product of the primes dividing n,
+    # and Phi_m is the product of (t^d - 1)^mu(m/d) over d | m: the
+    # binomials with mu = 1 divided by those with mu = -1, exactly, at once
+    primes = _prime_factors(n)
+    m = prod(primes)
+    num: List[int] = [1]
+    den: List[int] = [1]
+    for r in range(len(primes) + 1):
+        for cut in combinations(primes, r):
+            poly = den if r % 2 else num
+            # poly times t^d - 1, for d = m / prod(cut)
+            d, old = m // prod(cut), list(poly)
+            poly[:] = [-c for c in old] + [0] * d
+            for i, c in enumerate(old):
+                poly[i + d] += c
+    phi, rem = _pdivmod_int(tuple(num), tuple(den))
+    assert not rem
+    out = [0] * ((len(phi) - 1) * (n // m) + 1)
+    out[:: n // m] = phi
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +426,9 @@ class FieldCtx:
 
     @staticmethod
     def _parse_fraction(text: str) -> Fraction:
+        # Fraction would expand 1e10000000 to every digit before any check
+        if "e" in text or "E" in text:
+            raise ValueError(f"exponent notation is not accepted: {text!r}")
         return Fraction(text.strip())
 
     @staticmethod
@@ -507,6 +529,8 @@ class CyclotomicField(FieldCtx):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("cyclotomic order must be >= 1")
+        if n > MAX_CYCLOTOMIC_ORDER:
+            raise ValueError(f"cyclotomic order {n} is over the limit of {MAX_CYCLOTOMIC_ORDER}")
         self.n = n
         self.modulus: IntPoly = _cyclotomic(n)
         self.degree = len(self.modulus) - 1

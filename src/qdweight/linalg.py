@@ -6,9 +6,10 @@ to small dense systems, so this stays deliberately simple: one incremental
 reduced-echelon kernel, `Echelon`, with exact arithmetic and the leading
 nonzero entry of each new row as its pivot.  `Mat.rref`, and through it
 rank, nullspace, column space, image_and_kernel and solve, feed their rows
-into it.  Products and scales skip zero entries of both factors, so a
-shift, diagonal or identity factor costs one field product per nonzero
-pair rather than d^3.
+into it; every solver writes its equations with `product_terms` and reads
+them with `solution`.  Products and scales skip zero entries of both
+factors, so a shift, diagonal or identity factor costs one field product
+per nonzero pair rather than d^3.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class Echelon:
         if lead is None:
             return None
         inv = v[lead].inverse()
-        v[lead:] = [a * inv for a in v[lead:]]
+        v[lead:] = [a * inv if a else a for a in v[lead:]]
         for i, row in enumerate(self.rows):
             c = row[lead]
             if c:
@@ -58,6 +59,44 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+def solution(
+    ctx: FieldCtx, pivots: Sequence[int], rows: Sequence[Sequence[Fel]], width: int, m: int = 0
+) -> Optional[Tuple[List[List[Fel]], List[List[Fel]]]]:
+    """Read reduced rows [a | b], as Echelon and Mat.rref leave them, as a x = b
+    in width unknowns.  None if a pivot lies in b, else (x, kernel): x (width
+    rows of m) with every free unknown zero, and one kernel vector per free
+    unknown, in order, 1 there and 0 at the other free unknowns."""
+    if any(p >= width for p in pivots):
+        return None
+    x = [[ctx.zero] * m for _ in range(width)]
+    for p, row in zip(pivots, rows):
+        x[p] = row[width : width + m]
+    kernel = []
+    for f in sorted(set(range(width)).difference(pivots)):
+        vec = [ctx.zero] * width
+        vec[f] = ctx.one
+        for p, row in zip(pivots, rows):
+            vec[p] = -row[f]
+        kernel.append(vec)
+    return x, kernel
+
+
+def product_terms(
+    shape: Tuple[int, int], left: Optional["Mat"] = None, right: Optional["Mat"] = None
+) -> List[List[Tuple[int, Fel]]]:
+    """For each entry of left * Z * right, row-major, its nonzero (entry of Z,
+    coefficient) terms, Z of the given shape with entries numbered row-major.
+    None stands for the identity; at least one factor is a matrix."""
+    rows, cols = shape
+    lsup = None if left is None else [[(l, a) for l, a in enumerate(row) if a] for row in left.data]
+    if right is None:
+        return [[(l * cols + j, a) for l, a in ls] for ls in lsup for j in range(cols)]
+    rsup = [[(k, row[j]) for k, row in enumerate(right.data) if row[j]] for j in range(right.cols)]
+    if lsup is None:
+        return [[(i * cols + k, b) for k, b in rs] for i in range(rows) for rs in rsup]
+    return [[(l * cols + k, a * b) for l, a in ls for k, b in rs] for ls in lsup for rs in rsup]
 
 
 class Mat:
@@ -84,11 +123,13 @@ class Mat:
         return Mat(ctx, [[ctx.zero] * cols for _ in range(rows)], cols=cols)
 
     @staticmethod
+    def scalar(ctx: FieldCtx, n: int, c: Fel) -> "Mat":
+        """c times the n x n identity."""
+        return Mat(ctx, [[c if i == j else ctx.zero for j in range(n)] for i in range(n)], cols=n)
+
+    @staticmethod
     def identity(ctx: FieldCtx, n: int) -> "Mat":
-        out = Mat.zeros(ctx, n, n)
-        for i in range(n):
-            out.data[i][i] = ctx.one
-        return out
+        return Mat.scalar(ctx, n, ctx.one)
 
     @staticmethod
     def from_ints(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> "Mat":
@@ -197,23 +238,13 @@ class Mat:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def _kernel(self, red: "Mat", pivots: List[int]) -> List[List[Fel]]:
-        """Kernel basis vectors read off the reduced form, one per free column."""
-        basis = []
-        for f in sorted(set(range(self.cols)) - set(pivots)):
-            vec = [self.ctx.zero] * self.cols
-            vec[f] = self.ctx.one
-            for r, p in enumerate(pivots):
-                vec[p] = -red.data[r][f]
-            basis.append(vec)
-        return basis
-
     def _columns(self, js: List[int]) -> "Mat":
         return Mat(self.ctx, [[row[j] for j in js] for row in self.data], cols=len(js))
 
     def nullspace(self) -> List["Mat"]:
         """Basis of the right kernel, as column vectors."""
-        return [Mat.column(self.ctx, v) for v in self._kernel(*self.rref())]
+        red, pivots = self.rref()
+        return [Mat.column(self.ctx, v) for v in solution(self.ctx, pivots, red.data, self.cols)[1]]
 
     def column_space(self) -> "Mat":
         """A matrix whose columns are a basis of the column space."""
@@ -222,7 +253,7 @@ class Mat:
     def image_and_kernel(self) -> Tuple["Mat", "Mat"]:
         """column_space() and a matrix whose columns are nullspace(), from one elimination."""
         red, pivots = self.rref()
-        kernel = Mat(self.ctx, self._kernel(red, pivots), cols=self.cols).transpose()
+        kernel = Mat(self.ctx, solution(self.ctx, pivots, red.data, self.cols)[1], cols=self.cols).transpose()
         return self._columns(pivots), kernel
 
     def solve(self, rhs: "Mat") -> Optional["Mat"]:
@@ -232,17 +263,9 @@ class Mat:
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs row mismatch")
-        aug = self.hstack(rhs)
-        red, pivots = aug.rref()
-        n = self.cols
-        for r, p in enumerate(pivots):
-            if p >= n:
-                return None  # a pivot escaped into the rhs block
-        out = Mat.zeros(self.ctx, n, rhs.cols)
-        for r, p in enumerate(pivots):
-            for j in range(rhs.cols):
-                out.data[p][j] = red.data[r][n + j]
-        return out
+        red, pivots = self.hstack(rhs).rref()
+        sol = solution(self.ctx, pivots, red.data, self.cols, rhs.cols)
+        return None if sol is None else Mat(self.ctx, sol[0], cols=rhs.cols)
 
     def inverse(self) -> Optional["Mat"]:
         if self.rows != self.cols:

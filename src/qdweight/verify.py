@@ -71,7 +71,7 @@ def check_relations(V: WeightModule, algebra) -> RelationReport:
     tau, sigma = V.tau_scalar, V.sigma_scalar
 
     def scaled_id(f, k: int) -> Mat:
-        return Mat.identity(ctx, V.dim(k)).scale(V.scalar(f, k))
+        return Mat.scalar(ctx, V.dim(k), V.scalar(f, k))
 
     # each relation: (id, direction, twist, build).  A product relation
     # builds k -> (computed, expected); a twist law M c1 = c2 M builds

@@ -192,6 +192,48 @@ def test_window_over_the_width_cap_exits_2(tmp_path, capsys):
     assert err.strip() == f"error: module {path} is invalid: window width 70001 is over the limit of 65536"
 
 
+BIG_CYCLOTOMIC = {"kind": "CYCLOTOMIC", "n": 20160}
+CYCLOTOMIC_CAP_ERROR = "cyclotomic order 20160 is over the limit of 1024"
+
+
+def test_cyclotomic_order_over_the_cap_exits_2_from_a_scenario(tmp_path, capsys):
+    path = write_json(tmp_path / "big.json", scenario(BIG_CYCLOTOMIC, "VQ_B_A", {"b": "3", "a": "1/2"}, (-2, 2)))
+    start = time.perf_counter()
+    code, _, err = run_cli(["construct", "--scenario", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.strip() == f"error: bad field spec: {CYCLOTOMIC_CAP_ERROR}"
+
+
+def test_cyclotomic_order_over_the_cap_exits_2_from_a_module_file(tmp_path, capsys):
+    module = {"field": BIG_CYCLOTOMIC, "base": ["1/2", "3"], "kind": "INFINITE", "window": [0, 2]}
+    path = write_json(tmp_path / "big_module.json", module)
+    start = time.perf_counter()
+    code, _, err = run_cli(["verify", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.strip() == f"error: module {path} is invalid: {CYCLOTOMIC_CAP_ERROR}"
+
+
+def test_cyclotomic_order_over_the_cap_exits_2_from_realize(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(["realize", "--field", "CYCLOTOMIC", "--n", "20160", "--N", "2"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.strip() == f"error: {CYCLOTOMIC_CAP_ERROR}"
+
+
+def test_exponent_notation_in_a_module_file_exits_2(tmp_path, capsys):
+    # Fraction would build 10^(10^7) before any check could see it
+    module = {"field": QQ_FIELD, "base": ["1e10000000", "1"], "kind": "INFINITE", "window": [0, 2]}
+    path = write_json(tmp_path / "exp_module.json", module)
+    start = time.perf_counter()
+    code, _, err = run_cli(["verify", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.strip() == f"error: module {path} is invalid: exponent notation is not accepted: '1e10000000'"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -759,6 +759,70 @@ def test_cyclotomic_polynomials_by_exact_integer_division(n):
     assert product == (-1,) + (0,) * (n - 1) + (1,)
 
 
+def _recursive_cyclotomic(n):
+    """Phi_n as t^n - 1 over every Phi_d of a proper divisor d, each found
+    again by the same recursion: the construction the product formula replaced."""
+    num = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            num, rem = fields_module._pdivmod_int(num, _recursive_cyclotomic(d))
+            assert not rem
+    return num
+
+
+@pytest.mark.parametrize("n", [60, 64, 97, 210, 243, 360])
+def test_cyclotomic_polynomials_agree_with_the_recursion(n):
+    assert _cyclotomic(n) == _recursive_cyclotomic(n)
+
+
+def test_cyclotomic_polynomial_makes_one_division(monkeypatch):
+    # the recursion made 1,207 divisions at n = 360 and 3,775 at n = 720
+    calls = []
+    pdivmod = fields_module._pdivmod_int
+
+    def counting(a, b):
+        calls.append(1)
+        return pdivmod(a, b)
+
+    monkeypatch.setattr(fields_module, "_pdivmod_int", counting)
+    make_field(FieldSpec(kind="CYCLOTOMIC", n=360))
+    assert len(calls) == 1
+    del calls[:]
+    assert len(_cyclotomic(720)) == 193 and len(calls) == 1
+
+
+def test_cyclotomic_order_cap_refuses_before_building(monkeypatch):
+    cap = fields_module.MAX_CYCLOTOMIC_ORDER
+    assert cap >= 360
+    assert make_field(FieldSpec(kind="CYCLOTOMIC", n=cap)).q_order() == cap
+
+    def forbidden(n):
+        raise AssertionError("Phi_n built for an order over the cap")
+
+    monkeypatch.setattr(fields_module, "_cyclotomic", forbidden)
+    with pytest.raises(ValueError, match=f"cyclotomic order {cap + 1} is over the limit of {cap}"):
+        make_field(FieldSpec(kind="CYCLOTOMIC", n=cap + 1))
+    with pytest.raises(ValueError, match="over the limit"):
+        make_field(FieldSpec(kind="CYCLOTOMIC", n=10**100))
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        (RATIONAL_Q2, "1e10000000"),
+        (RATIONAL_Q2, "1E3"),
+        (RATIONAL_Q2, "2.5e-1"),
+        (FieldSpec(kind="CYCLOTOMIC", n=5), "1e3"),
+        (FieldSpec(kind="CYCLOTOMIC", n=5), "[1,2e9]"),
+        (FieldSpec(kind="FUNCTION_FIELD"), "[1]|[3e1]"),
+        (FieldSpec(kind="FUNCTION_FIELD"), "7E2"),
+    ],
+)
+def test_exponent_notation_is_refused(spec, text):
+    with pytest.raises(ValueError, match="exponent notation is not accepted"):
+        make_field(spec).parse(text)
+
+
 # ---------------------------------------------------------------------------
 # the cyclotomic inverse from Galois conjugates, against the extended Euclid
 # over Fraction it replaced

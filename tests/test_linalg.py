@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdweight.fields import FieldCtx, FieldSpec, make_field
-from qdweight.linalg import Mat, fitting_power
+from qdweight.linalg import Echelon, Mat, fitting_power, product_terms, solution
 
 QQ = make_field(FieldSpec(kind="RATIONAL", q="2"))
 F9 = make_field(FieldSpec(kind="EXT_FIELD", p=3, f=[1, 0, 1], q="[0,1]"))
@@ -264,3 +264,141 @@ def test_identity_product_costs_at_most_d_squared_products(monkeypatch, d):
         calls.clear()
         assert left * right == want
         assert len(calls) <= d * d
+
+
+# the equation layer: solution against the readers it replaced, and
+# product_terms against Mat products
+
+F3 = make_field(FieldSpec(kind="PRIME_FIELD", p=3, q="2"))
+EQUATION_FIELDS = {"F3": F3, "F9": F9, "QQ": QQ}
+
+
+def kernel_reader(ctx, red, pivots, cols):
+    """Mat._kernel as it was: one kernel vector per free column."""
+    basis = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        vec = [ctx.zero] * cols
+        vec[f] = ctx.one
+        for r, p in enumerate(pivots):
+            vec[p] = -red.data[r][f]
+        basis.append(vec)
+    return basis
+
+
+def solve_reader(ctx, red, pivots, n, m):
+    """The reading loop of Mat.solve as it was: rows of X, or None."""
+    if any(p >= n for p in pivots):
+        return None
+    out = [[ctx.zero] * m for _ in range(n)]
+    for r, p in enumerate(pivots):
+        for j in range(m):
+            out[p][j] = red.data[r][n + j]
+    return out
+
+
+def block_reader(ctx, ech, w):
+    """The reader of extend.solve_blocks as it was, for one block."""
+    value = dict(zip(ech.pivots, (row[w] for row in ech.rows)))
+    particular = [value.get(j, ctx.zero) for j in range(w)]
+    kernel = []
+    for f in range(w):
+        if f in value:
+            continue
+        vec = [ctx.zero] * w
+        vec[f] = ctx.one
+        for p, row in zip(ech.pivots, ech.rows):
+            vec[p] = -row[f]
+        kernel.append(vec)
+    return particular, kernel
+
+
+def random_system(ctx, rng, rows, width, m, consistent):
+    """[a | b] with a of rank below its size now and then, b = a x when consistent."""
+    a = random_mat(ctx, rng, rows, width, rng.choice([0.3, 0.7, 1]))
+    if rows > 1 and rng.random() < 0.5:
+        a.data[-1] = list(a.data[0])  # a repeated equation
+    x = random_mat(ctx, rng, width, m, 1)
+    b = a * x if consistent else random_mat(ctx, rng, rows, m, 1)
+    return a, b
+
+
+@pytest.mark.parametrize("name", sorted(EQUATION_FIELDS))
+@pytest.mark.parametrize("seed", range(4))
+def test_solution_matches_the_readers_it_replaced(name, seed):
+    ctx = EQUATION_FIELDS[name]
+    rng = random.Random(f"{name}/{seed}")
+    seen_none = seen_free = 0
+    for rows, width in [(0, 3), (3, 0), (1, 1), (3, 5), (5, 3), (4, 4), (6, 6)]:
+        for m in (0, 1, 3):
+            for consistent in (True, False):
+                a, b = random_system(ctx, rng, rows, width, m, consistent)
+                red, pivots = a.hstack(b).rref()
+                got = solution(ctx, pivots, red.data, width, m)
+                want = solve_reader(ctx, red, pivots, width, m)
+                if want is None:
+                    assert got is None
+                    seen_none += 1
+                    continue
+                x, kernel = got
+                assert x == want
+                red_a, pivots_a = a.rref()
+                assert kernel == kernel_reader(ctx, red_a, pivots_a, width)
+                assert a * Mat(ctx, x, cols=m) == b
+                assert all((a * Mat.column(ctx, v)).is_zero() for v in kernel)
+                seen_free += len(kernel) > 0
+                # the same system fed row by row into an Echelon, one rhs column
+                if m == 1:
+                    ech = Echelon()
+                    for row, c in zip(a.data, b.data):
+                        ech.insert(row + c)
+                    particular, free = block_reader(ctx, ech, width)
+                    x1, kernel1 = solution(ctx, ech.pivots, ech.rows, width, 1)
+                    assert [v for v, in x1] == particular and kernel1 == free
+    assert seen_none and seen_free
+
+
+def test_solution_of_zero_width_blocks():
+    zero, one = F3.zero, F3.one
+    assert solution(F3, [], [], 0) == ([], [])
+    assert solution(F3, [], [], 0, 2) == ([], [])
+    assert solution(F3, [0], [[one, zero]], 0, 2) is None
+    # no equations at all: x = 0 and every unknown free
+    assert solution(F3, [], [], 2, 1) == ([[zero], [zero]], [[one, zero], [zero, one]])
+
+
+def flat_product(left, z, right):
+    """vec(left * z * right), row-major, with None for an identity factor."""
+    if left is not None:
+        z = left * z
+    if right is not None:
+        z = z * right
+    return [v for row in z.data for v in row]
+
+
+@pytest.mark.parametrize("name", sorted(EQUATION_FIELDS))
+@pytest.mark.parametrize("sides", ["left", "right", "both"])
+def test_product_terms_match_mat_products(name, sides):
+    ctx = EQUATION_FIELDS[name]
+    rng = random.Random(f"{name}/{sides}")
+    for (a, r), (c, b) in [((3, 2), (4, 2)), ((1, 1), (1, 1)), ((4, 4), (4, 4)), ((0, 2), (3, 0)), ((2, 0), (0, 3))]:
+        for density in (0, 0.4, 1):
+            left = random_mat(ctx, rng, a, r, density) if sides != "right" else None
+            right = random_mat(ctx, rng, c, b, density) if sides != "left" else None
+            terms = product_terms((r, c), left, right)
+            out_rows = a if left is not None else r
+            out_cols = b if right is not None else c
+            assert len(terms) == out_rows * out_cols
+            for entry in terms:
+                assert all(coef for _, coef in entry)
+                assert [e for e, _ in entry] == sorted({e for e, _ in entry})
+            forms = [dict(entry) for entry in terms]
+            # the coefficient of entry e of Z is the product at the unit matrix E_e
+            for e in range(r * c):
+                unit = Mat.zeros(ctx, r, c)
+                unit.data[e // c][e % c] = ctx.one
+                assert flat_product(left, unit, right) == [form.get(e, ctx.zero) for form in forms]
+            # and vec(L Z R) is the terms applied to vec(Z)
+            z = random_mat(ctx, rng, r, c, 0.6)
+            vec_z = flat_product(None, z, None)
+            applied = [sum((coef * vec_z[e] for e, coef in entry), ctx.zero) for entry in terms]
+            assert applied == flat_product(left, z, right)
