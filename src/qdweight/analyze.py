@@ -53,7 +53,10 @@ Graded maps are solved on runs of invertible X links.
   kernel at k are A_k times those at s.  The split's rank is the sum of the
   representatives' ranks times their run lengths.  The projector onto the
   stable image along the stable kernel is unique, so A_k P_s A_k^-1 is the
-  projector a split of each weight space finds.
+  projector a split of each weight space finds.  A candidate whose every
+  nonzero representative block is invertible is invertible at every
+  offset, so its Fitting power has full rank and it cannot split: the
+  sweep drops it without taking a power, and most candidates are such.
 * The sweep.  Lifting Z to phi_k = B_k Z A_k^-1 is linear, so a combination
   of basis maps is the lift of the same combination of their blocks at the
   representatives, and the sweep combines those blocks only.  With A_k and
@@ -544,6 +547,11 @@ def verify_endomorphism(V: WeightModule, names: Sequence[str], maps: Dict[int, M
 # decomposition
 
 
+def _invertible(V: WeightModule, phi: RunMaps) -> bool:
+    """Is the graded map invertible at every nonzero weight space?"""
+    return all(s in phi.blocks and phi.blocks[s].is_invertible() for s in phi.runs.members if V.dim(s))
+
+
 def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[Dict[int, Mat], int]]:
     """Idempotent projecting onto the stable image of phi, if it splits.
 
@@ -553,8 +561,11 @@ def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[Dict[int
     On a run phi is conjugate to its representative block, so one Fitting
     power per run gives the rank there.  Returns the projector onto the
     image along the kernel, per offset, and its rank, or None when the
-    split is trivial (phi nilpotent or invertible).
+    split is trivial (phi nilpotent or invertible); an invertible phi is
+    answered before any power is taken.
     """
+    if _invertible(V, phi):
+        return None
     total = V.total_dim()
     rank = 0
     pieces: Dict[int, Tuple[Mat, Mat]] = {}
@@ -640,14 +651,13 @@ def _search(
 
 
 def _find_split(
-    V: WeightModule, algebra, seed: int, trials: int
+    V: WeightModule, end: EndBasis, seed: int, trials: int
 ) -> Tuple[Optional[Tuple[Dict[int, Mat], int]], bool]:
     """Search End(V) for a splitting idempotent.
 
     Returns (projector-and-rank or None, decided).  decided is True when
     the sweep was exhaustive up to scalars, so None means indecomposable.
     """
-    end = endomorphisms(V, algebra)
     if end.dim <= 1:
         return None, True
     return _search(V.ctx, end.maps, end.runs, seed, trials, lambda phi: _fitting_projector(V, phi))
@@ -694,12 +704,18 @@ def is_indecomposable(
     V: WeightModule, algebra, seed: int = 0, trials: int = DEFAULT_TRIALS
 ) -> Verdict:
     """Does the module admit no splitting into two nonzero summands?"""
-    names = _op_names(algebra, V)
+    return _is_indecomposable(V, algebra, seed, trials, lambda: endomorphisms(V, algebra))
+
+
+def _is_indecomposable(V: WeightModule, algebra, seed: int, trials: int, end: Callable[[], EndBasis]) -> Verdict:
+    """is_indecomposable, with End(V) over the algebra from end(), which is
+    called only when the sweep needs it."""
+    _op_names(algebra, V)
     if not V.circular:
         return Verdict.not_applicable(WINDOWED_REASON)
     if V.total_dim() == 0:
         return Verdict.no({"kind": "zero_module"})
-    found, decided = _find_split(V, algebra, seed, trials)
+    found, decided = _find_split(V, end(), seed, trials)
     if found is not None:
         proj, rank = found
         return Verdict.no({"kind": "idempotent", "maps": _maps_to_json(proj), "rank": rank})
@@ -718,15 +734,22 @@ def decompose(
     not exhaustive and finds nothing, the current piece is kept whole and
     the result is flagged incomplete.
     """
+    return _decompose(V, algebra, seed, trials, lambda: endomorphisms(V, algebra))
+
+
+def _decompose(V: WeightModule, algebra, seed: int, trials: int, end: Callable[[], EndBasis]) -> Decomposition:
+    """decompose, with End(V) over the algebra from end(), which is called
+    only when a split is searched for.  The summands solve their own End."""
     names = _op_names(algebra, V)
     if not V.circular:
         raise NotApplicable(WINDOWED_REASON)
     if V.total_dim() == 0:
         return Decomposition([], True)
     if V.ops.keys() - set(names):
-        # summands are only stable under the chosen algebra, so drop the rest
+        # summands are only stable under the chosen algebra, so drop the rest;
+        # End over the algebra reads only its operators, so end() serves the copy
         V = V.with_ops({n: V.ops[n] for n in names})
-    found, decided = _find_split(V, algebra, seed, trials)
+    found, decided = _find_split(V, end(), seed, trials)
     if found is None:
         if decided:
             return Decomposition([V], True)
@@ -742,11 +765,6 @@ def decompose(
 
 
 # isomorphism
-
-
-def _invertible(V: WeightModule, phi: RunMaps) -> bool:
-    """Is the graded map invertible at every nonzero weight space?"""
-    return all(s in phi.blocks and phi.blocks[s].is_invertible() for s in phi.runs.members if V.dim(s))
 
 
 def _require_same_line(V: WeightModule, W: WeightModule) -> None:

@@ -22,12 +22,14 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .analyze import (
+    EndBasis,
     NotApplicable,
+    _decompose,
+    _is_indecomposable,
     are_isomorphic,
     decompose,
     endomorphisms,
     equidimension_check,
-    is_indecomposable,
     is_irreducible,
     weight_dims,
 )
@@ -230,20 +232,28 @@ def _exit_code(statuses: List[str]) -> int:
 
 
 def run_checks(V: WeightModule, checks, algebra, seed, trials, budget) -> Tuple[dict, int]:
+    solved: List[EndBasis] = []
+
+    def end() -> EndBasis:
+        # End(V) over the algebra, solved at most once for end, decompose and indecomposable
+        if not solved:
+            solved.append(endomorphisms(V, algebra))
+        return solved[0]
+
     def verdict(v) -> Tuple[dict, str]:
         raw = v.to_json()
         return raw, _verdict_status(raw)
 
     def dec() -> Tuple[dict, str]:
-        d = decompose(V, algebra, seed=seed, trials=trials)
+        d = _decompose(V, algebra, seed, trials, end)
         return d.to_json(), "ok" if d.complete else "und"
 
     run = {
         "dims": lambda: ({"dims": [[k, d] for k, d in weight_dims(V)]}, "ok"),
         "equidim": lambda: verdict(equidimension_check(V)),
         "irreducible": lambda: verdict(is_irreducible(V, algebra, budget=budget)),
-        "indecomposable": lambda: verdict(is_indecomposable(V, algebra, seed=seed, trials=trials)),
-        "end": lambda: (endomorphisms(V, algebra).to_json(), "ok"),
+        "indecomposable": lambda: verdict(_is_indecomposable(V, algebra, seed, trials, end)),
+        "end": lambda: (end().to_json(), "ok"),
         "decompose": dec,
     }
     for name in checks:
@@ -260,7 +270,14 @@ def run_checks(V: WeightModule, checks, algebra, seed, trials, budget) -> Tuple[
     return {"algebra": algebra, "seed": seed, "checks": results}, _exit_code(statuses)
 
 
+def _require_nonnegative(**flags: int) -> None:
+    for name, value in flags.items():
+        if value < 0:
+            raise CliError(f"--{name} must be nonnegative, got {value}")
+
+
 def cmd_analyze(args) -> int:
+    _require_nonnegative(trials=args.trials, budget=args.budget)
     V = load_module(args.module)
     checks = [c for c in args.checks.split(",") if c]
     if not checks:
@@ -282,6 +299,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    _require_nonnegative(trials=args.trials)
     V = load_module(args.left)
     W = load_module(args.right)
     seed = args.seed if args.seed is not None else default_seed()

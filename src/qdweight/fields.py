@@ -327,7 +327,8 @@ class Fel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fel):
             return NotImplemented
-        return self.field == other.field and self.val == other.val
+        # one shared context is the common case; the spec compare is slow
+        return (self.field is other.field or self.field == other.field) and self.val == other.val
 
     def __bool__(self) -> bool:
         return self.val != self.field.zero.val
@@ -407,7 +408,7 @@ class FieldCtx:
         return None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FieldCtx) and self.spec == other.spec
+        return self is other or (isinstance(other, FieldCtx) and self.spec == other.spec)
 
     def __hash__(self) -> int:
         return hash(self.spec)

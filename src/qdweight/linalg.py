@@ -15,7 +15,7 @@ per nonzero pair rather than d^3.
 from __future__ import annotations
 
 from bisect import bisect
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .fields import Fel, FieldCtx
 
@@ -287,11 +287,17 @@ class Mat:
 
     @staticmethod
     def from_json(ctx: FieldCtx, data: list, rows: int, cols: int) -> "Mat":
-        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-            raise ValueError("a matrix must be a list of rows, each a list of entries")
-        if len(data) != rows or any(len(row) != cols for row in data):
-            raise ValueError(f"matrix shape mismatch: expected {rows}x{cols}")
-        return Mat(ctx, [[ctx.parse(v) for v in row] for row in data], cols=cols)
+        return _from_json(ctx, data, rows, cols, ctx.parse)
+
+
+def _from_json(ctx: FieldCtx, data: list, rows: int, cols: int, parse: Callable[[str], Fel]) -> Mat:
+    """Mat.from_json with each entry read by parse, which a caller loading
+    many matrices can make remember the texts it has read."""
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError("a matrix must be a list of rows, each a list of entries")
+    if len(data) != rows or any(len(row) != cols for row in data):
+        raise ValueError(f"matrix shape mismatch: expected {rows}x{cols}")
+    return Mat(ctx, [[parse(v) for v in row] for row in data], cols=cols)
 
 
 def fitting_power(m: Mat) -> Mat:

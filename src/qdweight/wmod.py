@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .basering import PRODUCTS, WeightPoint, eval_at
 from .fields import Fel, FieldCtx, FieldSpec, make_field
-from .linalg import Mat
+from .linalg import Mat, _from_json
 from .orbits import LOWERING, MAX_ORBIT_LENGTH, Orbit, Subalgebra, breaks, compute_orbit, j_index
 
 if TYPE_CHECKING:
@@ -256,10 +256,21 @@ def make_module(raw: dict) -> WeightModule:
         if raw.get(key) is not None and not (isinstance(raw[key], (list, tuple)) and len(raw[key]) == 2):
             raise ValueError(f"{key} must be a list of two entries")
     ctx = make_field(FieldSpec.from_json(raw["field"]))
-    if "q" in raw and ctx.parse(raw["q"]) != ctx.q:
+    parsed: Dict[str, Fel] = {}
+
+    def parse(text) -> Fel:
+        # a file repeats a few texts ("[0]", "[1]") thousands of times: read each once
+        if text.__class__ is not str:
+            return ctx.parse(text)  # refuses it with the usual message
+        got = parsed.get(text)
+        if got is None:
+            got = parsed[text] = ctx.parse(text)
+        return got
+
+    if "q" in raw and parse(raw["q"]) != ctx.q:
         raise ValueError("q in the description disagrees with the field spec")
     base_raw = raw["base"]
-    base = WeightPoint(ctx.parse(base_raw[0]), ctx.parse(base_raw[1]))
+    base = WeightPoint(parse(base_raw[0]), parse(base_raw[1]))
     orbit = compute_orbit(base, ctx)
     kind = raw.get("kind")
     if kind is not None:
@@ -297,7 +308,7 @@ def make_module(raw: dict) -> WeightModule:
             if k not in shell.op_sources(name):
                 raise ValueError(f"operator {name} has a matrix at offset {k} outside its sources")
             tgt = shell.op_target(name, k)
-            table[k] = Mat.from_json(ctx, entry["matrix"], shell.dim(tgt), shell.dim(k))
+            table[k] = _from_json(ctx, entry["matrix"], shell.dim(tgt), shell.dim(k), parse)
         ops[name] = table
     return WeightModule(ctx, orbit, window, labels, ops, raw.get("edge_flags"))
 

@@ -838,6 +838,17 @@ def test_runs_built_once_per_end_solve(monkeypatch):
     assert len(solves) == 4 and len(built) == 4
 
 
+def test_invertible_candidates_take_no_fitting_power(monkeypatch):
+    power, powered = analyze.fitting_power, []
+    monkeypatch.setattr(analyze, "fitting_power", lambda m: powered.append(m) or power(m))
+    V = fam("CHAIN_ALT", {"m": 6, "a": ["1"] * 6}, F9)
+    assert is_indecomposable(V, "D").is_yes
+    # the exhaustive sweep tries 100 candidates; the 87 invertible ones are
+    # dropped before a power is taken
+    assert len(powered) == 13
+    assert not any(m.is_invertible() for m in powered)
+
+
 # irreducibility by Norton's criterion, against the scan of every weight line
 # that it replaced
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from qdweight import analyze
 from qdweight.analyze import WINDOWED_REASON
 from qdweight.cli import (
     SCENARIO_SCHEMA,
@@ -528,6 +529,70 @@ def test_analyze_windowed_end_and_decompose_not_applicable(tmp_path, capsys):
     checks = json.loads(out)["checks"]
     for name in ("end", "decompose"):
         assert checks[name] == {"verdict": "NOT_APPLICABLE", "reason": WINDOWED_REASON}
+
+
+def test_analyze_windowed_checks_sharing_end_each_report_not_applicable(tmp_path, capsys):
+    sc = scenario(QQ_FIELD, "VQ_B_A", {"b": "3", "a": "1/2"}, (-2, 2))
+    path = build_module_file(tmp_path, "line", sc, capsys)
+    code, out, _ = run_cli(["analyze", path, "--checks", "decompose,indecomposable,end"], capsys)
+    assert code == 3
+    checks = json.loads(out)["checks"]
+    for name in ("end", "decompose", "indecomposable"):
+        assert checks[name] == {"verdict": "NOT_APPLICABLE", "reason": WINDOWED_REASON}
+
+
+SHARED_END_FIXTURES = {
+    "twisted": (F9_FIELD, "VQ_F_B_A", {"f": "2", "b": "[0,1]", "a": "[0,1]"}),
+    "alt4": (F9_FIELD, "CHAIN_ALT", {"m": 4, "a": ["1", "1", "1", "1"]}),
+    "cc2": ({"kind": "EXT_FIELD", "p": 2, "f": [1, 1, 1], "q": "[0,1]"}, "CHAIN_CYCLE",
+            {"m": 2, "word": "YY1", "a": ["1", "[0,1]"]}),
+}
+
+
+@pytest.mark.parametrize("algebra", ["D", "AQ", "A1"])
+@pytest.mark.parametrize("fixture", sorted(SHARED_END_FIXTURES))
+def test_checks_sharing_one_end_match_the_single_check_runs(tmp_path, capsys, fixture, algebra):
+    path = build_module_file(tmp_path, fixture, scenario(*SHARED_END_FIXTURES[fixture]), capsys)
+    merged, codes = {}, []
+    for name in ("end", "decompose", "indecomposable"):
+        code, out, _ = run_cli(["analyze", path, "--checks", name, "--algebra", algebra], capsys)
+        merged.update(json.loads(out)["checks"])
+        codes.append(code)
+    expected = json.dumps({"algebra": algebra, "checks": merged, "seed": 0}, sort_keys=True, separators=(",", ":"))
+    for order in ("end,decompose,indecomposable", "indecomposable,decompose,end"):
+        code, out, _ = run_cli(["analyze", path, "--checks", order, "--algebra", algebra], capsys)
+        assert out == expected + "\n"
+        assert code == (1 if 1 in codes else 3 if 3 in codes else 0)
+
+
+def test_analyze_end_and_decompose_solve_end_once(tmp_path, capsys, monkeypatch):
+    solve, solves = analyze._graded_hom_basis, []
+    monkeypatch.setattr(analyze, "_graded_hom_basis", lambda *args: solves.append(args) or solve(*args))
+    counts = {}
+    for m in (4, 6):
+        path = build_module_file(tmp_path, f"alt{m}", scenario(F9_FIELD, "CHAIN_ALT", {"m": m, "a": ["1"] * m}), capsys)
+        solves.clear()
+        code, out, _ = run_cli(["analyze", path, "--checks", "end,decompose"], capsys)
+        assert code == 0
+        counts[m] = (len(solves), json.loads(out)["checks"]["decompose"]["count"])
+    # m=6 is indecomposable over D: one End serves both checks (two solves
+    # before they shared it); m=4 splits in two, and each summand solves its own
+    assert counts == {4: (3, 2), 6: (1, 1)}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze", "M", "--checks", "irreducible", "--budget", "-1"], "--budget"),
+        (["analyze", "M", "--checks", "indecomposable", "--trials", "-5"], "--trials"),
+        (["iso", "M", "M", "--trials", "-5"], "--trials"),
+    ],
+    ids=["analyze-budget", "analyze-trials", "iso-trials"],
+)
+def test_negative_trials_and_budget_exit_2(capsys, twisted_file, argv, flag):
+    code, out, err = run_cli([twisted_file if a == "M" else a for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err and "nonnegative" in err
 
 
 # extend

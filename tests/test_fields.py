@@ -233,6 +233,22 @@ def test_equal_elements_from_separate_contexts_hash_equal(spec):
 
 
 @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: f"{s.kind}-{s.n or s.p or ''}")
+def test_contexts_from_equal_specs_compare_and_hash_equal(spec):
+    left, right = make_field(spec), make_field(spec)
+    assert left is not right
+    assert left == right and right == left and left == left
+    assert hash(left) == hash(right) and len({left, right}) == 1
+    other = make_field(F9_Q2 if spec == F4_QT else F4_QT)
+    assert left != other and other != left
+
+
+def test_elements_of_different_fields_never_compare_equal():
+    F9, F4 = make_field(F9_Q2), make_field(F4_QT)
+    assert F9.zero.val == F4.zero.val and F9.one.val == F4.one.val
+    assert F9.zero != F4.zero and F9.one != F4.one
+
+
+@pytest.mark.parametrize("spec", all_specs(), ids=lambda s: f"{s.kind}-{s.n or s.p or ''}")
 def test_elements_never_equal_plain_ints(spec):
     # in characteristic p the int 3 would have to equal both 3 and 3 + p,
     # so no hash could agree with such an equality

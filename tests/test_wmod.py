@@ -4,7 +4,7 @@ import pytest
 
 from qdweight.basering import WeightPoint
 from qdweight.families import construct_family
-from qdweight.fields import FieldSpec, make_field
+from qdweight.fields import FieldCtx, FieldSpec, make_field
 from qdweight.linalg import Mat
 from qdweight.orbits import Subalgebra, compute_orbit
 from qdweight.wmod import (
@@ -252,6 +252,22 @@ def test_round_trip():
     V = construct_gwa("AQ", family1(0, "xy"), wp(F3, 1, 1), None, F3)
     W = make_module(V.to_json())
     assert W == V
+
+
+def test_make_module_parses_each_distinct_text_once(monkeypatch):
+    raw = construct_family({"name": "CHAIN_ALT", "params": {"m": 4, "a": ["1"] * 4}}, F9).to_json()
+    parse, texts = FieldCtx.parse, []
+    monkeypatch.setattr(FieldCtx, "parse", lambda ctx, text: texts.append(text) or parse(ctx, text))
+    make_field(FieldSpec.from_json(raw["field"]))
+    own = list(texts)  # what building the context reads for itself
+    texts.clear()
+    V = make_module(raw)
+    entries = [raw["q"], *raw["base"]] + [
+        c for table in raw["ops"].values() for e in table for row in e["matrix"] for c in row
+    ]
+    assert len(entries) > 10 * len(set(entries))
+    assert sorted(texts) == sorted(own + list(set(entries)))
+    assert V.to_json() == raw
 
 
 def test_round_trip_windowed():
