@@ -29,7 +29,13 @@ Graded maps are solved on runs of invertible X links.
 * The transport.  A graded map phi: V -> W commuting with X satisfies
   phi_{k+1} X^V_k = X^W_k phi_k.  Where X^V_k is invertible this is
   phi_{k+1} = X^W_k phi_k (X^V_k)^-1.  Nothing else about the modules is
-  used, so it holds whether or not V and W satisfy D's relations.
+  used, so it holds whether or not V and W satisfy D's relations.  Where
+  X = 1 the transport is carried over unchanged: no inverse is taken and
+  no product formed, and an offset reached from its run's start across
+  X = 1 links only has transport 1, recorded as none.  V and W are read
+  apart, so one of them may have a transport at an offset where the other
+  has none.  Every module built by wmod.junction_module is X = 1 on every
+  link but one.
 * The system.  A run is a maximal chain of links where X is square and
   invertible in V and in W.  On a run from offset s, phi_k = B_k Z A_k^-1
   with Z = phi_s, A_k = X^V_{k-1} ... X^V_s and B_k the same in W, so one
@@ -57,6 +63,13 @@ Graded maps are solved on runs of invertible X links.
   nonzero representative block is invertible is invertible at every
   offset, so its Fitting power has full rank and it cannot split: the
   sweep drops it without taking a power, and most candidates are such.
+  The projector is handed on at the representatives.  An offset with no
+  transport has P_s itself, so its summand spaces are the representative's
+  column spaces, not computed again; every other offset takes the column
+  spaces of A_k P_s A_k^-1.  An operator c 1 between two offsets with
+  equal summand bases B restricts to c 1 with no solve: B has full column
+  rank, so B Z = c B forces Z = c 1.  Those are the values the general
+  path computes, so the summands' bytes are the same.
 * The sweep.  Lifting Z to phi_k = B_k Z A_k^-1 is linear, so a combination
   of basis maps is the lift of the same combination of their blocks at the
   representatives, and the sweep combines those blocks only.  With A_k and
@@ -71,6 +84,8 @@ Graded maps are solved on runs of invertible X links.
   if N_k0 is nonzero, a line of N_k0 generates a subspace of N; if N_k0 is
   0, its annihilator N^perp is a proper graded submodule of V* containing
   V*_k0.  Conversely V is simple iff V* is, and then every line generates.
+  The spin carries a block c 1 as the scalar c and maps a vector across it
+  by scaling, which gives the vector the block's rows give.
 """
 
 from __future__ import annotations
@@ -78,7 +93,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from .fields import Fel, FieldCtx
 from .linalg import Echelon, Mat, fitting_power, product_terms, solution
@@ -204,29 +219,41 @@ class Decomposition:
 # closure
 
 
-def _arrows(V: WeightModule, names: Sequence[str], dual: bool = False) -> Dict[int, List[Tuple[int, List[List[Fel]]]]]:
-    """For each offset, the (target, block rows) of the named operators
-    leaving it between nonzero weight spaces.
+# An arrow acts by the rows of its block, or by c when the block is c 1.
+# Like basering.Scalar, the alias exists for the type checker only.
+if TYPE_CHECKING:
+    from typing import Union
+
+    Action = Union[Fel, List[List[Fel]]]
+
+
+def _arrows(V: WeightModule, names: Sequence[str], dual: bool = False) -> Dict[int, List[Tuple[int, Action]]]:
+    """For each offset, the (target, action) of the named operators leaving
+    it between nonzero weight spaces: the block's rows, or the scalar c of a
+    block c 1.
 
     With dual, the arrows of V*: an operator O from V_k to V_t acts from
     V*_t to V*_k by its transpose, in the dual bases.
     """
-    out: Dict[int, List[Tuple[int, List[List[Fel]]]]] = {k: [] for k in V.offsets()}
+    out: Dict[int, List[Tuple[int, Action]]] = {k: [] for k in V.offsets()}
     for name in names:
         for k in V.op_sources(name):
             t = V.op_target(name, k)
             if V.dim(k) and V.dim(t):
+                block = V.op(name, k)
+                c = block.scalar_value()
                 if dual:
-                    out[t].append((k, V.op(name, k).transpose().data))
+                    out[t].append((k, block.transpose().data if c is None else c))
                 else:
-                    out[k].append((t, V.op(name, k).data))
+                    out[k].append((t, block.data if c is None else c))
     return out
 
 
 def _spin(
-    ctx: FieldCtx, arrows: Dict[int, List[Tuple[int, List[List[Fel]]]]], seeds: Sequence[Tuple[int, Sequence[Fel]]]
+    ctx: FieldCtx, arrows: Dict[int, List[Tuple[int, Action]]], seeds: Sequence[Tuple[int, Sequence[Fel]]]
 ) -> Dict[int, Echelon]:
-    """Smallest graded subspace containing the seeds and closed under the arrows."""
+    """Smallest graded subspace containing the seeds and closed under the
+    arrows; a scalar arrow maps a vector by scaling it."""
     zero = ctx.zero
     spans = {k: Echelon() for k in arrows}
     queue: List[Tuple[int, List[Fel]]] = []
@@ -237,16 +264,15 @@ def _spin(
     while queue:
         k, vec = queue.pop()
         support = [(j, c) for j, c in enumerate(vec) if c]
-        for tgt, rows in arrows[k]:
-            got = spans[tgt].insert([sum((row[j] * c for j, c in support), zero) for row in rows])
+        for tgt, act in arrows[k]:
+            if isinstance(act, Fel):
+                image = [a * act for a in vec]
+            else:
+                image = [sum((row[j] * c for j, c in support), zero) for row in act]
+            got = spans[tgt].insert(image)
             if got is not None:
                 queue.append((tgt, got))
     return spans
-
-
-def _closure(V: WeightModule, names: Sequence[str], seeds: Sequence[Tuple[int, Sequence[Fel]]]) -> Dict[int, Echelon]:
-    """Smallest graded subspace containing the seeds and closed under ops."""
-    return _spin(V.ctx, _arrows(V, names), seeds)
 
 
 def _spans_to_json(V: WeightModule, spans: Dict[int, Echelon]) -> List[dict]:
@@ -385,21 +411,25 @@ class Runs:
     lists a run's offsets from its representative s along X, and rep maps
     each offset to its representative.  For a run offset k other than s,
     v[k] = (A_k, A_k^-1) with A_k = X_{k-1} ... X_s in V, and w[k] the same
-    in W (w is v when W is V).  links are the X links inside runs.
+    in W (w is v when W is V).  An offset reached from s across X = 1 links
+    only has A_k = 1 and no entry, in v or in w on its own: with W not V
+    one side may hold a transport where the other holds none.  links are
+    the X links inside runs.
     """
 
     __slots__ = ("members", "rep", "links", "v", "w")
 
     def __init__(self, V: WeightModule, W: WeightModule, names: Sequence[str]):
-        inv_v: Dict[int, Mat] = {}
-        inv_w: Dict[int, Mat] = {}
+        # the inverse of each invertible X link, None where X = 1
+        inv_v: Dict[int, Optional[Mat]] = {}
+        inv_w: Dict[int, Optional[Mat]] = {}
         if "X" in names:
             for k in V.op_sources("X"):
                 t = V.op_target("X", k)
                 if V.dim(k) == V.dim(t) > 0 and W.dim(k) == W.dim(t) > 0:
-                    xv = V.op("X", k).inverse()
-                    xw = xv if W is V else W.op("X", k).inverse()
-                    if xv is not None and xw is not None:
+                    xv = _link_inverse(V.op("X", k))
+                    xw = xv if W is V else _link_inverse(W.op("X", k))
+                    if xv is not False and xw is not False:
                         inv_v[k], inv_w[k] = xv, xw
         entered = {V.op_target("X", k) for k in inv_v}
         offsets = V.offsets()
@@ -421,11 +451,27 @@ class Runs:
                 self.w.update(_transports(W, members, inv_w))
 
 
-def _transports(M: WeightModule, members: List[int], inverses: Dict[int, Mat]) -> Dict[int, Tuple[Mat, Mat]]:
-    """(A_k, A_k^-1) with A_k = X_{k-1} ... X_s, for each offset k after the first s of a run."""
+def _link_inverse(x: Mat):
+    """None when the link x is 1, its inverse when it has one, else False."""
+    if x.scalar_value() == x.ctx.one:
+        return None
+    inverse = x.inverse()
+    return False if inverse is None else inverse
+
+
+def _transports(
+    M: WeightModule, members: List[int], inverses: Dict[int, Optional[Mat]]
+) -> Dict[int, Tuple[Mat, Mat]]:
+    """(A_k, A_k^-1) with A_k = X_{k-1} ... X_s, for each offset k after the
+    first s of a run that is not reached across X = 1 links only."""
     out: Dict[int, Tuple[Mat, Mat]] = {}
     for k, t in zip(members, members[1:]):
-        x, x_inv = M.op("X", k), inverses[k]
+        x_inv = inverses[k]
+        if x_inv is None:  # X_k = 1 carries A_k over unchanged
+            if k in out:
+                out[t] = out[k]
+            continue
+        x = M.op("X", k)
         out[t] = (x * out[k][0], out[k][1] * x_inv) if k in out else (x, x_inv)
     return out
 
@@ -454,7 +500,12 @@ class RunMaps:
         runs = self.runs
         for s, z in self.blocks.items():
             for k in runs.members[s]:
-                out[k] = runs.w[k][0] * z * runs.v[k][1] if k in runs.v else z
+                m = z
+                if k in runs.w:
+                    m = runs.w[k][0] * m
+                if k in runs.v:
+                    m = m * runs.v[k][1]
+                out[k] = m
         return out
 
 
@@ -485,7 +536,7 @@ def _graded_hom_basis(
             s, u = runs.rep[k], runs.rep[t]
             A = _to_reps(runs.v, t, V.op(name, k), k)
             B = A if W is V else _to_reps(runs.w, t, W.op(name, k), k)
-            if u == s and B is A and A == Mat.scalar(ctx, A.rows, A.data[0][0] if A.rows else ctx.zero):
+            if u == s and B is A and A.scalar_value() is not None:
                 continue  # Z c = c Z holds for every Z: only zero rows
             # Z_u A = B Z_s, entry by entry; the two sides may share a block
             za = product_terms((W.dim(t), V.dim(t)), right=A)
@@ -552,7 +603,7 @@ def _invertible(V: WeightModule, phi: RunMaps) -> bool:
     return all(s in phi.blocks and phi.blocks[s].is_invertible() for s in phi.runs.members if V.dim(s))
 
 
-def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[Dict[int, Mat], int]]:
+def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[RunMaps, int]]:
     """Idempotent projecting onto the stable image of phi, if it splits.
 
     On each weight space, phi^N for N at least its dimension has the same
@@ -560,9 +611,9 @@ def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[Dict[int
     sum; both sides are submodules because phi commutes with the operators.
     On a run phi is conjugate to its representative block, so one Fitting
     power per run gives the rank there.  Returns the projector onto the
-    image along the kernel, per offset, and its rank, or None when the
-    split is trivial (phi nilpotent or invertible); an invertible phi is
-    answered before any power is taken.
+    image along the kernel, at the run representatives, and its rank, or
+    None when the split is trivial (phi nilpotent or invertible); an
+    invertible phi is answered before any power is taken.
     """
     if _invertible(V, phi):
         return None
@@ -588,7 +639,7 @@ def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[Dict[int
         if inverse is None:
             raise ValueError("stable image and kernel do not split the space")
         proj[s] = image * Mat(V.ctx, inverse.data[: image.cols], cols=V.dim(s))
-    return RunMaps(phi.runs, proj).lift(), rank
+    return RunMaps(phi.runs, proj), rank
 
 
 def _coefficient_sweep(
@@ -652,7 +703,7 @@ def _search(
 
 def _find_split(
     V: WeightModule, end: EndBasis, seed: int, trials: int
-) -> Tuple[Optional[Tuple[Dict[int, Mat], int]], bool]:
+) -> Tuple[Optional[Tuple[RunMaps, int]], bool]:
     """Search End(V) for a splitting idempotent.
 
     Returns (projector-and-rank or None, decided).  decided is True when
@@ -664,7 +715,11 @@ def _find_split(
 
 
 def _subspace_module(V: WeightModule, names: Sequence[str], bases: Dict[int, Mat]) -> WeightModule:
-    """Restriction of V to op-stable subspaces given by basis columns."""
+    """Restriction of V to op-stable subspaces given by basis columns.
+
+    An operator c 1 between two offsets with equal bases B restricts to c 1
+    with no solve: B has full column rank, so B Z = c B forces Z = c 1.
+    """
     labels = {k: default_labels(k, b.cols) for k, b in bases.items()}
     ops: Dict[str, Dict[int, Mat]] = {}
     for name in names:
@@ -674,7 +729,9 @@ def _subspace_module(V: WeightModule, names: Sequence[str], bases: Dict[int, Mat
             sk = bases[k].cols if k in bases else 0
             st = bases[t].cols if t in bases else 0
             if sk and st:
-                sol = bases[t].solve(V.op(name, k) * bases[k])
+                op = V.op(name, k)
+                c = op.scalar_value() if bases[t] == bases[k] else None
+                sol = Mat.scalar(V.ctx, sk, c) if c is not None else bases[t].solve(op * bases[k])
                 if sol is None:
                     raise ValueError("subspaces are not closed under the operators")
                 table[k] = sol
@@ -682,18 +739,29 @@ def _subspace_module(V: WeightModule, names: Sequence[str], bases: Dict[int, Mat
     return WeightModule(V.ctx, V.orbit, V.window, labels, ops)
 
 
-def _split_module(V: WeightModule, names: Sequence[str], proj: Dict[int, Mat]) -> Tuple[WeightModule, WeightModule]:
-    """Split V along an idempotent into image and complement summands."""
+def _split_module(V: WeightModule, names: Sequence[str], proj: RunMaps) -> Tuple[WeightModule, WeightModule]:
+    """Split V along an idempotent, given at the run representatives, into
+    image and complement summands.
+
+    An offset with no transport carries its representative's block, so it
+    takes the representative's two column spaces; every other offset takes
+    those of its own block.
+    """
     ctx = V.ctx
+    runs = proj.runs
+    blocks = proj.lift()
+    spaces: Dict[int, Tuple[Mat, Mat]] = {}
     image = {}
     complement = {}
     for k in V.offsets():
         d = V.dim(k)
         if d == 0:
             continue
-        e = proj.get(k, Mat.zeros(ctx, d, d))
-        image[k] = e.column_space()
-        complement[k] = (Mat.identity(ctx, d) - e).column_space()
+        at = k if k in runs.v else runs.rep[k]
+        if at not in spaces:
+            e = blocks.get(k, Mat.zeros(ctx, d, d))
+            spaces[at] = (e.column_space(), (Mat.identity(ctx, d) - e).column_space())
+        image[k], complement[k] = spaces[at]
     return (
         _subspace_module(V, names, image),
         _subspace_module(V, names, complement),
@@ -718,7 +786,7 @@ def _is_indecomposable(V: WeightModule, algebra, seed: int, trials: int, end: Ca
     found, decided = _find_split(V, end(), seed, trials)
     if found is not None:
         proj, rank = found
-        return Verdict.no({"kind": "idempotent", "maps": _maps_to_json(proj), "rank": rank})
+        return Verdict.no({"kind": "idempotent", "maps": _maps_to_json(proj.lift()), "rank": rank})
     if decided:
         return Verdict.yes()
     return Verdict.unknown("no splitting endomorphism found within the trial budget")

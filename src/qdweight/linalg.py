@@ -9,7 +9,9 @@ rank, nullspace, column space, image_and_kernel and solve, feed their rows
 into it; every solver writes its equations with `product_terms` and reads
 them with `solution`.  Products and scales skip zero entries of both
 factors, so a shift, diagonal or identity factor costs one field product
-per nonzero pair rather than d^3.
+per nonzero pair rather than d^3.  `Mat.scalar_value` reads c off a block
+that is c times the identity, so that a caller can scale by c, or skip an
+X = 1 link, where it would otherwise invert or multiply the block.
 """
 
 from __future__ import annotations
@@ -218,6 +220,20 @@ class Mat:
 
     def is_zero(self) -> bool:
         return all(not v for row in self.data for v in row)
+
+    def scalar_value(self) -> Optional[Fel]:
+        """c when self is c times the identity (0 for the 0 x 0 matrix), else None."""
+        if self.rows != self.cols:
+            return None
+        zero = self.ctx.zero
+        c = self.data[0][0] if self.rows else zero
+        # row i is c at i and zero elsewhere; count tests identity before
+        # equality, and a finite field keeps one element per value
+        zeros = self.cols - 1 if c else self.cols
+        for i, row in enumerate(self.data):
+            if row[i] != c or row.count(zero) != zeros:
+                return None
+        return c
 
     def __repr__(self) -> str:
         if self.rows == 0 or self.cols == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .basering import PRODUCTS, WeightPoint, eval_at
 from .fields import Fel, FieldCtx, FieldSpec, make_field
@@ -303,9 +303,12 @@ def make_module(raw: dict) -> WeightModule:
     ops: Dict[str, Dict[int, Mat]] = {}
     for name, entries in (raw.get("ops") or {}).items():
         table: Dict[int, Mat] = {}
+        sources: Optional[Set[int]] = None  # read once per operator, not once per entry
         for entry in _json_objects(entries, f"ops.{name}", ("offset", "matrix")):
             k = _json_int(entry["offset"], "an offset")
-            if k not in shell.op_sources(name):
+            if sources is None:
+                sources = set(shell.op_sources(name))
+            if k not in sources:
                 raise ValueError(f"operator {name} has a matrix at offset {k} outside its sources")
             tgt = shell.op_target(name, k)
             table[k] = _from_json(ctx, entry["matrix"], shell.dim(tgt), shell.dim(k), parse)

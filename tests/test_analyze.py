@@ -32,6 +32,7 @@ from qdweight.verify import check_relations
 from qdweight.wmod import (
     WeightModule,
     construct_gwa,
+    default_labels,
     family1,
     op_names_for,
     restrict,
@@ -580,8 +581,6 @@ def big_op(V, name, idx):
 def test_ungraded_closure_matches_graded_componentwise():
     # closing a mixed vector under the operators and then splitting into
     # weight components gives exactly the sum of the per-component closures
-    from qdweight.analyze import _closure
-
     V = CHAIN_A6
     names = op_names_for("D")
     idx = big_index(V)
@@ -612,7 +611,8 @@ def test_ungraded_closure_matches_graded_componentwise():
         rows = [[vec[idx[(k, i)]] for i in range(V.dim(k))] for vec in spanned]
         ungraded[k] = span_rank(ctx, rows)
 
-    graded = _closure(V, names, [(k, [ctx.from_int(c) for c in coords]) for k, coords in seeds.items()])
+    vectors = [(k, [ctx.from_int(c) for c in coords]) for k, coords in seeds.items()]
+    graded = analyze._spin(ctx, analyze._arrows(V, names), vectors)
     for k in V.offsets():
         assert ungraded[k] == graded[k].rank
 
@@ -749,9 +749,11 @@ def test_run_solver_matches_dense_hom_basis():
     rng = random.Random(20261018)
     seen = {"hom": 0, "big hom": 0, "circular": 0, "windowed": 0, "zero space": 0, "V != W": 0, "cut cycle": 0}
     seen.update({mode: 0 for mode in X_KINDS})
+    seen["identity in V, transport in W"] = 0
     for _ in range(200):
         V, W, algebra, x_mode = random_pair(rng)
         names = op_names_for(algebra)
+        runs = analyze.Runs(V, W, names)
         want = dense_hom_basis(V, W, names)
         got, _ = analyze._graded_hom_basis(V, W, names)
         assert [{k: m.to_json() for k, m in maps.items()} for maps in got] == [
@@ -764,7 +766,10 @@ def test_run_solver_matches_dense_hom_basis():
         seen["V != W"] += W is not V
         seen[x_mode] += 1
         # every link invertible: one run, cut at its last link
-        seen["cut cycle"] += V.circular and len(analyze.Runs(V, W, names).links) == V.orbit.length - 1
+        seen["cut cycle"] += V.circular and len(runs.links) == V.orbit.length - 1
+        # an offset reached across X = 1 links in V but not in W: lift must
+        # apply W's transport alone
+        seen["identity in V, transport in W"] += any(k not in runs.v and k in runs.w for k in runs.rep)
     assert min(seen.values()) >= 10, seen
 
 
@@ -847,6 +852,141 @@ def test_invertible_candidates_take_no_fitting_power(monkeypatch):
     # dropped before a power is taken
     assert len(powered) == 13
     assert not any(m.is_invertible() for m in powered)
+
+
+def test_no_identity_is_inverted_or_multiplied(monkeypatch):
+    # X = 1 off the junction: no transport is formed across those links,
+    # and no summand solves for an operator that is c 1 on equal bases
+    inverse, mul = Mat.inverse, Mat.__mul__
+    inverses, products = [], []
+
+    def is_one(m):
+        return m.scalar_value() == m.ctx.one
+
+    monkeypatch.setattr(Mat, "inverse", lambda m: inverses.append(is_one(m)) or inverse(m))
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(is_one(a) or is_one(b)) or mul(a, b))
+    V = fam("CHAIN_ALT", {"m": 4, "a": ["1"] * 4}, F9)
+    assert endomorphisms(V, "D").dim == 2
+    assert [s.total_dim() for s in decompose(V, "D").summands] == [12, 12]
+    assert inverses and products
+    assert not any(inverses) and not any(products)
+
+
+# the split on runs, against the split of every weight space that it replaced
+
+
+def per_offset_projector(V, blocks):
+    """A_k e_s A_k^-1 at every offset of a run, A_k = X_{k-1} ... X_s formed in full."""
+    out = {}
+    runs = blocks.runs
+    for s, members in runs.members.items():
+        if s not in blocks.blocks:
+            continue
+        e = out[s] = blocks.blocks[s]
+        a = None
+        for k, t in zip(members, members[1:]):
+            a = V.op("X", k) if a is None else V.op("X", k) * a
+            out[t] = a * e * a.inverse()
+    return out
+
+
+def per_offset_subspace_module(V, names, bases, solves):
+    """The restriction with one solve per operator instance."""
+    labels = {k: default_labels(k, b.cols) for k, b in bases.items()}
+    ops = {}
+    for name in names:
+        table = {}
+        for k in V.op_sources(name):
+            t = V.op_target(name, k)
+            if k in bases and t in bases and bases[k].cols and bases[t].cols:
+                solves.append((bases[t] == bases[k], V.op(name, k).scalar_value()))
+                table[k] = bases[t].solve(V.op(name, k) * bases[k])
+                assert table[k] is not None
+        ops[name] = table
+    return WeightModule(V.ctx, V.orbit, V.window, labels, ops)
+
+
+def per_offset_split(V, names, proj, solves):
+    """The split with a column space of every weight space's projector block."""
+    ctx = V.ctx
+    image, complement = {}, {}
+    for k in V.offsets():
+        d = V.dim(k)
+        if d:
+            e = proj.get(k, Mat.zeros(ctx, d, d))
+            image[k] = e.column_space()
+            complement[k] = (Mat.identity(ctx, d) - e).column_space()
+    return tuple(per_offset_subspace_module(V, names, bases, solves) for bases in (image, complement))
+
+
+def random_split_pair(rng):
+    """A circular decomposable module V and a gauge copy W of it."""
+    ctx, base = rng.choice([(F3, (1, 1)), (F4, (1, 1)), (F5Q4, (2, 1))])
+    orbit = compute_orbit(wp(ctx, *base), ctx)
+    offsets = range(orbit.length)
+    x_mode = rng.choice(list(X_KINDS))
+    d = rng.choice([1, 1, 2])
+    vary = rng.choice([0, 0.3])
+    dims = {k: rng.randint(0, 2) if rng.random() < vary else d for k in offsets}
+    A = random_module(rng, ctx, orbit, None, dims, x_mode)
+    how = rng.choice(["twice", "gauge", "other"])
+    if how == "twice":
+        B = A
+    elif how == "gauge":
+        B = gauge(rng, A)
+    else:
+        B = random_module(rng, ctx, orbit, None, {k: rng.randint(0, 1) for k in offsets}, x_mode)
+    V = direct_sum(A, B)
+    return V, gauge(rng, V), rng.choice(["D", "AQ", "A1"]), x_mode
+
+
+def module_bytes(V):
+    return json.dumps(V.to_json(), sort_keys=True)
+
+
+def found_projectors(M, end, count=2):
+    """The first count projectors the split sweep finds in End(M), at the run representatives."""
+    found = []
+
+    def collect(phi):
+        got = analyze._fitting_projector(M, phi)
+        if got is not None:
+            found.append(got[0])
+        return len(found) >= count or None
+
+    if end.dim > 1:
+        analyze._search(M.ctx, end.maps, end.runs, 0, 20, collect)
+    return found
+
+
+def test_split_on_runs_matches_per_offset_split():
+    rng = random.Random(20261021)
+    seen = {"split": 0, "identity in V, transport in W": 0, "spaces reused": 0, "transported": 0, "c 1 restriction": 0}
+    seen.update({mode: 0 for mode in X_KINDS})
+    for _ in range(40):
+        V, W, algebra, x_mode = random_split_pair(rng)
+        names = op_names_for(algebra)
+        runs = []
+        for M in (V, W):
+            end = endomorphisms(M, algebra)
+            found = found_projectors(M, end)
+            for proj in found:
+                lifted = per_offset_projector(M, proj)
+                assert {k: m.to_json() for k, m in proj.lift().items()} == {k: m.to_json() for k, m in lifted.items()}
+                solves = []
+                want = per_offset_split(M, names, lifted, solves)
+                assert tuple(map(module_bytes, analyze._split_module(M, names, proj))) == tuple(map(module_bytes, want))
+                seen["split"] += 1
+                seen[x_mode] += 1
+                reps = end.runs.rep
+                seen["spaces reused"] += any(k != reps[k] and k not in end.runs.v for k in reps if M.dim(k))
+                seen["transported"] += any(M.dim(k) for k in end.runs.v)
+                seen["c 1 restriction"] += any(same and c is not None for same, c in solves)
+            runs.append(end.runs if found else None)
+        # W is a gauge copy of V: an X = 1 link of V is a transport in W
+        if runs[0] and runs[1]:
+            seen["identity in V, transport in W"] += any(k not in runs[0].v and k in runs[1].v for k in runs[0].rep)
+    assert min(seen.values()) >= 10, seen
 
 
 # irreducibility by Norton's criterion, against the scan of every weight line

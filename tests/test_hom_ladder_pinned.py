@@ -2,10 +2,14 @@
 
 For CHAIN_ALT over D with every a_i = 1, the md5 of the canonical JSON of
 ``endomorphisms`` (and, for the two m=8 modules, of ``decompose``) is
-compared with ``hom_ladder_pinned.json``.  The digests were recorded with
-the Hom solve that assembled one dense row per operator entry, before the
-rows were built from sparse L.Z.R terms, so they pin that both give the
-same bytes at sizes where assembly, not elimination, dominated.
+compared with ``hom_ladder_pinned.json``.  The m=8 and F7 q=2 m=16 End
+digests were recorded with the Hom solve that assembled one dense row per
+operator entry, before the rows were built from sparse L.Z.R terms, so they
+pin that both give the same bytes at sizes where assembly, not elimination,
+dominated.  The F7 q=2 m=32 and q=3 m=16 digests and the m=16 decompose
+digests were recorded with the run solver while it still inverted and
+multiplied the X = 1 links, so they pin that skipping those products, and
+splitting a summand once per run, leaves the bytes as they were.
 
 Re-record on purpose only, with
 
@@ -29,7 +33,9 @@ PINNED = Path(__file__).parent / "hom_ladder_pinned.json"
 RUNGS = (
     ("F7q3m8", 7, "3", 8, True),
     ("F11q2m8", 11, "2", 8, True),
-    ("F7q2m16", 7, "2", 16, False),
+    ("F7q2m16", 7, "2", 16, True),
+    ("F7q3m16", 7, "3", 16, True),
+    ("F7q2m32", 7, "2", 32, False),
 )
 
 

@@ -252,6 +252,33 @@ def test_kernels_match_the_naive_loops(kind, density):
             acc = Mat(ctx, naive_product(acc, square), cols=e)
 
 
+@pytest.mark.parametrize("kind", sorted(KERNEL_FIELDS))
+def test_scalar_value_matches_the_naive_check(kind):
+    ctx = KERNEL_FIELDS[kind]
+    rng = random.Random(kind)
+
+    def naive(m):
+        if m.rows != m.cols:
+            return None
+        c = m.data[0][0] if m.rows else ctx.zero
+        return c if m == Mat.scalar(ctx, m.rows, c) else None
+
+    cases = [Mat.zeros(ctx, 0, 0), Mat.zeros(ctx, 2, 3), random_mat(ctx, rng, 3, 3, 1)]
+    for d in (1, 2, 4):
+        for c in (ctx.zero, ctx.one, ctx.random_element(rng)):
+            # entries parsed one by one, so no two share an object
+            m = Mat(ctx, [[ctx.parse(ctx.show(c if i == j else ctx.zero)) for j in range(d)] for i in range(d)])
+            cases.append(m)
+            for i, j in ((0, d - 1), (d - 1, d - 1)):
+                bent = Mat(ctx, m.data)
+                bent.data[i][j] += ctx.one
+                cases.append(bent)
+    for m in cases:
+        want = naive(m)
+        assert m.scalar_value() == want and (want is None) == (m.scalar_value() is None)
+    assert sum(naive(m) is not None for m in cases) >= 9
+
+
 @pytest.mark.parametrize("d", [1, 5, 9])
 def test_identity_product_costs_at_most_d_squared_products(monkeypatch, d):
     rng = random.Random(d)

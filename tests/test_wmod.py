@@ -270,6 +270,28 @@ def test_make_module_parses_each_distinct_text_once(monkeypatch):
     assert V.to_json() == raw
 
 
+def test_make_module_reads_each_operators_sources_once(monkeypatch):
+    # membership of an entry's offset is tested against the sources read
+    # once per operator, so a wider window makes no more op_sources calls
+    sources, calls = WeightModule.op_sources, []
+    monkeypatch.setattr(WeightModule, "op_sources", lambda V, name: calls.append(name) or sources(V, name))
+    counts = []
+    for hi in (2, 40):
+        raw = construct_family({"name": "VQ_B_A", "params": {"b": "3", "a": "5"}}, QQ, window=(-hi, hi)).to_json()
+        calls.clear()
+        assert make_module(raw).to_json() == raw
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    assert max(counts[0].count(name) for name in set(counts[0])) <= 2
+
+
+def test_make_module_entry_outside_sources_keeps_its_message():
+    raw = construct_gwa("AQ", simple_no_break(), wp(QQ, 5, 3), (-2, 2), QQ).to_json()
+    raw["ops"]["X"].append({"offset": 2, "matrix": [["1"]]})
+    with pytest.raises(ValueError, match="operator X has a matrix at offset 2 outside its sources"):
+        make_module(raw)
+
+
 def test_round_trip_windowed():
     V = construct_gwa("AQ", simple_no_break(), wp(QQ, 5, 3), (-2, 2), QQ)
     W = make_module(V.to_json())
