@@ -96,7 +96,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from .fields import Fel, FieldCtx
-from .linalg import Echelon, Mat, fitting_power, product_terms, solution
+from .linalg import Echelon, Mat, dense, fitting_power, product_terms, solution, terms
 from .orbits import Subalgebra
 from .wmod import WeightModule, as_subalgebra, default_labels, op_names_for
 
@@ -219,18 +219,19 @@ class Decomposition:
 # closure
 
 
-# An arrow acts by the rows of its block, or by c when the block is c 1.
-# Like basering.Scalar, the alias exists for the type checker only.
+# An arrow acts by the columns of its block, each the (row, entry) terms of
+# its nonzero entries, or by c when the block is c 1.  Like basering.Scalar,
+# the alias exists for the type checker only.
 if TYPE_CHECKING:
     from typing import Union
 
-    Action = Union[Fel, List[List[Fel]]]
+    Action = Union[Fel, List[List[Tuple[int, Fel]]]]
 
 
 def _arrows(V: WeightModule, names: Sequence[str], dual: bool = False) -> Dict[int, List[Tuple[int, Action]]]:
     """For each offset, the (target, action) of the named operators leaving
-    it between nonzero weight spaces: the block's rows, or the scalar c of a
-    block c 1.
+    it between nonzero weight spaces: the block's columns as terms, or the
+    scalar c of a block c 1.
 
     With dual, the arrows of V*: an operator O from V_k to V_t acts from
     V*_t to V*_k by its transpose, in the dual bases.
@@ -242,10 +243,13 @@ def _arrows(V: WeightModule, names: Sequence[str], dual: bool = False) -> Dict[i
             if V.dim(k) and V.dim(t):
                 block = V.op(name, k)
                 c = block.scalar_value()
+                if c is None:
+                    cols = block.data if dual else block.transpose().data
+                    c = [terms(col) for col in cols]
                 if dual:
-                    out[t].append((k, block.transpose().data if c is None else c))
+                    out[t].append((k, c))
                 else:
-                    out[k].append((t, block.data if c is None else c))
+                    out[k].append((t, c))
     return out
 
 
@@ -254,24 +258,23 @@ def _spin(
 ) -> Dict[int, Echelon]:
     """Smallest graded subspace containing the seeds and closed under the
     arrows; a scalar arrow maps a vector by scaling it."""
-    zero = ctx.zero
     spans = {k: Echelon() for k in arrows}
-    queue: List[Tuple[int, List[Fel]]] = []
+    queue: List[Tuple[int, List[Tuple[int, Fel]]]] = []
+
+    def add(k: int, vec: List[Tuple[int, Fel]]) -> None:
+        lead = spans[k].insert_terms(vec)
+        if lead is not None:
+            queue.append((k, list(spans[k].rows[lead].items())))
+
     for k, vec in seeds:
-        got = spans[k].insert(vec)
-        if got is not None:
-            queue.append((k, got))
+        add(k, terms(vec))
     while queue:
         k, vec = queue.pop()
-        support = [(j, c) for j, c in enumerate(vec) if c]
         for tgt, act in arrows[k]:
             if isinstance(act, Fel):
-                image = [a * act for a in vec]
+                add(tgt, [(j, a * act) for j, a in vec])
             else:
-                image = [sum((row[j] * c for j, c in support), zero) for row in act]
-            got = spans[tgt].insert(image)
-            if got is not None:
-                queue.append((tgt, got))
+                add(tgt, [(i, a * c) for j, c in vec for i, a in act[j]])
     return spans
 
 
@@ -281,7 +284,8 @@ def _spans_to_json(V: WeightModule, spans: Dict[int, Echelon]) -> List[dict]:
     for k in V.offsets():
         s = spans.get(k)
         if s is not None and s.rank:
-            out.append({"offset": k, "basis": [[show(c) for c in row] for row in s.rows]})
+            rows = (dense(s.rows[p], V.dim(k), V.ctx.zero) for p in s.pivots)
+            out.append({"offset": k, "basis": [[show(c) for c in row] for row in rows]})
     return out
 
 
@@ -542,33 +546,37 @@ def _graded_hom_basis(
             za = product_terms((W.dim(t), V.dim(t)), right=A)
             bz = product_terms((W.dim(k), V.dim(k)), left=B)
             for plus, minus in zip(za, bz):
-                terms = [(base[u] + e, c) for e, c in plus] + [(base[s] + e, -c) for e, c in minus]
-                row = [ctx.zero] * n
-                for e, c in terms:
-                    row[e] += c
-                if any(row[e] for e, _ in terms):
-                    system.insert(row)
+                system.insert_terms([(base[u] + e, c) for e, c in plus] + [(base[s] + e, -c) for e, c in minus])
 
-    # reduced echelon basis of the lifted solutions, in reversed coordinates
+    # reduced echelon basis of the lifted solutions, in reversed coordinates:
+    # entry (i, j) of the block at offset k is coordinate top - at[k] - i dv - j
     shapes = [(k, W.dim(k), V.dim(k)) for k in V.offsets() if W.dim(k) and V.dim(k)]
+    at = dict(zip((k for k, _, _ in shapes), itertools.accumulate([0] + [dw * dv for _, dw, dv in shapes])))
+    top = sum(dw * dv for _, dw, dv in shapes) - 1
     ech = Echelon()
-    for sol in solution(ctx, system.pivots, system.rows, n)[1]:
+    for sol in solution(ctx, system.rows, n)[1]:
         blocks = {
             s: Mat(ctx, [sol[base[s] + i * dv : base[s] + (i + 1) * dv] for i in range(dw)])
             for s, dw, dv in shapes
             if s in runs.members
         }
         maps = RunMaps(runs, blocks).lift()
-        ech.insert([c for k, _, _ in reversed(shapes) for row in reversed(maps[k].data) for c in reversed(row)])
+        # offsets reached across X = 1 links share their representative's
+        # block object: read each block once
+        support = {
+            id(m): [(i * m.cols + j, c) for i, row in enumerate(m.data) for j, c in enumerate(row) if c]
+            for m in {id(m): m for m in maps.values()}.values()
+        }
+        ech.insert_terms([(top - at[k] - e, c) for k, _, _ in shapes for e, c in support[id(maps[k])]])
 
     basis = []
-    for vec in reversed(ech.rows):
-        vec = vec[::-1]
-        maps, at = {}, 0
-        for k, dw, dv in shapes:
-            maps[k] = Mat(ctx, [vec[at + i * dv : at + (i + 1) * dv] for i in range(dw)])
-            at += dw * dv
-        basis.append(maps)
+    for p in sorted(ech.rows, reverse=True):
+        vec = [ctx.zero] * (top + 1)
+        for e, c in ech.rows[p].items():
+            vec[top - e] = c
+        basis.append(
+            {k: Mat(ctx, [vec[at[k] + i * dv : at[k] + (i + 1) * dv] for i in range(dw)]) for k, dw, dv in shapes}
+        )
     return basis, runs
 
 

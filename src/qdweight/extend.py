@@ -13,8 +13,8 @@ The equations follow the grading.  The missing operator is one block
 instance touches exactly one block: the upward relation at k touches
 block k+1, the downward and mixed relations at k touch block k.  So
 every block is solved on its own, by feeding its instances in assembly
-order into one incremental echelon form over [row | rhs]; an instance on
-a block without unknowns is the check 0 = rhs.
+order, as terms, into one incremental echelon form over [row | rhs]; an
+instance on a block without unknowns is the check 0 = rhs.
 
 The solution set is empty, a point, or an affine space, reported as
 IMPOSSIBLE (with the first instance, in offset-major assembly order,
@@ -120,7 +120,7 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
             f"{first['relation']} fails at offset {first['offset']}"
         )
 
-    ctx, zero = V.ctx, V.ctx.zero
+    ctx = V.ctx
     rel = PRODUCTS[missing]
 
     # unknowns: entries of the missing operator, one block per source
@@ -130,14 +130,10 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
     widths = [V.dim(V.op_target(missing, k)) * V.dim(k) for k in sources]
 
     lo, hi = (None, None) if V.circular else V.window
-    instances: List[Tuple[str, int, int, List[List[Fel]], List[Fel]]] = []
+    instances: List[Tuple[str, int, int, List[List[Tuple[int, Fel]]], List[Fel]]] = []
 
     def add(rel_id: str, k: int, b: int, terms: List[List[Tuple[int, Fel]]], rhs: Mat) -> None:
-        rows = [[zero] * widths[b] for _ in terms]
-        for row, entry in zip(rows, terms):
-            for e, c in entry:
-                row[e] = c
-        instances.append((rel_id, k, b, rows, [c for row in rhs.data for c in row]))
+        instances.append((rel_id, k, b, terms, [c for row in rhs.data for c in row]))
 
     for k in V.offsets():
         dk = V.dim(k)
@@ -188,31 +184,34 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
 
 
 def solve_blocks(
-    ctx: FieldCtx, widths: Sequence[int], instances: Sequence[Tuple[int, Sequence[Sequence[Fel]], Sequence[Fel]]]
+    ctx: FieldCtx,
+    widths: Sequence[int],
+    instances: Sequence[Tuple[int, Sequence[Sequence[Tuple[int, Fel]]], Sequence[Fel]]],
 ) -> Tuple[Optional[int], Optional[List[Fel]], Optional[List[List[Fel]]]]:
     """Solve a block-diagonal linear system given as a list of instances.
 
     Block b has widths[b] unknowns, laid out block-major.  An instance
-    (b, rows, rhs) is a group of equations row . x_b = rhs on block b
-    alone, each row widths[b] long.  Returns (conflict, None, None) when
-    there is no solution, conflict being the index of the first instance
-    after which the instances so far have none; otherwise (None,
+    (b, equations, rhs) is a group of equations on block b alone, each the
+    (unknown of the block, coefficient) terms of its left side, as
+    product_terms writes them.  Returns (conflict, None, None) when there is
+    no solution, conflict being the index of the first instance after which
+    the instances so far have none; otherwise (None,
     particular, kernel): the solution with free unknowns zero and a basis
     of the homogeneous solutions, one per free unknown in order, exactly
     as the reduced echelon form of the whole system gives them.
     """
     echelons = [Echelon() for _ in widths]
-    for n, (b, rows, rhs) in enumerate(instances):
+    for n, (b, equations, rhs) in enumerate(instances):
         ech, w = echelons[b], widths[b]
-        for row, c in zip(rows, rhs):
-            ech.insert(list(row) + [c])
-        if ech.pivots and ech.pivots[-1] == w:
+        for eq, c in zip(equations, rhs):
+            ech.insert_terms(list(eq) + [(w, c)] if c else eq)
+        if w in ech.rows:
             return n, None, None  # a pivot reached the rhs column: 0 = 1
     particular: List[Fel] = []
     kernel: List[List[Fel]] = []
     zero, total, base = ctx.zero, sum(widths), 0
     for ech, w in zip(echelons, widths):
-        x, free = solution(ctx, ech.pivots, ech.rows, w, 1)
+        x, free = solution(ctx, ech.rows, w, 1)
         particular.extend(v for v, in x)
         kernel.extend([zero] * base + vec + [zero] * (total - base - w) for vec in free)
         base += w
@@ -221,10 +220,10 @@ def solve_blocks(
 
 def _conflict_json(ctx: FieldCtx, instance) -> dict:
     """Name an instance that makes the system unsolvable; show 0 = b if it holds one."""
-    rel_id, offset, _, rows, rhs = instance
+    rel_id, offset, _, equations, rhs = instance
     conflict = {"relation": rel_id, "offset": offset}
-    for row, b in zip(rows, rhs):
-        if b and not any(row):
+    for eq, b in zip(equations, rhs):
+        if b and not eq:
             # the instance is inconsistent on its own: 0 = b
             conflict["equation"] = {"lhs": ctx.show(ctx.zero), "rhs": ctx.show(b)}
             break

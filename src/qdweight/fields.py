@@ -21,8 +21,9 @@ Values, each in one canonical form:
   PRIME_FIELD     the int residue 0..p-1
   EXT_FIELD       the int c_0 + c_1 p + ... of the residue's coefficients
 
-The three characteristic-0 kinds compute on ints only; ``Fraction`` meets
-them only in ``parse``, which refuses exponent notation.  Finite fields have
+The three characteristic-0 kinds compute on ints only; ``parse`` reads a
+plain ``n`` or ``n/d`` coefficient with ``int``, hands every other text to
+``Fraction``, and refuses exponent notation.  Finite fields have
 at most MAX_FIELD_ORDER elements, each interned once, and cyclotomic orders
 are at most MAX_CYCLOTOMIC_ORDER.
 
@@ -426,11 +427,23 @@ class FieldCtx:
         return str(n) if d == 1 else f"{n}/{d}"
 
     @staticmethod
-    def _parse_fraction(text: str) -> Fraction:
+    def _parse_fraction(text: str) -> Tuple[int, int]:
+        """A rational number's text as a reduced (n, d) pair with d > 0."""
         # Fraction would expand 1e10000000 to every digit before any check
         if "e" in text or "E" in text:
             raise ValueError(f"exponent notation is not accepted: {text!r}")
-        return Fraction(text.strip())
+        text = text.strip()
+        # ASCII n or n/d, d nonzero: int and one gcd; every other text,
+        # accepted or refused, goes through Fraction
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            n, d = int(num), int(den) if slash else 1
+            if d:
+                g = gcd(n, d)
+                return n // g, d // g
+        x = Fraction(text)
+        return x.numerator, x.denominator
 
     @staticmethod
     def _parse_bracket_list(text: str) -> list:
@@ -488,8 +501,7 @@ class RationalField(FieldCtx):
         return self.el((n, 1))
 
     def _parse(self, text: str) -> Fel:
-        x = self._parse_fraction(text)
-        return self.el((x.numerator, x.denominator))
+        return self.el(self._parse_fraction(text))
 
     def show(self, a: Fel) -> str:
         return self._show_fraction(*a.val)
@@ -507,11 +519,11 @@ class RationalField(FieldCtx):
         return self.el((n // g, d // g))
 
 
-def _over_common_den(coeffs: Sequence[Fraction]) -> Tuple[IntPoly, int]:
-    """Rational coefficients as int coefficients over their least common
-    denominator."""
-    den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+def _over_common_den(coeffs: Sequence[Tuple[int, int]]) -> Tuple[IntPoly, int]:
+    """Rational coefficients, as (n, d) pairs, as int coefficients over
+    their least common denominator."""
+    den = lcm(*(d for _, d in coeffs)) if coeffs else 1
+    return tuple(n * (den // d) for n, d in coeffs), den
 
 
 class CyclotomicField(FieldCtx):
@@ -554,7 +566,7 @@ class CyclotomicField(FieldCtx):
             return (coeffs, den)
         return (tuple(c // g for c in coeffs), den // g)
 
-    def _from_fractions(self, coeffs: Sequence[Fraction]):
+    def _from_rationals(self, coeffs: Sequence[Tuple[int, int]]):
         ints, den = _over_common_den(coeffs)
         return self._canon(self._reduce(_trim(ints)), den)
 
@@ -628,9 +640,9 @@ class CyclotomicField(FieldCtx):
     def _parse(self, text: str) -> Fel:
         text = text.strip()
         if not text.startswith("["):
-            return self.el(self._from_fractions([self._parse_fraction(text)]))
+            return self.el(self._from_rationals([self._parse_fraction(text)]))
         parts = self._parse_bracket_list(text)
-        return self.el(self._from_fractions([self._parse_fraction(s) for s in parts]))
+        return self.el(self._from_rationals([self._parse_fraction(s) for s in parts]))
 
     def show(self, a: Fel) -> str:
         coeffs, den = a.val

@@ -1,62 +1,122 @@
-"""Dense exact linear algebra over a field context.
+"""Exact linear algebra over a field context.
 
 Everything downstream (relation checking, endomorphism solving, idempotent
 splitting, intertwiner search, closure spinning, extension solving) reduces
-to small dense systems, so this stays deliberately simple: one incremental
-reduced-echelon kernel, `Echelon`, with exact arithmetic and the leading
-nonzero entry of each new row as its pivot.  `Mat.rref`, and through it
-rank, nullspace, column space, image_and_kernel and solve, feed their rows
-into it; every solver writes its equations with `product_terms` and reads
-them with `solution`.  Products and scales skip zero entries of both
-factors, so a shift, diagonal or identity factor costs one field product
-per nonzero pair rather than d^3.  `Mat.scalar_value` reads c off a block
-that is c times the identity, so that a caller can scale by c, or skip an
-X = 1 link, where it would otherwise invert or multiply the block.
+to linear systems, and most of their equations touch few unknowns: an
+entry of L Z R names only the entries of Z that the nonzero entries of L
+and R reach.  So there is one elimination kernel, `Echelon`, an incremental
+reduced echelon form that keeps each row as {column: nonzero entry} and
+takes each new vector as (column, entry) terms; its work is bounded by the
+entries it touches, not by the width of the system.  Every solver writes
+its equations with `product_terms` and reads them with `solution`.  Dense
+callers (`Mat.rref`, and through it rank, nullspace, column space,
+image_and_kernel and solve) go through `terms` on the way in and `dense`
+on the way out.  Products and
+scales skip zero entries of both factors, so a shift, diagonal or identity
+factor costs one field product per nonzero pair rather than d^3.
+`Mat.scalar_value` reads c off a block that is c times the identity, so
+that a caller can scale by c, or skip an X = 1 link, where it would
+otherwise invert or multiply the block.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .fields import Fel, FieldCtx
 
 
-class Echelon:
-    """Span of equal-length vectors, kept in reduced row echelon form.
+def terms(vec: Sequence[Fel]) -> List[Tuple[int, Fel]]:
+    """The (column, entry) terms of a dense vector's nonzero entries."""
+    return [(j, c) for j, c in enumerate(vec) if c]
 
-    rows[i] has its leading 1 in column pivots[i]; pivots ascend, and every
-    pivot column is zero in the other rows.  Reduced echelon form is unique,
-    so the rows depend only on the span of what was inserted.
+
+def dense(row: Dict[int, Fel], width: int, zero: Fel) -> List[Fel]:
+    """A row {column: entry} as a list of the given width."""
+    out = [zero] * width
+    for j, c in row.items():
+        out[j] = c
+    return out
+
+
+class Echelon:
+    """Span of vectors, kept in reduced row echelon form.
+
+    rows maps each pivot to its row, a dict {column: nonzero entry} whose
+    smallest column is the pivot, with entry 1; no row holds another row's
+    pivot.  Reduced echelon form is unique, so the rows depend only on the
+    span of what was inserted, in whatever order.
     """
 
-    __slots__ = ("pivots", "rows")
+    __slots__ = ("rows", "_holders")
 
     def __init__(self):
-        self.pivots: List[int] = []
-        self.rows: List[List[Fel]] = []
+        self.rows: Dict[int, Dict[int, Fel]] = {}
+        # non-pivot column -> the pivots of the rows that hold it
+        self._holders: Dict[int, Set[int]] = {}
+
+    def insert_terms(self, vec: Sequence[Tuple[int, Fel]]) -> Optional[int]:
+        """Add the vector that is the sum of c at column j over its (j, c)
+        terms, a column possibly named more than once.  Return the pivot of
+        its new row, or None if it was already spanned."""
+        rows = self.rows
+        v = dict(vec)
+        if len(v) < len(vec):  # a column named twice: sum its entries
+            v = {}
+            for j, c in vec:
+                a = v.get(j)
+                v[j] = c if a is None else a + c
+        # a reduced row is zero at every other pivot, so subtracting it
+        # brings in no pivot: one pass over the pivots v holds clears them all
+        for p in [p for p in v if p in rows]:
+            c = v.pop(p)
+            if c:
+                m = -c
+                for j, b in rows[p].items():
+                    if j != p:
+                        a = v.get(j)
+                        v[j] = m * b if a is None else a + m * b
+        v = {j: c for j, c in v.items() if c}
+        if not v:
+            return None
+        lead = min(v)
+        c = v[lead]
+        if c != c.field.one:
+            inv = c.inverse()
+            v = {j: a * inv for j, a in v.items()}
+        holders = self._holders
+        touched = holders.pop(lead, ())
+        for j in v:
+            if j != lead:
+                holders.setdefault(j, set()).add(lead)
+        # clear the new pivot from the rows that hold it, and only those
+        for p in touched:
+            row = rows[p]
+            m = -row.pop(lead)
+            for j, b in v.items():
+                if j != lead:
+                    a = row.get(j)
+                    if a is None:
+                        row[j] = m * b
+                        holders[j].add(p)
+                    else:
+                        a = a + m * b
+                        if a:
+                            row[j] = a
+                        else:
+                            del row[j]
+                            holders[j].discard(p)
+        rows[lead] = v
+        return lead
 
     def insert(self, vec: Sequence[Fel]) -> Optional[List[Fel]]:
-        """Add a vector; return its normalized new row, or None if already spanned."""
-        # a row is zero left of its pivot, so each update starts there
-        v = list(vec)
-        for piv, row in zip(self.pivots, self.rows):
-            c = v[piv]
-            if c:
-                v[piv:] = [a - c * b if b else a for a, b in zip(v[piv:], row[piv:])]
-        lead = next((i for i, c in enumerate(v) if c), None)
-        if lead is None:
-            return None
-        inv = v[lead].inverse()
-        v[lead:] = [a * inv if a else a for a in v[lead:]]
-        for i, row in enumerate(self.rows):
-            c = row[lead]
-            if c:
-                self.rows[i] = row[:lead] + [a - c * b if b else a for a, b in zip(row[lead:], v[lead:])]
-        at = bisect(self.pivots, lead)
-        self.pivots.insert(at, lead)
-        self.rows.insert(at, v)
-        return v
+        """insert_terms for a dense vector: its new row, dense, or None."""
+        lead = self.insert_terms(terms(vec))
+        return None if lead is None else dense(self.rows[lead], len(vec), vec[lead].field.zero)
+
+    @property
+    def pivots(self) -> List[int]:
+        return sorted(self.rows)
 
     @property
     def rank(self) -> int:
@@ -64,23 +124,29 @@ class Echelon:
 
 
 def solution(
-    ctx: FieldCtx, pivots: Sequence[int], rows: Sequence[Sequence[Fel]], width: int, m: int = 0
+    ctx: FieldCtx, rows: Dict[int, Dict[int, Fel]], width: int, m: int = 0
 ) -> Optional[Tuple[List[List[Fel]], List[List[Fel]]]]:
-    """Read reduced rows [a | b], as Echelon and Mat.rref leave them, as a x = b
-    in width unknowns.  None if a pivot lies in b, else (x, kernel): x (width
-    rows of m) with every free unknown zero, and one kernel vector per free
-    unknown, in order, 1 there and 0 at the other free unknowns."""
-    if any(p >= width for p in pivots):
+    """Read reduced rows [a | b], keyed by pivot as Echelon keeps them, as
+    a x = b in width unknowns.  None if a pivot lies in b, else (x, kernel):
+    x (width rows of m) with every free unknown zero, and one kernel vector
+    per free unknown, in order, 1 there and 0 at the other free unknowns."""
+    if any(p >= width for p in rows):
         return None
-    x = [[ctx.zero] * m for _ in range(width)]
-    for p, row in zip(pivots, rows):
-        x[p] = row[width : width + m]
+    zero = ctx.zero
+    x = [[zero] * m for _ in range(width)]
+    held: Dict[int, List[Tuple[int, Fel]]] = {}  # free unknown -> (pivot, entry) of the rows holding it
+    for p, row in rows.items():
+        for j, c in row.items():
+            if j >= width:
+                x[p][j - width] = c
+            elif j != p:
+                held.setdefault(j, []).append((p, c))
     kernel = []
-    for f in sorted(set(range(width)).difference(pivots)):
-        vec = [ctx.zero] * width
+    for f in sorted(set(range(width)).difference(rows)):
+        vec = [zero] * width
         vec[f] = ctx.one
-        for p, row in zip(pivots, rows):
-            vec[p] = -row[f]
+        for p, c in held.get(f, ()):
+            vec[p] = -c
         kernel.append(vec)
     return x, kernel
 
@@ -118,28 +184,31 @@ class Mat:
         else:
             self.cols = cols if cols is not None else 0
 
+    @classmethod
+    def _of(cls, ctx: FieldCtx, data: List[List[Fel]], cols: int) -> "Mat":
+        """A matrix over rows made for it alone: kept as they are, unchecked."""
+        m = cls.__new__(cls)
+        m.ctx, m.data, m.rows, m.cols = ctx, data, len(data), cols
+        return m
+
     # construction helpers
 
     @staticmethod
     def zeros(ctx: FieldCtx, rows: int, cols: int) -> "Mat":
-        return Mat(ctx, [[ctx.zero] * cols for _ in range(rows)], cols=cols)
+        return Mat._of(ctx, [[ctx.zero] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def scalar(ctx: FieldCtx, n: int, c: Fel) -> "Mat":
         """c times the n x n identity."""
-        return Mat(ctx, [[c if i == j else ctx.zero for j in range(n)] for i in range(n)], cols=n)
+        return Mat._of(ctx, [[c if i == j else ctx.zero for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def identity(ctx: FieldCtx, n: int) -> "Mat":
         return Mat.scalar(ctx, n, ctx.one)
 
     @staticmethod
-    def from_ints(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> "Mat":
-        return Mat(ctx, [[ctx.from_int(v) for v in row] for row in rows])
-
-    @staticmethod
     def column(ctx: FieldCtx, entries: Sequence[Fel]) -> "Mat":
-        return Mat(ctx, [[e] for e in entries], cols=1)
+        return Mat._of(ctx, [[e] for e in entries], 1)
 
     # basic algebra
 
@@ -154,20 +223,17 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Mat(
+        return Mat._of(
             self.ctx,
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-            cols=self.cols,
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
+            self.cols,
         )
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + other.scale(-self.ctx.one)
 
     def scale(self, c: Fel) -> "Mat":
-        return Mat(self.ctx, [[v * c if v else v for v in row] for row in self.data], cols=self.cols)
+        return Mat._of(self.ctx, [[v * c if v else v for v in row] for row in self.data], self.cols)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -185,7 +251,7 @@ class Mat:
                         acc = row[j]
                         row[j] = acc + c * b if acc else c * b
             out.append(row)
-        return Mat(self.ctx, out, cols=other.cols)
+        return Mat._of(self.ctx, out, other.cols)
 
     def pow(self, n: int) -> "Mat":
         if self.rows != self.cols:
@@ -200,20 +266,13 @@ class Mat:
         return acc
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.ctx,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        cols = [list(col) for col in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)]
+        return Mat._of(self.ctx, cols, self.rows)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Mat(
-            self.ctx,
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-            cols=self.cols + other.cols,
-        )
+        return Mat._of(self.ctx, [a + b for a, b in zip(self.data, other.data)], self.cols + other.cols)
 
     def col(self, j: int) -> List[Fel]:
         return [self.data[i][j] for i in range(self.rows)]
@@ -247,20 +306,29 @@ class Mat:
         """Reduced row echelon form and the pivot column indices."""
         ech = Echelon()
         for row in self.data:
-            ech.insert(row)
-        zeros = [[self.ctx.zero] * self.cols for _ in range(self.rows - ech.rank)]
-        return Mat(self.ctx, ech.rows + zeros, cols=self.cols), list(ech.pivots)
+            ech.insert_terms(terms(row))
+        pivots, zero = ech.pivots, self.ctx.zero
+        rows = [dense(ech.rows[p], self.cols, zero) for p in pivots]
+        rows += [[zero] * self.cols for _ in range(self.rows - ech.rank)]
+        return Mat._of(self.ctx, rows, self.cols), pivots
+
+    def _reduced_rows(self) -> Dict[int, Dict[int, Fel]]:
+        """The rows of rref(), keyed by pivot as Echelon keeps them, for solution.
+
+        Every elimination of a Mat goes through rref, the one name a caller
+        timing this layer needs to wrap."""
+        red, pivots = self.rref()
+        return {p: dict(terms(row)) for p, row in zip(pivots, red.data)}
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def _columns(self, js: List[int]) -> "Mat":
-        return Mat(self.ctx, [[row[j] for j in js] for row in self.data], cols=len(js))
+        return Mat._of(self.ctx, [[row[j] for j in js] for row in self.data], len(js))
 
     def nullspace(self) -> List["Mat"]:
         """Basis of the right kernel, as column vectors."""
-        red, pivots = self.rref()
-        return [Mat.column(self.ctx, v) for v in solution(self.ctx, pivots, red.data, self.cols)[1]]
+        return [Mat.column(self.ctx, v) for v in solution(self.ctx, self._reduced_rows(), self.cols)[1]]
 
     def column_space(self) -> "Mat":
         """A matrix whose columns are a basis of the column space."""
@@ -268,9 +336,9 @@ class Mat:
 
     def image_and_kernel(self) -> Tuple["Mat", "Mat"]:
         """column_space() and a matrix whose columns are nullspace(), from one elimination."""
-        red, pivots = self.rref()
-        kernel = Mat(self.ctx, solution(self.ctx, pivots, red.data, self.cols)[1], cols=self.cols).transpose()
-        return self._columns(pivots), kernel
+        rows = self._reduced_rows()
+        kernel = Mat._of(self.ctx, solution(self.ctx, rows, self.cols)[1], self.cols).transpose()
+        return self._columns(sorted(rows)), kernel
 
     def solve(self, rhs: "Mat") -> Optional["Mat"]:
         """One exact solution X of self * X = rhs, or None if inconsistent.
@@ -279,9 +347,8 @@ class Mat:
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs row mismatch")
-        red, pivots = self.hstack(rhs).rref()
-        sol = solution(self.ctx, pivots, red.data, self.cols, rhs.cols)
-        return None if sol is None else Mat(self.ctx, sol[0], cols=rhs.cols)
+        sol = solution(self.ctx, self.hstack(rhs)._reduced_rows(), self.cols, rhs.cols)
+        return None if sol is None else Mat._of(self.ctx, sol[0], rhs.cols)
 
     def inverse(self) -> Optional["Mat"]:
         if self.rows != self.cols:
@@ -313,7 +380,7 @@ def _from_json(ctx: FieldCtx, data: list, rows: int, cols: int, parse: Callable[
         raise ValueError("a matrix must be a list of rows, each a list of entries")
     if len(data) != rows or any(len(row) != cols for row in data):
         raise ValueError(f"matrix shape mismatch: expected {rows}x{cols}")
-    return Mat(ctx, [[parse(v) for v in row] for row in data], cols=cols)
+    return Mat._of(ctx, [[parse(v) for v in row] for row in data], cols)
 
 
 def fitting_power(m: Mat) -> Mat:

@@ -357,13 +357,18 @@ def random_instances(ctx, rng, widths, count):
     return out
 
 
+def as_terms(instances):
+    """Instances with dense rows as solve_blocks takes them: each row its nonzero (unknown, coefficient) terms."""
+    return [(b, [[(j, c) for j, c in enumerate(row) if c] for row in rows], rhs) for b, rows, rhs in instances]
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_solve_blocks_matches_whole_system(seed):
     rng = random.Random(seed)
     ctx = (F3, F9)[seed % 2]
     widths = [rng.choice([0, 1, 2, 3, 4]) for _ in range(rng.randint(1, 4))]
     instances = random_instances(ctx, rng, widths, rng.randint(0, 8))
-    conflict, particular, kernel = solve_blocks(ctx, widths, instances)
+    conflict, particular, kernel = solve_blocks(ctx, widths, as_terms(instances))
     assert conflict == prefix_oracle(ctx, widths, instances)
     if conflict is None:
         assert (particular, kernel) == global_solution(ctx, widths, instances)
@@ -377,17 +382,17 @@ def test_solve_blocks_reports_the_earliest_conflict_even_in_a_higher_block():
         (0, [[one]], [one]),  # block 0: x0 = 1
         (0, [[two]], [one]),  # block 0: 2 x0 = 1, inconsistent later
     ]
-    assert solve_blocks(F3, [1, 1], instances) == (1, None, None)
+    assert solve_blocks(F3, [1, 1], as_terms(instances)) == (1, None, None)
     assert prefix_oracle(F3, [1, 1], instances) == 1
     # without the block-1 clash, the block-0 one is the first
-    assert solve_blocks(F3, [1, 1], instances[:1] + instances[2:])[0] == 2
+    assert solve_blocks(F3, [1, 1], as_terms(instances[:1] + instances[2:]))[0] == 2
 
 
 def test_solve_blocks_zero_width_block_checks_its_rhs():
     one, zero = F3.one, F3.zero
     fine = (0, [[one, zero]], [one])
-    assert solve_blocks(F3, [2, 0], [fine, (1, [[]], [zero])]) == (None, [one, zero], [[zero, one]])
-    assert solve_blocks(F3, [2, 0], [fine, (1, [[]], [one])]) == (1, None, None)
+    assert solve_blocks(F3, [2, 0], as_terms([fine, (1, [[]], [zero])])) == (None, [one, zero], [[zero, one]])
+    assert solve_blocks(F3, [2, 0], as_terms([fine, (1, [[]], [one])])) == (1, None, None)
     assert prefix_oracle(F3, [2, 0], [fine, (1, [[]], [one])]) == 1
 
 

@@ -856,7 +856,7 @@ def euclid_inverse(ctx, a):
         s0, s1 = s1, _padd(s0, tuple(-c for c in _pmul(quot, s1)))
     assert len(r0) == 1  # gcd is a unit: the modulus is irreducible
     scale = den / r0[0]
-    return ctx._from_fractions([c * scale for c in s0])
+    return ctx._from_rationals([((c * scale).numerator, (c * scale).denominator) for c in s0])
 
 
 @pytest.mark.parametrize("n", range(1, 37))
@@ -994,3 +994,67 @@ def test_division_by_zero_stays_zero_division_error(spec):
     for compute in (ctx.zero.inverse, lambda: ctx.one / ctx.zero, lambda: ctx.zero**-1, lambda: ctx.q / 0):
         with pytest.raises(ZeroDivisionError):
             compute()
+
+
+# plain n and n/d coefficients are read with int and one gcd; every text must
+# parse to the same value, or fail with the same error, as through Fraction
+
+
+def fraction_path(text):
+    """FieldCtx._parse_fraction as it was: every text through Fraction."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
+    x = Fraction(text.strip())
+    return x.numerator, x.denominator
+
+
+PARSE_CORPUS = [
+    "0", "-0", "+0", "7", "+7", "-7", "007", "-6/8", " -6/8 ", "\t10/4\n", "0/5", "-0/3",
+    "12345678901234567890/98765432109876543210", "1/1", "-1/-1", "6/-8", "3/0", " -3/0 ", "3/0000",
+    "1_0", "1_000/2_0", "٣", "٣/٤", "３", "½", "²", "−3",
+    "1.5", "-.5", ".5", "5.", "1e5", "1E5", "0x1", "inf", "nan",
+    "", " ", "+", "-", "/", "3/", "/4", "3 / 4", "3/4/5", "++3", "+-3", "--3", "1 2", "abc",
+    "-" + "9" * 4301, "1/" + "7" * 4400, "0" * 4300 + "1",
+    "[1/2,-6/8]", "[ ٣ , 1_0 ]", "[1.5, 3/0]", "[0x1]", "[]", "[7]",
+    "[1/2]|[3/4]", "5|[1,1/2]", "[1]|[-6/8, 2]", "[1]|[0/3]",
+]
+
+
+def parse_outcome(ctx, text):
+    try:
+        return ctx.show(ctx.parse(text))
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "spec", [RATIONAL_Q2, FieldSpec(kind="CYCLOTOMIC", n=5), FieldSpec(kind="FUNCTION_FIELD")], ids=char0_id
+)
+def test_parse_fast_path_matches_the_fraction_path(spec, monkeypatch):
+    ctx = make_field(spec)
+    got = [parse_outcome(ctx, text) for text in PARSE_CORPUS]
+    monkeypatch.setattr(fields_module.FieldCtx, "_parse_fraction", staticmethod(fraction_path))
+    want = [parse_outcome(ctx, text) for text in PARSE_CORPUS]
+    assert got == want
+    # the corpus reaches both outcomes, and the texts named as accepted or refused are
+    assert sum(isinstance(w, str) for w in want) >= 15 and sum(isinstance(w, tuple) for w in want) >= 15
+    outcome = dict(zip(PARSE_CORPUS, got))
+    for text in ("٣", "1_0", "1.5", " -6/8 "):
+        assert isinstance(outcome[text], str)
+    for text in ("0x1", "1e5", "3/0"):
+        assert outcome[text][0] is ValueError
+
+
+def test_parse_fast_path_skips_fraction(monkeypatch):
+    made = []
+    real = fields_module.Fraction
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fields_module, "Fraction", counting)
+    ctx = make_field(RATIONAL_Q2)
+    assert [ctx.show(ctx.parse(t)) for t in ("7", "-6/8", " +10/4 ", "0/5")] == ["7", "-3/4", "5/2", "0"]
+    assert made == []
+    assert ctx.show(ctx.parse("1.5")) == "3/2" and made == [("1.5",)]

@@ -1,13 +1,14 @@
 """Exact linear algebra tests."""
 
+import bisect
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdweight.fields import FieldCtx, FieldSpec, make_field
-from qdweight.linalg import Echelon, Mat, fitting_power, product_terms, solution
+from qdweight.fields import Fel, FieldCtx, FieldSpec, make_field
+from qdweight.linalg import Echelon, Mat, dense, fitting_power, product_terms, solution
 
 QQ = make_field(FieldSpec(kind="RATIONAL", q="2"))
 F9 = make_field(FieldSpec(kind="EXT_FIELD", p=3, f=[1, 0, 1], q="[0,1]"))
@@ -28,17 +29,22 @@ def mat_strategy(ctx, max_dim=4):
     ).map(build)
 
 
+def ints(ctx, rows):
+    """A matrix from rows of ints."""
+    return Mat(ctx, [[ctx.from_int(v) for v in row] for row in rows])
+
+
 # oracle cases
 
 
 def test_identity_multiplication():
-    a = Mat.from_ints(QQ, [[1, 2], [3, 4]])
+    a = ints(QQ, [[1, 2], [3, 4]])
     assert Mat.identity(QQ, 2) * a == a
     assert a * Mat.identity(QQ, 2) == a
 
 
 def test_known_inverse():
-    a = Mat.from_ints(QQ, [[1, 2], [3, 4]])
+    a = ints(QQ, [[1, 2], [3, 4]])
     inv = a.inverse()
     # det = -2, inverse = [[-2, 1], [3/2, -1/2]]
     assert inv.data[0][0] == QQ.from_int(-2)
@@ -48,14 +54,14 @@ def test_known_inverse():
 
 
 def test_singular_has_no_inverse():
-    a = Mat.from_ints(QQ, [[1, 2], [2, 4]])
+    a = ints(QQ, [[1, 2], [2, 4]])
     assert a.inverse() is None
     assert not a.is_invertible()
     assert a.rank() == 1
 
 
 def test_nullspace_known():
-    a = Mat.from_ints(QQ, [[1, 2], [2, 4]])
+    a = ints(QQ, [[1, 2], [2, 4]])
     ns = a.nullspace()
     assert len(ns) == 1
     # kernel spanned by (-2, 1)
@@ -64,14 +70,14 @@ def test_nullspace_known():
 
 
 def test_solve_inconsistent():
-    a = Mat.from_ints(QQ, [[1, 1], [1, 1]])
-    b = Mat.from_ints(QQ, [[1], [2]])
+    a = ints(QQ, [[1, 1], [1, 1]])
+    b = ints(QQ, [[1], [2]])
     assert a.solve(b) is None
 
 
 def test_solve_underdetermined():
-    a = Mat.from_ints(QQ, [[1, 1]])
-    b = Mat.from_ints(QQ, [[5]])
+    a = ints(QQ, [[1, 1]])
+    b = ints(QQ, [[5]])
     x = a.solve(b)
     assert a * x == b
 
@@ -84,7 +90,7 @@ def test_finite_field_inverse():
 
 def test_fitting_power_splits():
     # nilpotent block plus invertible block
-    a = Mat.from_ints(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 2]])
+    a = ints(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 2]])
     p = fitting_power(a)
     ker = p.nullspace()
     img = p.column_space()
@@ -97,7 +103,7 @@ def test_fitting_power_splits():
 
 
 def test_image_and_kernel_match_column_space_and_nullspace():
-    a = Mat.from_ints(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    a = ints(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     image, kernel = a.image_and_kernel()
     assert image == a.column_space()
     assert [kernel.col(j) for j in range(kernel.cols)] == [v.col(0) for v in a.nullspace()]
@@ -122,8 +128,8 @@ def test_ragged_rejected():
 
 
 def test_shape_mismatch_rejected():
-    a = Mat.from_ints(QQ, [[1, 2]])
-    b = Mat.from_ints(QQ, [[1, 2]])
+    a = ints(QQ, [[1, 2]])
+    b = ints(QQ, [[1, 2]])
     with pytest.raises(ValueError):
         a * b
     with pytest.raises(ValueError):
@@ -193,8 +199,8 @@ def test_inverse_round_trip(ctx):
 
 
 def test_transpose_involution_and_product():
-    a = Mat.from_ints(QQ, [[1, 2, 3], [4, 5, 6]])
-    b = Mat.from_ints(QQ, [[1, 0], [0, 1], [1, 1]])
+    a = ints(QQ, [[1, 2, 3], [4, 5, 6]])
+    b = ints(QQ, [[1, 0], [0, 1], [1, 1]])
     assert a.transpose().transpose() == a
     assert (a * b).transpose() == b.transpose() * a.transpose()
 
@@ -324,8 +330,9 @@ def solve_reader(ctx, red, pivots, n, m):
 
 
 def block_reader(ctx, ech, w):
-    """The reader of extend.solve_blocks as it was, for one block."""
-    value = dict(zip(ech.pivots, (row[w] for row in ech.rows)))
+    """The reader of extend.solve_blocks as it was, for one block, each
+    row {column: entry} read with zero at the columns it does not hold."""
+    value = {p: row.get(w, ctx.zero) for p, row in ech.rows.items()}
     particular = [value.get(j, ctx.zero) for j in range(w)]
     kernel = []
     for f in range(w):
@@ -333,10 +340,15 @@ def block_reader(ctx, ech, w):
             continue
         vec = [ctx.zero] * w
         vec[f] = ctx.one
-        for p, row in zip(ech.pivots, ech.rows):
-            vec[p] = -row[f]
+        for p, row in ech.rows.items():
+            vec[p] = -row.get(f, ctx.zero)
         kernel.append(vec)
     return particular, kernel
+
+
+def sparse_rows(red, pivots):
+    """The nonzero rows of a reduced Mat, {pivot: {column: entry}} as Echelon keeps them."""
+    return {p: {j: c for j, c in enumerate(red.data[r]) if c} for r, p in enumerate(pivots)}
 
 
 def random_system(ctx, rng, rows, width, m, consistent):
@@ -360,7 +372,7 @@ def test_solution_matches_the_readers_it_replaced(name, seed):
             for consistent in (True, False):
                 a, b = random_system(ctx, rng, rows, width, m, consistent)
                 red, pivots = a.hstack(b).rref()
-                got = solution(ctx, pivots, red.data, width, m)
+                got = solution(ctx, sparse_rows(red, pivots), width, m)
                 want = solve_reader(ctx, red, pivots, width, m)
                 if want is None:
                     assert got is None
@@ -379,18 +391,18 @@ def test_solution_matches_the_readers_it_replaced(name, seed):
                     for row, c in zip(a.data, b.data):
                         ech.insert(row + c)
                     particular, free = block_reader(ctx, ech, width)
-                    x1, kernel1 = solution(ctx, ech.pivots, ech.rows, width, 1)
+                    x1, kernel1 = solution(ctx, ech.rows, width, 1)
                     assert [v for v, in x1] == particular and kernel1 == free
     assert seen_none and seen_free
 
 
 def test_solution_of_zero_width_blocks():
     zero, one = F3.zero, F3.one
-    assert solution(F3, [], [], 0) == ([], [])
-    assert solution(F3, [], [], 0, 2) == ([], [])
-    assert solution(F3, [0], [[one, zero]], 0, 2) is None
+    assert solution(F3, {}, 0) == ([], [])
+    assert solution(F3, {}, 0, 2) == ([], [])
+    assert solution(F3, {0: {0: one}}, 0, 2) is None
     # no equations at all: x = 0 and every unknown free
-    assert solution(F3, [], [], 2, 1) == ([[zero], [zero]], [[one, zero], [zero, one]])
+    assert solution(F3, {}, 2, 1) == ([[zero], [zero]], [[one, zero], [zero, one]])
 
 
 def flat_product(left, z, right):
@@ -429,3 +441,143 @@ def test_product_terms_match_mat_products(name, sides):
             vec_z = flat_product(None, z, None)
             applied = [sum((coef * vec_z[e] for e, coef in entry), ctx.zero) for entry in terms]
             assert applied == flat_product(left, z, right)
+
+
+# the sparse kernel against the dense one it replaced
+
+
+class DenseEchelon:
+    """Echelon as it was: dense rows in pivot order, scanned in full."""
+
+    def __init__(self):
+        self.pivots = []
+        self.rows = []
+
+    def insert(self, vec):
+        v = list(vec)
+        for piv, row in zip(self.pivots, self.rows):
+            c = v[piv]
+            if c:
+                v[piv:] = [a - c * b if b else a for a, b in zip(v[piv:], row[piv:])]
+        lead = next((i for i, c in enumerate(v) if c), None)
+        if lead is None:
+            return None
+        inv = v[lead].inverse()
+        v[lead:] = [a * inv if a else a for a in v[lead:]]
+        for i, row in enumerate(self.rows):
+            c = row[lead]
+            if c:
+                self.rows[i] = row[:lead] + [a - c * b if b else a for a, b in zip(row[lead:], v[lead:])]
+        at = bisect.bisect(self.pivots, lead)
+        self.pivots.insert(at, lead)
+        self.rows.insert(at, v)
+        return v
+
+
+def dense_solution(ctx, pivots, rows, width, m=0):
+    """linalg.solution as it was, reading dense rows in pivot order."""
+    if any(p >= width for p in pivots):
+        return None
+    x = [[ctx.zero] * m for _ in range(width)]
+    for p, row in zip(pivots, rows):
+        x[p] = row[width : width + m]
+    kernel = []
+    for f in sorted(set(range(width)).difference(pivots)):
+        vec = [ctx.zero] * width
+        vec[f] = ctx.one
+        for p, row in zip(pivots, rows):
+            vec[p] = -row[f]
+        kernel.append(vec)
+    return x, kernel
+
+
+def split_terms(ctx, rng, vec):
+    """Shuffled terms summing to vec: some columns named twice, some of
+    them zero columns named twice with entries that cancel."""
+    out = []
+    for j, c in enumerate(vec):
+        if rng.random() < 0.3:
+            a = ctx.random_element(rng)
+            out += [(j, a), (j, c - a)]
+        elif c:
+            out.append((j, c))
+    rng.shuffle(out)
+    return out
+
+
+def random_rows(ctx, rng, count, width, density):
+    rows = [[ctx.random_element(rng) if rng.random() < density else ctx.zero for _ in range(width)] for _ in range(count)]
+    for i in range(1, count):
+        pick = rng.random()
+        if pick < 0.15:
+            rows[i] = list(rows[rng.randrange(i)])  # a repeated row
+        elif pick < 0.25:
+            rows[i] = [ctx.zero] * width  # a zero row
+        elif pick < 0.35:
+            # a combination of two earlier rows, so it is spanned
+            a, b = rows[rng.randrange(i)], rows[rng.randrange(i)]
+            s = ctx.random_element(rng)
+            rows[i] = [x + s * y for x, y in zip(a, b)]
+    return rows
+
+
+@pytest.mark.parametrize("density", [0, 0.1, 0.5, 1])
+@pytest.mark.parametrize("kind", sorted(KERNEL_FIELDS))
+def test_echelon_matches_the_dense_kernel(kind, density):
+    ctx = KERNEL_FIELDS[kind]
+    rng = random.Random(f"echelon/{kind}/{density}")
+    # over Q(t) the degrees grow with every elimination step: fewer rows there
+    most = 3 if kind == "FUNCTION_FIELD" else 9
+    for width in range(61):
+        rows = random_rows(ctx, rng, rng.randint(0, min(most, width + 2)), width, density)
+        old, by_terms, by_rows = DenseEchelon(), Echelon(), Echelon()
+        for row in rows:
+            want = old.insert(row)
+            lead = by_terms.insert_terms(split_terms(ctx, rng, row))
+            assert (None if lead is None else dense(by_terms.rows[lead], width, ctx.zero)) == want
+            assert by_rows.insert(row) == want
+        for ech in (by_terms, by_rows):
+            assert ech.pivots == old.pivots and ech.rank == len(old.rows)
+            assert [dense(ech.rows[p], width, ctx.zero) for p in ech.pivots] == old.rows
+            # no stored entry is zero, and each row has its pivot's 1 first
+            assert all(c for row in ech.rows.values() for c in row.values())
+            assert all(min(row) == p and row[p] == ctx.one for p, row in ech.rows.items())
+            for m in {0, min(2, width)}:
+                assert solution(ctx, ech.rows, width - m, m) == dense_solution(ctx, old.pivots, old.rows, width - m, m)
+
+
+def test_echelon_work_is_bounded_by_the_terms_touched(monkeypatch):
+    ctx = KERNEL_FIELDS["PRIME_FIELD"]
+    one, two, three = ctx.one, ctx.from_int(2), ctx.from_int(3)
+    width = 100_000
+    ech = Echelon()
+    for terms in ([(0, one), (width - 1, two)], [(1, three), (width // 2, one)], [(7, one), (width - 2, three)]):
+        ech.insert_terms(terms)
+    calls = []
+    for name in ("add", "neg", "mul", "inv"):
+        op = getattr(FieldCtx, name)
+        monkeypatch.setattr(FieldCtx, name, lambda self, *args, op=op: calls.append(1) or op(self, *args))
+    truth = Fel.__bool__
+    monkeypatch.setattr(Fel, "__bool__", lambda self: calls.append(1) or truth(self))
+    # reduced by rows 0 and 1, new pivot width // 2, which row 1 held
+    lead = ech.insert_terms([(0, two), (1, one), (77_777, three)])
+    monkeypatch.undo()
+    assert lead == width // 2 and ech.rank == 4
+    assert sorted(ech.rows[1]) == [1, 77_777, width - 1]
+    assert len(calls) <= 40
+
+
+def test_chain_alt_m32_end_makes_few_zero_tests(monkeypatch):
+    from qdweight.analyze import endomorphisms
+    from qdweight.families import construct_family
+
+    ctx = make_field(FieldSpec(kind="PRIME_FIELD", p=7, q="2"))
+    V = construct_family({"name": "CHAIN_ALT", "params": {"m": 32, "a": ["1"] * 32}}, ctx)
+    calls = []
+    truth = Fel.__bool__
+    monkeypatch.setattr(Fel, "__bool__", lambda self: calls.append(1) or truth(self))
+    end = endomorphisms(V, "D")
+    monkeypatch.undo()
+    assert end.dim == 16
+    # 41,184 when recorded; the dense kernel made about 5.3 million
+    assert len(calls) < 60_000
