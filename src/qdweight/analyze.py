@@ -556,7 +556,7 @@ def _graded_hom_basis(
     ech = Echelon()
     for sol in solution(ctx, system.rows, n)[1]:
         blocks = {
-            s: Mat(ctx, [sol[base[s] + i * dv : base[s] + (i + 1) * dv] for i in range(dw)])
+            s: Mat._of(ctx, [sol[base[s] + i * dv : base[s] + (i + 1) * dv] for i in range(dw)], dv)
             for s, dw, dv in shapes
             if s in runs.members
         }
@@ -575,7 +575,10 @@ def _graded_hom_basis(
         for e, c in ech.rows[p].items():
             vec[top - e] = c
         basis.append(
-            {k: Mat(ctx, [vec[at[k] + i * dv : at[k] + (i + 1) * dv] for i in range(dw)]) for k, dw, dv in shapes}
+            {
+                k: Mat._of(ctx, [vec[at[k] + i * dv : at[k] + (i + 1) * dv] for i in range(dw)], dv)
+                for k, dw, dv in shapes
+            }
         )
     return basis, runs
 

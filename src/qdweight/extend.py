@@ -166,7 +166,7 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
         for k, w in zip(sources, widths):
             dk = V.dim(k)
             if w:
-                maps[k] = Mat(ctx, [vec[base + i * dk : base + (i + 1) * dk] for i in range(w // dk)])
+                maps[k] = Mat._of(ctx, [vec[base + i * dk : base + (i + 1) * dk] for i in range(w // dk)], dk)
             base += w
         return maps
 

@@ -1,21 +1,28 @@
 """Mechanical relation checking, and the polynomial-operator realization.
 
-check_relations computes both sides of every defining relation as exact
-matrices, offset by offset.  The product relations and the mixed relation
-come from D's relation table, basering.PRODUCTS, one pair per lowering operator
-of the algebra; each lowering operator also brings its two twist laws, and
-X's two close the list.  A twist law M c1 = c2 M (an operator M moved
-past tau or sigma) is decided on its scalars first: it holds outright when
-c1 = c2, and only otherwise are both scaled matrices built and compared.
-On windowed modules a relation instance is skipped exactly when one of its
-operator applications would leave the window; everything else, including
-zero-dimensional spaces inside the window, is checked.
+check_relations decides every defining relation offset by offset.  The
+product relations and the mixed relation come from D's relation table,
+basering.PRODUCTS, one pair per lowering operator of the algebra; each
+lowering operator also brings its two twist laws, and X's two close the
+list.  On windowed modules a relation instance is skipped exactly when one
+of its operator applications would leave the window; everything else,
+including zero-dimensional spaces inside the window, is checked.
+
+Each scalar is evaluated once per offset and call: tau and sigma at k,
+their images a + 1 and q b under alpha^-1, which X's twist laws at k and
+those of Y and Y1 at k + 1 read, and the PRODUCTS scalars, which the
+mixed relation shares.  This is exact: X's laws hold on scalars when
+a_k + 1 = a_{k+1} and q b_k = b_{k+1}, in a field the same tests as
+a_k = a_{k+1} - 1 and b_k = b_{k+1} / q.  A twist law M c1 = c2 M holds
+when c1 = c2; a product or mixed relation on two c 1 blocks is decided on
+the entries, (c 1)(c' 1) = c c' 1, and any other product is compared with
+c 1 by Mat.scalar_value.  Only a violation builds the sides not yet built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .basering import MIXED_ID, PRODUCTS
 from .fields import Fel, FieldCtx
@@ -68,37 +75,81 @@ def check_relations(V: WeightModule, algebra) -> RelationReport:
     def dn(k: int) -> int:
         return V.op_target("Y", k)
 
-    tau, sigma = V.tau_scalar, V.sigma_scalar
+    # tau and sigma at every offset, their images a + 1 and q b under
+    # alpha^-1 where X starts, and the PRODUCTS scalars on first use: each
+    # evaluated once in this call
+    point = {k: (V.tau_scalar(k), V.sigma_scalar(k)) for k in V.offsets()}
+    raised = {k: (point[k][0] + one, q * point[k][1]) for k in V.op_sources("X")}
+    values: Dict[tuple, Fel] = {}
 
-    def scaled_id(f, k: int) -> Mat:
-        return Mat.scalar(ctx, V.dim(k), V.scalar(f, k))
+    def value(f, k: int) -> Fel:
+        key = (f, k)
+        v = values.get(key)
+        if v is None:
+            v = values[key] = f(ctx, *point[k])
+        return v
 
-    # each relation: (id, direction, twist, build).  A product relation
-    # builds k -> (computed, expected); a twist law M c1 = c2 M builds
-    # k -> (M, c1, c2) and scales M only when c1 != c2.
-    def lowering(T: str) -> List[Tuple[str, str, bool, Callable[[int], tuple]]]:
-        # T X and X T from the table, and the laws moving T past tau and sigma
+    def product(A: Mat, B: Mat, f, k: int) -> Optional[Tuple[Mat, Mat]]:
+        # A B = f(k) 1 on V_k, decided on the entries when A and B are c 1
+        n = V.dim(k)
+        if not n:
+            return None
+        a, b = A.scalar_value(), B.scalar_value()
+        P = None if a is not None and b is not None else A * B
+        s = a * b if P is None else P.scalar_value()
+        if s is not None and s == value(f, k):
+            return None
+        return A * B if P is None else P, Mat.scalar(ctx, n, value(f, k))
+
+    def twist(M: Mat, c1: Fel, c2: Fel) -> Optional[Tuple[Mat, Mat]]:
+        # M c1 = c2 M, scaled only when c1 != c2
+        return None if c1 == c2 else (M.scale(c1), M.scale(c2))
+
+    # each relation: (id, direction, check), check(k) giving None when the
+    # relation holds at k and else its two sides
+    def lowering(T: str) -> List[Tuple[str, str, Callable[[int], Optional[Tuple[Mat, Mat]]]]]:
+        # T X and X T from the table, and the laws T f = alpha^-1(f) T for
+        # f = tau, sigma, whose right side is read one offset down
         rel = PRODUCTS[T]
+
+        def law(i: int) -> Callable[[int], Optional[Tuple[Mat, Mat]]]:
+            return lambda k: twist(V.op(T, k), point[k][i], raised[dn(k)][i])
+
         return [
-            (rel.tx_id, UP, False, lambda k: (V.op(T, up(k)) * V.op("X", k), scaled_id(rel.tx, k))),
-            (rel.xt_id, DOWN, False, lambda k: (V.op("X", dn(k)) * V.op(T, k), scaled_id(rel.xt, k))),
-            (f"{T}tau=alphainv(tau){T}", DOWN, True, lambda k: (V.op(T, k), tau(k), tau(dn(k)) + one)),
-            (f"{T}sigma=alphainv(sigma){T}", DOWN, True, lambda k: (V.op(T, k), sigma(k), q * sigma(dn(k)))),
+            (rel.tx_id, UP, lambda k: product(V.op(T, up(k)), V.op("X", k), rel.tx, k)),
+            (rel.xt_id, DOWN, lambda k: product(V.op("X", dn(k)), V.op(T, k), rel.xt, k)),
+            (f"{T}tau=alphainv(tau){T}", DOWN, law(0)),
+            (f"{T}sigma=alphainv(sigma){T}", DOWN, law(1)),
         ]
 
     lowered = [T for T in op_names_for(algebra) if T in PRODUCTS]
     rels = [r for T in lowered for r in lowering(T)]
     if len(lowered) == 2:
         # the mixed relation Y1 (X Y) = Y (X Y1)
-        def mixed(k: int) -> Tuple[Mat, Mat]:
-            xy, xy1 = V.scalar(PRODUCTS["Y"].xt, k), V.scalar(PRODUCTS["Y1"].xt, k)
-            return V.op("Y1", k).scale(xy), V.op("Y", k).scale(xy1)
+        def mixed(k: int) -> Optional[Tuple[Mat, Mat]]:
+            A, B = V.op("Y1", k), V.op("Y", k)
+            xy, xy1 = value(PRODUCTS["Y"].xt, k), value(PRODUCTS["Y1"].xt, k)
+            a, b = A.scalar_value(), B.scalar_value()
+            if a is not None and b is not None and a * xy == b * xy1:
+                return None
+            return A.scale(xy), B.scale(xy1)
 
-        rels.append((MIXED_ID, DOWN, False, mixed))
-    # X-twisting laws close the list for every algebra
+        rels.append((MIXED_ID, DOWN, mixed))
+
+    # X's laws X f = alpha(f) X close the list for every algebra; the right
+    # side is read one offset up, and the scalars are tested as
+    # alpha^-1(f) at k against f one offset up
+    def x_law(i: int, alpha: Callable[[Fel], Fel]) -> Callable[[int], Optional[Tuple[Mat, Mat]]]:
+        def check(k: int) -> Optional[Tuple[Mat, Mat]]:
+            if raised[k][i] == point[up(k)][i]:
+                return None
+            return twist(V.op("X", k), point[k][i], alpha(point[up(k)][i]))
+
+        return check
+
     rels += [
-        ("Xtau=alpha(tau)X", UP, True, lambda k: (V.op("X", k), tau(k), tau(up(k)) - one)),
-        ("Xsigma=alpha(sigma)X", UP, True, lambda k: (V.op("X", k), sigma(k), sigma(up(k)) / q)),
+        ("Xtau=alpha(tau)X", UP, x_law(0, lambda c: c - one)),
+        ("Xsigma=alpha(sigma)X", UP, x_law(1, lambda c: c / q)),
     ]
 
     report = RelationReport(subject=algebra.value)
@@ -106,7 +157,7 @@ def check_relations(V: WeightModule, algebra) -> RelationReport:
     lo, hi = (None, None) if V.circular else V.window
     rels.sort(key=lambda r: r[0])
     for k in offsets:
-        for rel_id, direction, is_twist, build in rels:
+        for rel_id, direction, check in rels:
             if not V.circular:
                 if direction == UP and k == hi:
                     report.skipped.append({"relation": rel_id, "offset": k, "reason": "window-edge"})
@@ -115,13 +166,10 @@ def check_relations(V: WeightModule, algebra) -> RelationReport:
                     report.skipped.append({"relation": rel_id, "offset": k, "reason": "window-edge"})
                     continue
             report.checked += 1
-            if is_twist:
-                M, c1, c2 = build(k)
-                if c1 == c2:
-                    continue
-                computed, expected = M.scale(c1), M.scale(c2)
-            else:
-                computed, expected = build(k)
+            sides = check(k)
+            if sides is None:
+                continue
+            computed, expected = sides
             if computed != expected:
                 labels = V.label_list(k)
                 for j in range(computed.cols):

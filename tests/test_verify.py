@@ -1,24 +1,30 @@
 """Relation checker and polynomial realization tests."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdweight.basering import WeightPoint
+from qdweight.analyze import direct_sum
+from qdweight.basering import MIXED_ID, PRODUCTS, WeightPoint
+from qdweight.cli import build_scenario_module, grid_scenarios
 from qdweight.families import construct_family
 from qdweight.fields import FieldCtx, FieldSpec, make_field
 from qdweight.linalg import Mat
-from qdweight.verify import check_relations, polynomial_realization
+from qdweight.verify import RelationReport, check_relations, polynomial_realization
 from qdweight.wmod import (
     WeightModule,
+    as_subalgebra,
     circ_no_break,
     construct_gwa,
+    default_labels,
     family1,
     family2,
     make_module,
+    op_names_for,
     restrict,
     simple_no_break,
     with_breaks,
@@ -221,16 +227,21 @@ TWIST_CASES = [
 ]
 
 
-def moved_report(V, algebra, scalar, offset):
-    """check_relations with WeightModule's tau or sigma scalar moved by 1 at one offset."""
+def moved_scalar(scalar, offset):
+    """WeightModule's tau or sigma scalar, moved by 1 at one offset."""
     real = getattr(WeightModule, scalar)
 
     def moved(self, k):
         value = real(self, k)
         return value + self.ctx.one if k == offset else value
 
+    return moved
+
+
+def moved_report(V, algebra, scalar, offset):
+    """check_relations with WeightModule's tau or sigma scalar moved by 1 at one offset."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(WeightModule, scalar, moved)
+        mp.setattr(WeightModule, scalar, moved_scalar(scalar, offset))
         return check_relations(V, algebra).to_json()
 
 
@@ -307,9 +318,234 @@ def test_twist_laws_with_equal_scalars_scale_nothing(monkeypatch):
     monkeypatch.setattr(Mat, "scale", counting_scale)
     rep = check_relations(V, "D")
     assert rep.passed and rep.checked == 11 * 20
-    # only both sides of Y1(tau-1)=Y(sigma-1); the four scalar products
-    # build c I directly
-    assert len(scaled) == 2 * 20
+    # only both sides of Y1(tau-1)=Y(sigma-1) at the junction offset 0,
+    # where Y and Y1 are not c I; at the other 19 offsets both are c I and
+    # the mixed relation, like the four scalar products, is decided on
+    # their entries
+    assert len(scaled) == 2
+
+
+def test_d_check_field_work_is_pinned(monkeypatch):
+    # each scalar a relation reads is evaluated once per offset, and the
+    # products and the mixed relation of 1 x 1 blocks are decided on their
+    # entries: 600 field operations over the 41 offsets, where evaluating
+    # the scalars per relation and building every product took 1000
+    V = construct_family({"name": "VQ_B_A", "params": {"b": "3", "a": "1/2"}}, QQ, window=(-20, 20))
+    calls = []
+    for name in ("add", "mul", "neg", "inv"):
+        real = getattr(FieldCtx, name)
+        monkeypatch.setattr(FieldCtx, name, lambda ctx, *xs, _real=real: calls.append(1) or _real(ctx, *xs))
+    rep = check_relations(V, "D")
+    assert rep.passed and rep.checked == 11 * 40
+    assert len(calls) == 600
+
+
+# check_relations against the checker that evaluated every scalar per
+# relation and built both sides of every product relation
+
+
+def reference_check_relations(V, algebra):
+    algebra = as_subalgebra(algebra)
+    for name in op_names_for(algebra):
+        if not V.has_op(name):
+            raise ValueError(f"module lacks operator {name} required by {algebra.value}")
+    ctx = V.ctx
+    one, q = ctx.one, ctx.q
+
+    def up(k):
+        return V.op_target("X", k)
+
+    def dn(k):
+        return V.op_target("Y", k)
+
+    tau, sigma = V.tau_scalar, V.sigma_scalar
+
+    def scaled_id(f, k):
+        return Mat.scalar(ctx, V.dim(k), V.scalar(f, k))
+
+    def lowering(T):
+        rel = PRODUCTS[T]
+        return [
+            (rel.tx_id, "up", False, lambda k: (V.op(T, up(k)) * V.op("X", k), scaled_id(rel.tx, k))),
+            (rel.xt_id, "down", False, lambda k: (V.op("X", dn(k)) * V.op(T, k), scaled_id(rel.xt, k))),
+            (f"{T}tau=alphainv(tau){T}", "down", True, lambda k: (V.op(T, k), tau(k), tau(dn(k)) + one)),
+            (f"{T}sigma=alphainv(sigma){T}", "down", True, lambda k: (V.op(T, k), sigma(k), q * sigma(dn(k)))),
+        ]
+
+    lowered = [T for T in op_names_for(algebra) if T in PRODUCTS]
+    rels = [r for T in lowered for r in lowering(T)]
+    if len(lowered) == 2:
+        def mixed(k):
+            xy, xy1 = V.scalar(PRODUCTS["Y"].xt, k), V.scalar(PRODUCTS["Y1"].xt, k)
+            return V.op("Y1", k).scale(xy), V.op("Y", k).scale(xy1)
+
+        rels.append((MIXED_ID, "down", False, mixed))
+    rels += [
+        ("Xtau=alpha(tau)X", "up", True, lambda k: (V.op("X", k), tau(k), tau(up(k)) - one)),
+        ("Xsigma=alpha(sigma)X", "up", True, lambda k: (V.op("X", k), sigma(k), sigma(up(k)) / q)),
+    ]
+
+    report = RelationReport(subject=algebra.value)
+    lo, hi = (None, None) if V.circular else V.window
+    rels.sort(key=lambda r: r[0])
+    for k in V.offsets():
+        for rel_id, direction, is_twist, build in rels:
+            if not V.circular:
+                if direction == "up" and k == hi or direction == "down" and k == lo:
+                    report.skipped.append({"relation": rel_id, "offset": k, "reason": "window-edge"})
+                    continue
+            report.checked += 1
+            if is_twist:
+                M, c1, c2 = build(k)
+                if c1 == c2:
+                    continue
+                computed, expected = M.scale(c1), M.scale(c2)
+            else:
+                computed, expected = build(k)
+            if computed != expected:
+                labels = V.label_list(k)
+                for j in range(computed.cols):
+                    if computed.col(j) != expected.col(j):
+                        report.violations.append(
+                            {
+                                "relation": rel_id,
+                                "offset": k,
+                                "label": labels[j],
+                                "computed": [ctx.show(v) for v in computed.col(j)],
+                                "expected": [ctx.show(v) for v in expected.col(j)],
+                            }
+                        )
+    return report
+
+
+F7 = make_field(FieldSpec(kind="PRIME_FIELD", p=7, q="2"))
+ORACLE_PRIME_BASES = [
+    ({"name": "CHAIN_ALT", "params": {"m": 2, "a": ["1", "2"]}}, F5),
+    ({"name": "CHAIN_CYCLE", "params": {"m": 1, "word": "Y1", "a": ["3"]}}, F7),
+    ({"name": "CHAIN_CYCLE", "params": {"m": 2, "word": "YY1", "a": ["1", "2"]}}, F5),
+]
+
+
+def oracle_bases():
+    """Every grid scenario module, prime-field D-modules and one-flavour GWA modules."""
+    bases = [build_scenario_module(sc) for sc in grid_scenarios()]
+    bases += [construct_family(fid, ctx) for fid, ctx in ORACLE_PRIME_BASES]
+    bases.append(make_module(chain_cycle_raw()))
+    bases.append(construct_gwa("AQ", with_breaks((0, 1), (0,)), wp(QQ, 0, "1/2"), (-3, 3), QQ))
+    bases.append(construct_gwa("A1", family1(1, "xy"), wp(F3, 1, 1), None, F3))
+    bases.append(construct_gwa("AQ", family2("xyyyxy", "2"), wp(F3, 1, 1), None, F3))
+    bases.append(construct_gwa("AQ", circ_no_break("[0,1]"), wp(F9, "[0,1]", "[0,1]"), None, F9))
+    return bases
+
+
+def element_pool(V):
+    ctx = V.ctx
+    pool = [ctx.zero, ctx.one, ctx.from_int(2), -ctx.one, ctx.q, ctx.q + ctx.one]
+    for k in V.offsets()[:3]:
+        pool += [V.tau_scalar(k), V.sigma_scalar(k) - ctx.one]
+    return pool
+
+
+def random_block(rng, ctx, rows, cols, pool, kinds):
+    kind = rng.choice(["zero", "scalar", "scalar", "random"] if rows == cols else ["zero", "random"])
+    kinds.add(kind)
+    if kind == "zero":
+        return Mat.zeros(ctx, rows, cols)
+    if kind == "scalar":
+        return Mat.scalar(ctx, rows, rng.choice(pool))
+    return Mat(ctx, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def random_module(rng, V, kinds):
+    """A module on V's orbit and window with dims 0-3 and zero, c 1 or random blocks."""
+    ctx, pool = V.ctx, element_pool(V)
+    even = rng.randint(0, 3)
+    dims = {k: even if rng.random() < 0.5 else rng.randint(0, 3) for k in V.offsets()}
+    shell = WeightModule(ctx, V.orbit, V.window, {k: default_labels(k, d) for k, d in dims.items()}, {})
+    ops = {}
+    for name in V.ops:
+        ops[name] = {
+            k: random_block(rng, ctx, dims[shell.op_target(name, k)], dims[k], pool, kinds)
+            for k in shell.op_sources(name)
+        }
+    return shell.with_ops(ops)
+
+
+def variants(rng, V, kinds):
+    """(module, moved scalar or None, offset): V, V + V, a moved tau or sigma,
+    one scaled block, and a random module on V's orbit."""
+    yield V, None, None
+    yield direct_sum(V, V), None, None
+    k = rng.choice(V.offsets())
+    yield V, rng.choice(["tau_scalar", "sigma_scalar"]), k
+    name = rng.choice(sorted(V.ops))
+    k = rng.choice(V.op_sources(name))
+    yield scaled_block(V, name, k, V.ctx.show(rng.choice(element_pool(V)))), None, None
+    R = random_module(rng, V, kinds)
+    yield R, None, None
+    yield R, rng.choice(["tau_scalar", "sigma_scalar"]), rng.choice(R.offsets())
+
+
+def relation_blocks(V, rel_id, k):
+    """The two blocks a product or the mixed relation multiplies at k."""
+    if rel_id == MIXED_ID:
+        return V.op("Y1", k), V.op("Y", k)
+    for T, rel in PRODUCTS.items():
+        if rel_id == rel.tx_id:
+            return V.op(T, V.op_target("X", k)), V.op("X", k)
+        if rel_id == rel.xt_id:
+            return V.op("X", V.op_target("Y", k)), V.op(T, k)
+
+
+def tally_scalar_blocks(V, algebra, report, seen):
+    """Count the instances of products and the mixed relation on two c 1
+    blocks of nonzero size: those that hold, and those that are violated."""
+    lowered = [T for T in op_names_for(algebra) if T in PRODUCTS]
+    rel_ids = [r for T in lowered for r in (PRODUCTS[T].tx_id, PRODUCTS[T].xt_id)]
+    rel_ids += [MIXED_ID] if len(lowered) == 2 else []
+    skipped = {(s["relation"], s["offset"]) for s in report["skipped"]}
+    violated = {(v["relation"], v["offset"]) for v in report["violations"]}
+    for k in V.offsets():
+        for rel_id in rel_ids:
+            if (rel_id, k) in skipped:
+                continue
+            blocks = relation_blocks(V, rel_id, k)
+            if V.dim(k) and blocks[0].rows and all(b.scalar_value() is not None for b in blocks):
+                seen["c1 violated" if (rel_id, k) in violated else "c1 holds"] += 1
+
+
+def test_check_relations_matches_reference():
+    rng = random.Random(20240623)
+    seen = {"c1 holds": 0, "c1 violated": 0}
+    kinds, dims, fields, shapes, violated, mismatches = set(), set(), set(), set(), set(), []
+    for base in oracle_bases():
+        for V, scalar, offset in variants(rng, base, kinds):
+            fields.add(V.ctx.spec.kind)
+            shapes.add(V.circular)
+            dims.update(V.dim(k) for k in V.offsets())
+            for algebra in ALGEBRAS:
+                if not all(V.has_op(name) for name in op_names_for(algebra)):
+                    continue
+                with pytest.MonkeyPatch.context() as mp:
+                    if scalar is not None:
+                        mp.setattr(WeightModule, scalar, moved_scalar(scalar, offset))
+                    want = reference_check_relations(V, algebra).to_json()
+                    got = check_relations(V, algebra).to_json()
+                if got != want:
+                    mismatches.append((repr(V), algebra, scalar, offset))
+                violated.update(v["relation"] for v in want["violations"])
+                tally_scalar_blocks(V, algebra, want, seen)
+    assert mismatches == []
+    assert fields == {"RATIONAL", "CYCLOTOMIC", "FUNCTION_FIELD", "PRIME_FIELD", "EXT_FIELD"}
+    assert shapes == {True, False} and {0, 1, 2, 3} <= dims
+    assert kinds == {"zero", "scalar", "random"}
+    assert violated == {
+        *PRODUCT_RELS,
+        *(f"{T}{f}=alphainv({f}){T}" for T in ("Y", "Y1") for f in ("tau", "sigma")),
+        "Xtau=alpha(tau)X",
+        "Xsigma=alpha(sigma)X",
+    }
+    assert seen["c1 holds"] >= 20 and seen["c1 violated"] >= 10, seen
 
 
 # random GWA constructions pass their flavor's relations
