@@ -27,50 +27,58 @@ Graded maps are solved on runs of invertible X links.
   the double breaks, and a circular module over a finite field has at most
   one of them; over AQ or A1 alone X is invertible off that flavour's breaks.
 * The transport.  A graded map phi: V -> W commuting with X satisfies
-  phi_{k+1} X^V_k = X^W_k phi_k.  Where X^V_k is invertible this is
-  phi_{k+1} = X^W_k phi_k (X^V_k)^-1.  Nothing else about the modules is
+  phi_{k+1} X^V_k = X^W_k phi_k.  Where X^W_k is invertible this is
+  phi_k = (X^W_k)^-1 phi_{k+1} X^V_k.  Nothing else about the modules is
   used, so it holds whether or not V and W satisfy D's relations.  Where
   X = 1 the transport is carried over unchanged: no inverse is taken and
-  no product formed, and an offset reached from its run's start across
-  X = 1 links only has transport 1, recorded as none.  V and W are read
-  apart, so one of them may have a transport at an offset where the other
-  has none.  Every module built by wmod.junction_module is X = 1 on every
-  link but one.
+  no product formed, and an offset that reaches its run's top across X = 1
+  links only has transport 1, recorded as none.  V and W are read apart,
+  so one of them may have a transport at an offset where the other has
+  none.  Every module built by wmod.junction_module is X = 1 on every link
+  but one.
 * The system.  A run is a maximal chain of links where X is square and
-  invertible in V and in W.  On a run from offset s, phi_k = B_k Z A_k^-1
-  with Z = phi_s, A_k = X^V_{k-1} ... X^V_s and B_k the same in W, so one
-  unknown block per run fixes the map.  Every other operator instance
-  phi_t O^V = O^W phi_k, times B_t^-1 on the left and A_k on the right, is
-  Z_t (A_t^-1 O^V A_k) = (B_t^-1 O^W B_k) Z_k on the representatives' blocks,
-  with the same solutions.  A circular orbit whose every link is invertible
-  is cut at its last link, which stays an equation: Z M^V = M^W Z for the
-  monodromies M = X_{r-1} ... X_0, so End is the centralizer of M.  When
-  every X is singular each offset is its own run, every transport is 1,
-  and the system is the dense one in sum d_k^2 unknowns, row for row.
-* The output.  The solution space, lifted to (offset, row, column)
-  coordinates, does not depend on how it was solved.  The basis returned is
-  its reduced echelon basis in reversed coordinate order, listed by last
-  nonzero coordinate.  That is the basis the dense system's nullspace gave:
-  each of its vectors is 1 at its own free column and 0 at every later free
-  column, so in reversed order the vectors are in reduced echelon form, and
-  that form is unique.  So Hom, End, iso and decompose report the same bytes.
-* The Fitting split.  In End, phi_k = A_k Z A_k^-1 is conjugate to the
+  invertible in V and in W, and no run crosses the orbit's last link.  On
+  a run with top e, phi_k = B_k^-1 Z A_k with Z = phi_e,
+  A_k = X^V_{e-1} ... X^V_k and B_k the same in W, so one unknown block per
+  run fixes the map.  Every other operator instance phi_t O^V = O^W phi_k,
+  times B_t on the left and A_k^-1 on the right, is
+  Z_t (A_t O^V A_k^-1) = (B_t O^W B_k^-1) Z_k on the representatives'
+  blocks, with the same solutions.  On a circular orbit the last link stays
+  an equation; when every link is invertible the orbit is one run and that
+  equation is Z M^V = M^W Z for the monodromies M = X_{r-2} ... X_0 X_{r-1}
+  at r-1, so End is the centralizer of M.  When every X is singular each
+  offset is its own run, every transport is 1, and the system is the dense
+  one in sum d_k^2 unknowns, row for row.
+* The output.  The unknowns are numbered top by top in offset order,
+  row-major: the output's (offset, row, column) order restricted to the
+  tops' blocks.  A lifted map that is 0 at its run's top is 0 on the whole
+  run, so every nonzero lifted map has its last nonzero coordinate in a
+  top's block.  The reduced system's pivots lead their rows, so the kernel
+  vector of a free unknown f is 1 at f, 0 at every other free unknown and
+  nonzero elsewhere only at pivots before f: its last nonzero coordinate
+  is f.  Lifted, the kernel vectors are therefore the reduced echelon basis
+  of the solution space in reversed coordinate order, listed by last
+  nonzero coordinate, and they are lifted as they are.  That form is
+  unique, so it depends only on the solution space, not on how it was
+  solved: it is the basis the dense system's nullspace gave, and Hom, End,
+  iso and decompose report the same bytes.
+* The Fitting split.  In End, phi_k = A_k^-1 Z A_k is conjugate to the
   representative's block, and so is its Fitting power: the stable image and
-  kernel at k are A_k times those at s.  The split's rank is the sum of the
-  representatives' ranks times their run lengths.  The projector onto the
-  stable image along the stable kernel is unique, so A_k P_s A_k^-1 is the
-  projector a split of each weight space finds.  A candidate whose every
-  nonzero representative block is invertible is invertible at every
+  kernel at k are A_k^-1 times those at e.  The split's rank is the sum of
+  the representatives' ranks times their run lengths.  The projector onto
+  the stable image along the stable kernel is unique, so A_k^-1 P_e A_k is
+  the projector a split of each weight space finds.  A candidate whose
+  every nonzero representative block is invertible is invertible at every
   offset, so its Fitting power has full rank and it cannot split: the
   sweep drops it without taking a power, and most candidates are such.
   The projector is handed on at the representatives.  An offset with no
-  transport has P_s itself, so its summand spaces are the representative's
+  transport has P_e itself, so its summand spaces are the representative's
   column spaces, not computed again; every other offset takes the column
-  spaces of A_k P_s A_k^-1.  An operator c 1 between two offsets with
+  spaces of A_k^-1 P_e A_k.  An operator c 1 between two offsets with
   equal summand bases B restricts to c 1 with no solve: B has full column
   rank, so B Z = c B forces Z = c 1.  Those are the values the general
   path computes, so the summands' bytes are the same.
-* The sweep.  Lifting Z to phi_k = B_k Z A_k^-1 is linear, so a combination
+* The sweep.  Lifting Z to phi_k = B_k^-1 Z A_k is linear, so a combination
   of basis maps is the lift of the same combination of their blocks at the
   representatives, and the sweep combines those blocks only.  With A_k and
   B_k invertible, phi_k is invertible exactly when Z is, so an intertwiner
@@ -410,49 +418,47 @@ class Runs:
     """The runs of X for a pair of modules V, W on one orbit.
 
     A run is a maximal chain of X links at which X is square, nonempty and
-    invertible in V and in W; an offset on no such link is a run of its own,
-    and a cycle of invertible links is cut at its last link.  members[s]
-    lists a run's offsets from its representative s along X, and rep maps
-    each offset to its representative.  For a run offset k other than s,
-    v[k] = (A_k, A_k^-1) with A_k = X_{k-1} ... X_s in V, and w[k] the same
-    in W (w is v when W is V).  An offset reached from s across X = 1 links
-    only has A_k = 1 and no entry, in v or in w on its own: with W not V
-    one side may hold a transport where the other holds none.  links are
+    invertible in V and in W, and no run crosses the orbit's last link; an
+    offset on no such link is a run of its own.  members[e] lists a run's
+    offsets in offset order, up to its representative e, the top, and rep
+    maps each offset to its representative.  For a run offset k other than
+    e, v[k] = (A_k, A_k^-1) with A_k = X_{e-1} ... X_k in V, and w[k] the
+    same in W (w is v when W is V).  An offset that reaches e across X = 1
+    links only has A_k = 1 and no entry, in v or in w on its own: with W not
+    V one side may hold a transport where the other holds none.  links are
     the X links inside runs.
     """
 
     __slots__ = ("members", "rep", "links", "v", "w")
 
     def __init__(self, V: WeightModule, W: WeightModule, names: Sequence[str]):
+        offsets = V.offsets()
         # the inverse of each invertible X link, None where X = 1
         inv_v: Dict[int, Optional[Mat]] = {}
         inv_w: Dict[int, Optional[Mat]] = {}
         if "X" in names:
-            for k in V.op_sources("X"):
-                t = V.op_target("X", k)
+            for k, t in zip(offsets, offsets[1:]):
                 if V.dim(k) == V.dim(t) > 0 and W.dim(k) == W.dim(t) > 0:
                     xv = _link_inverse(V.op("X", k))
                     xw = xv if W is V else _link_inverse(W.op("X", k))
                     if xv is not False and xw is not False:
                         inv_v[k], inv_w[k] = xv, xw
-        entered = {V.op_target("X", k) for k in inv_v}
-        offsets = V.offsets()
 
         self.members: Dict[int, List[int]] = {}
         self.rep: Dict[int, int] = {}
-        self.links: Set[int] = set()
+        self.links: Set[int] = set(inv_v)
         self.v: Dict[int, Tuple[Mat, Mat]] = {}
         self.w = self.v if W is V else {}
-        for s in [s for s in offsets if s not in entered] or offsets[:1]:
-            members = [s]
-            while members[-1] in inv_v and V.op_target("X", members[-1]) != s:
-                members.append(V.op_target("X", members[-1]))
-            self.members[s] = members
-            self.rep.update((k, s) for k in members)
-            self.links.update(members[:-1])
-            self.v.update(_transports(V, members, inv_v))
-            if W is not V:
-                self.w.update(_transports(W, members, inv_w))
+        members: List[int] = []
+        for k in offsets:
+            members.append(k)
+            if k not in inv_v:  # k tops its run
+                self.members[k] = members
+                self.rep.update((j, k) for j in members)
+                self.v.update(_transports(V, members, inv_v))
+                if W is not V:
+                    self.w.update(_transports(W, members, inv_w))
+                members = []
 
 
 def _link_inverse(x: Mat):
@@ -466,26 +472,26 @@ def _link_inverse(x: Mat):
 def _transports(
     M: WeightModule, members: List[int], inverses: Dict[int, Optional[Mat]]
 ) -> Dict[int, Tuple[Mat, Mat]]:
-    """(A_k, A_k^-1) with A_k = X_{k-1} ... X_s, for each offset k after the
-    first s of a run that is not reached across X = 1 links only."""
+    """(A_k, A_k^-1) with A_k = X_{e-1} ... X_k, for each offset k below the
+    top e of a run that does not reach e across X = 1 links only."""
     out: Dict[int, Tuple[Mat, Mat]] = {}
-    for k, t in zip(members, members[1:]):
+    for k, t in reversed(list(zip(members, members[1:]))):
         x_inv = inverses[k]
-        if x_inv is None:  # X_k = 1 carries A_k over unchanged
-            if k in out:
-                out[t] = out[k]
+        if x_inv is None:  # X_k = 1 carries A_{k+1} over unchanged
+            if t in out:
+                out[k] = out[t]
             continue
         x = M.op("X", k)
-        out[t] = (x * out[k][0], out[k][1] * x_inv) if k in out else (x, x_inv)
+        out[k] = (out[t][0] * x, x_inv * out[t][1]) if t in out else (x, x_inv)
     return out
 
 
 def _to_reps(side: Dict[int, Tuple[Mat, Mat]], t: int, m: Mat, k: int) -> Mat:
-    """A block from offset k to offset t, moved to their representatives: A_t^-1 m A_k."""
+    """A block from offset k to offset t, moved to their representatives: A_t m A_k^-1."""
     if k in side:
-        m = m * side[k][0]
+        m = m * side[k][1]
     if t in side:
-        m = side[t][1] * m
+        m = side[t][0] * m
     return m
 
 
@@ -499,16 +505,16 @@ class RunMaps:
         self.blocks = blocks
 
     def lift(self) -> Dict[int, Mat]:
-        """The per-offset blocks: B_k Z A_k^-1 on the run of Z."""
+        """The per-offset blocks: B_k^-1 Z A_k on the run of Z."""
         out: Dict[int, Mat] = {}
         runs = self.runs
-        for s, z in self.blocks.items():
-            for k in runs.members[s]:
+        for e, z in self.blocks.items():
+            for k in runs.members[e]:
                 m = z
                 if k in runs.w:
-                    m = runs.w[k][0] * m
+                    m = runs.w[k][1] * m
                 if k in runs.v:
-                    m = m * runs.v[k][1]
+                    m = m * runs.v[k][0]
                 out[k] = m
         return out
 
@@ -520,14 +526,16 @@ def _graded_hom_basis(
     and the runs it was solved on.
 
     One unknown block per run; every operator instance off the run links is
-    one equation on those blocks.  The solutions are lifted to every offset
-    and brought to the canonical basis of the module docstring.
+    one equation on those blocks.  The kernel vectors of the system, lifted
+    to every offset, are the canonical basis of the module docstring.
     """
     ctx = V.ctx
     runs = Runs(V, W, names)
-    # unknowns: the entries of each representative's block, row-major, block after block
-    sizes = [W.dim(s) * V.dim(s) for s in runs.members]
-    base, n = dict(zip(runs.members, itertools.accumulate([0] + sizes))), sum(sizes)
+    # unknowns: the entries of each run top's block, row-major, top after top
+    # in offset order, as the output coordinates order them
+    shapes = [(e, W.dim(e), V.dim(e)) for e in runs.members if W.dim(e) and V.dim(e)]
+    sizes = [dw * dv for _, dw, dv in shapes]
+    base, n = dict(zip((e for e, _, _ in shapes), itertools.accumulate([0] + sizes))), sum(sizes)
     if n == 0:
         return [], runs
 
@@ -537,49 +545,24 @@ def _graded_hom_basis(
             if name == "X" and k in runs.links:
                 continue
             t = V.op_target(name, k)
-            s, u = runs.rep[k], runs.rep[t]
+            e, u = runs.rep[k], runs.rep[t]
             A = _to_reps(runs.v, t, V.op(name, k), k)
             B = A if W is V else _to_reps(runs.w, t, W.op(name, k), k)
-            if u == s and B is A and A.scalar_value() is not None:
+            if u == e and B is A and A.scalar_value() is not None:
                 continue  # Z c = c Z holds for every Z: only zero rows
-            # Z_u A = B Z_s, entry by entry; the two sides may share a block
+            # Z_u A = B Z_e, entry by entry; the two sides may share a block
             za = product_terms((W.dim(t), V.dim(t)), right=A)
             bz = product_terms((W.dim(k), V.dim(k)), left=B)
             for plus, minus in zip(za, bz):
-                system.insert_terms([(base[u] + e, c) for e, c in plus] + [(base[s] + e, -c) for e, c in minus])
-
-    # reduced echelon basis of the lifted solutions, in reversed coordinates:
-    # entry (i, j) of the block at offset k is coordinate top - at[k] - i dv - j
-    shapes = [(k, W.dim(k), V.dim(k)) for k in V.offsets() if W.dim(k) and V.dim(k)]
-    at = dict(zip((k for k, _, _ in shapes), itertools.accumulate([0] + [dw * dv for _, dw, dv in shapes])))
-    top = sum(dw * dv for _, dw, dv in shapes) - 1
-    ech = Echelon()
-    for sol in solution(ctx, system.rows, n)[1]:
-        blocks = {
-            s: Mat._of(ctx, [sol[base[s] + i * dv : base[s] + (i + 1) * dv] for i in range(dw)], dv)
-            for s, dw, dv in shapes
-            if s in runs.members
-        }
-        maps = RunMaps(runs, blocks).lift()
-        # offsets reached across X = 1 links share their representative's
-        # block object: read each block once
-        support = {
-            id(m): [(i * m.cols + j, c) for i, row in enumerate(m.data) for j, c in enumerate(row) if c]
-            for m in {id(m): m for m in maps.values()}.values()
-        }
-        ech.insert_terms([(top - at[k] - e, c) for k, _, _ in shapes for e, c in support[id(maps[k])]])
+                system.insert_terms([(base[u] + j, c) for j, c in plus] + [(base[e] + j, -c) for j, c in minus])
 
     basis = []
-    for p in sorted(ech.rows, reverse=True):
-        vec = [ctx.zero] * (top + 1)
-        for e, c in ech.rows[p].items():
-            vec[top - e] = c
-        basis.append(
-            {
-                k: Mat._of(ctx, [vec[at[k] + i * dv : at[k] + (i + 1) * dv] for i in range(dw)], dv)
-                for k, dw, dv in shapes
-            }
-        )
+    for sol in solution(ctx, system.rows, n)[1]:
+        blocks = {
+            e: Mat._of(ctx, [sol[base[e] + i * dv : base[e] + (i + 1) * dv] for i in range(dw)], dv)
+            for e, dw, dv in shapes
+        }
+        basis.append(RunMaps(runs, blocks).lift())
     return basis, runs
 
 
@@ -631,13 +614,13 @@ def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[RunMaps,
     total = V.total_dim()
     rank = 0
     pieces: Dict[int, Tuple[Mat, Mat]] = {}
-    for s, members in phi.runs.members.items():
-        d = V.dim(s)
+    for e, members in phi.runs.members.items():
+        d = V.dim(e)
         if d == 0:
             continue
-        block = phi.blocks.get(s, Mat.zeros(V.ctx, d, d))
+        block = phi.blocks.get(e, Mat.zeros(V.ctx, d, d))
         image, kernel = fitting_power(block).image_and_kernel()
-        pieces[s] = (image, kernel)
+        pieces[e] = (image, kernel)
         rank += image.cols * len(members)
     if rank == 0 or rank == total:
         return None
@@ -645,11 +628,11 @@ def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[RunMaps,
     # with B = [image | kernel], the projector is B diag(1, 0) B^-1: the
     # image times the first image.cols rows of B^-1
     proj: Dict[int, Mat] = {}
-    for s, (image, kernel) in pieces.items():
+    for e, (image, kernel) in pieces.items():
         inverse = image.hstack(kernel).inverse()
         if inverse is None:
             raise ValueError("stable image and kernel do not split the space")
-        proj[s] = image * Mat(V.ctx, inverse.data[: image.cols], cols=V.dim(s))
+        proj[e] = image * Mat(V.ctx, inverse.data[: image.cols], cols=V.dim(e))
     return RunMaps(phi.runs, proj), rank
 
 
@@ -780,21 +763,19 @@ def _split_module(V: WeightModule, names: Sequence[str], proj: RunMaps) -> Tuple
 
 
 def is_indecomposable(
-    V: WeightModule, algebra, seed: int = 0, trials: int = DEFAULT_TRIALS
+    V: WeightModule, algebra, seed: int = 0, trials: int = DEFAULT_TRIALS, end: Optional[EndBasis] = None
 ) -> Verdict:
-    """Does the module admit no splitting into two nonzero summands?"""
-    return _is_indecomposable(V, algebra, seed, trials, lambda: endomorphisms(V, algebra))
+    """Does the module admit no splitting into two nonzero summands?
 
-
-def _is_indecomposable(V: WeightModule, algebra, seed: int, trials: int, end: Callable[[], EndBasis]) -> Verdict:
-    """is_indecomposable, with End(V) over the algebra from end(), which is
-    called only when the sweep needs it."""
+    end is End(V) over the algebra when the caller has solved it already;
+    otherwise it is solved here, only when the sweep needs it.
+    """
     _op_names(algebra, V)
     if not V.circular:
         return Verdict.not_applicable(WINDOWED_REASON)
     if V.total_dim() == 0:
         return Verdict.no({"kind": "zero_module"})
-    found, decided = _find_split(V, end(), seed, trials)
+    found, decided = _find_split(V, end if end is not None else endomorphisms(V, algebra), seed, trials)
     if found is not None:
         proj, rank = found
         return Verdict.no({"kind": "idempotent", "maps": _maps_to_json(proj.lift()), "rank": rank})
@@ -804,21 +785,17 @@ def _is_indecomposable(V: WeightModule, algebra, seed: int, trials: int, end: Ca
 
 
 def decompose(
-    V: WeightModule, algebra, seed: int = 0, trials: int = DEFAULT_TRIALS
+    V: WeightModule, algebra, seed: int = 0, trials: int = DEFAULT_TRIALS, end: Optional[EndBasis] = None
 ) -> Decomposition:
     """Split a circular module into indecomposable summands.
 
     Recursively splits along idempotents found in the graded endomorphism
     ring of the chosen algebra's action.  When the endomorphism sweep is
     not exhaustive and finds nothing, the current piece is kept whole and
-    the result is flagged incomplete.
+    the result is flagged incomplete.  end is End(V) over the algebra when
+    the caller has solved it already; otherwise it is solved here, only
+    when a split is searched for.  The summands solve their own End.
     """
-    return _decompose(V, algebra, seed, trials, lambda: endomorphisms(V, algebra))
-
-
-def _decompose(V: WeightModule, algebra, seed: int, trials: int, end: Callable[[], EndBasis]) -> Decomposition:
-    """decompose, with End(V) over the algebra from end(), which is called
-    only when a split is searched for.  The summands solve their own End."""
     names = _op_names(algebra, V)
     if not V.circular:
         raise NotApplicable(WINDOWED_REASON)
@@ -826,9 +803,9 @@ def _decompose(V: WeightModule, algebra, seed: int, trials: int, end: Callable[[
         return Decomposition([], True)
     if V.ops.keys() - set(names):
         # summands are only stable under the chosen algebra, so drop the rest;
-        # End over the algebra reads only its operators, so end() serves the copy
+        # End over the algebra reads only its operators, so end serves the copy
         V = V.with_ops({n: V.ops[n] for n in names})
-    found, decided = _find_split(V, end(), seed, trials)
+    found, decided = _find_split(V, end if end is not None else endomorphisms(V, algebra), seed, trials)
     if found is None:
         if decided:
             return Decomposition([V], True)

@@ -24,12 +24,11 @@ from typing import Dict, List, Optional, Tuple
 from .analyze import (
     EndBasis,
     NotApplicable,
-    _decompose,
-    _is_indecomposable,
     are_isomorphic,
     decompose,
     endomorphisms,
     equidimension_check,
+    is_indecomposable,
     is_irreducible,
     weight_dims,
 )
@@ -206,8 +205,11 @@ def cmd_construct(args) -> int:
     V = build_scenario_module(sc)
     raw = V.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(raw) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(raw) + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from None
         emit({"written": args.out, "total_dim": V.total_dim()}, args.pretty,
              render_module(V) if args.pretty else None)
     else:
@@ -232,28 +234,23 @@ def _exit_code(statuses: List[str]) -> int:
 
 
 def run_checks(V: WeightModule, checks, algebra, seed, trials, budget) -> Tuple[dict, int]:
-    solved: List[EndBasis] = []
-
-    def end() -> EndBasis:
-        # End(V) over the algebra, solved at most once for end, decompose and indecomposable
-        if not solved:
-            solved.append(endomorphisms(V, algebra))
-        return solved[0]
+    # End(V) over the algebra, solved at most once, by the first check that reads it
+    end: Optional[EndBasis] = None
 
     def verdict(v) -> Tuple[dict, str]:
         raw = v.to_json()
         return raw, _verdict_status(raw)
 
     def dec() -> Tuple[dict, str]:
-        d = _decompose(V, algebra, seed, trials, end)
+        d = decompose(V, algebra, seed, trials, end=end)
         return d.to_json(), "ok" if d.complete else "und"
 
     run = {
         "dims": lambda: ({"dims": [[k, d] for k, d in weight_dims(V)]}, "ok"),
         "equidim": lambda: verdict(equidimension_check(V)),
         "irreducible": lambda: verdict(is_irreducible(V, algebra, budget=budget)),
-        "indecomposable": lambda: verdict(_is_indecomposable(V, algebra, seed, trials, end)),
-        "end": lambda: (end().to_json(), "ok"),
+        "indecomposable": lambda: verdict(is_indecomposable(V, algebra, seed, trials, end=end)),
+        "end": lambda: (end.to_json(), "ok"),
         "decompose": dec,
     }
     for name in checks:
@@ -263,6 +260,8 @@ def run_checks(V: WeightModule, checks, algebra, seed, trials, budget) -> Tuple[
     statuses: List[str] = []
     for name in checks:
         try:
+            if end is None and name in ("end", "decompose", "indecomposable"):
+                end = endomorphisms(V, algebra)
             results[name], status = run[name]()
         except NotApplicable as exc:
             results[name], status = {"verdict": "NOT_APPLICABLE", "reason": str(exc)}, "und"

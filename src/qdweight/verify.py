@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .basering import MIXED_ID, PRODUCTS
+from .families import MAX_CHAIN_ENTRIES
 from .fields import Fel, FieldCtx
 from .linalg import Mat
 from .wmod import WeightModule, as_subalgebra, op_names_for
@@ -192,6 +193,11 @@ def polynomial_realization(ctx: FieldCtx, N: int) -> Tuple[Dict[str, Mat], Relat
     at most N-1 where truncation cannot interfere."""
     if not isinstance(N, int) or N < 2:
         raise ValueError("the degree bound N must be an integer >= 2")
+    if (N + 1) ** 2 > MAX_CHAIN_ENTRIES:
+        # each of the six matrices is dense (N+1) x (N+1): refuse before building one
+        raise ValueError(
+            f"the degree bound N = {N} needs {(N + 1) ** 2} entries per matrix, over the limit of {MAX_CHAIN_ENTRIES}"
+        )
     q = ctx.q
     if q == ctx.one:
         raise ValueError("q = 1 makes the q-derivative denominators vanish")

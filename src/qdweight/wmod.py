@@ -310,6 +310,8 @@ def make_module(raw: dict) -> WeightModule:
                 sources = set(shell.op_sources(name))
             if k not in sources:
                 raise ValueError(f"operator {name} has a matrix at offset {k} outside its sources")
+            if k in table:
+                raise ValueError(f"operator {name} has two matrices at offset {k}")
             tgt = shell.op_target(name, k)
             table[k] = _from_json(ctx, entry["matrix"], shell.dim(tgt), shell.dim(k), parse)
         ops[name] = table

@@ -745,11 +745,24 @@ def random_pair(rng):
     return V, W, rng.choice(["D", "AQ", "A1"]), x_mode
 
 
+def cut_at_last_link(V, W):
+    """A circular pair whose last link is square and invertible in V and in
+    W while some other link is not: a run could reach across the last link."""
+
+    def invertible(k):
+        t = V.op_target("X", k)
+        return all(M.dim(k) == M.dim(t) > 0 and M.op("X", k).is_invertible() for M in (V, W))
+
+    r = V.orbit.length
+    return V.circular and invertible(r - 1) and not all(invertible(k) for k in range(r - 1))
+
+
 def test_run_solver_matches_dense_hom_basis():
     rng = random.Random(20261018)
     seen = {"hom": 0, "big hom": 0, "circular": 0, "windowed": 0, "zero space": 0, "V != W": 0, "cut cycle": 0}
     seen.update({mode: 0 for mode in X_KINDS})
     seen["identity in V, transport in W"] = 0
+    seen["cut at the last link"] = 0
     for _ in range(200):
         V, W, algebra, x_mode = random_pair(rng)
         names = op_names_for(algebra)
@@ -770,7 +783,20 @@ def test_run_solver_matches_dense_hom_basis():
         # an offset reached across X = 1 links in V but not in W: lift must
         # apply W's transport alone
         seen["identity in V, transport in W"] += any(k not in runs.v and k in runs.w for k in runs.rep)
+        seen["cut at the last link"] += cut_at_last_link(V, W)
     assert min(seen.values()) >= 10, seen
+
+
+def test_hom_solve_builds_one_echelon(monkeypatch):
+    # the system's kernel vectors, lifted, are the canonical basis: no
+    # second elimination brings them to it
+    built = []
+    monkeypatch.setattr(analyze, "Echelon", lambda: built.append(1) or Echelon())
+    W = direct_sum(TWISTED, TWISTED)
+    for V, U in ((TWISTED, TWISTED), (TWISTED, W), (W, W), (CHAIN_A6, CHAIN_A6)):
+        built.clear()
+        basis, _ = analyze._graded_hom_basis(V, U, op_names_for("D"))
+        assert basis and len(built) == 1
 
 
 def per_offset_iso(V, W, algebra, seed=0, trials=analyze.DEFAULT_TRIALS):
@@ -820,6 +846,19 @@ def test_iso_on_run_representatives_matches_per_offset_search():
         seen[x_mode] += 1
         seen["cut cycle"] += V.circular and len(analyze.Runs(V, W, op_names_for(algebra)).links) == V.orbit.length - 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_end_keyword_serves_a_solved_end(monkeypatch):
+    V = direct_sum(TWISTED, TWISTED)
+    want = [is_indecomposable(V, "D").to_json(), decompose(V, "D").to_json()]
+    end = endomorphisms(V, "D")
+    ends, solves = analyze.endomorphisms, []
+    monkeypatch.setattr(analyze, "endomorphisms", lambda *args: solves.append(args) or ends(*args))
+    assert is_indecomposable(V, "D", end=end).to_json() == want[0]
+    assert solves == []
+    assert decompose(V, "D", end=end).to_json() == want[1]
+    # only the two summands solve their own End
+    assert len(solves) == 2
 
 
 def test_runs_built_once_per_end_solve(monkeypatch):
@@ -876,17 +915,18 @@ def test_no_identity_is_inverted_or_multiplied(monkeypatch):
 
 
 def per_offset_projector(V, blocks):
-    """A_k e_s A_k^-1 at every offset of a run, A_k = X_{k-1} ... X_s formed in full."""
+    """A_k^-1 p_e A_k at every offset of a run, A_k = X_{e-1} ... X_k formed
+    in full down from the run's top e."""
     out = {}
     runs = blocks.runs
-    for s, members in runs.members.items():
-        if s not in blocks.blocks:
+    for e, members in runs.members.items():
+        if e not in blocks.blocks:
             continue
-        e = out[s] = blocks.blocks[s]
+        p = out[e] = blocks.blocks[e]
         a = None
-        for k, t in zip(members, members[1:]):
-            a = V.op("X", k) if a is None else V.op("X", k) * a
-            out[t] = a * e * a.inverse()
+        for k in reversed(members[:-1]):
+            a = V.op("X", k) if a is None else a * V.op("X", k)
+            out[k] = a.inverse() * p * a
     return out
 
 

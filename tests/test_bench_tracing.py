@@ -3,8 +3,9 @@
 ``bench/tracing.py`` patches library functions by name (``Mat.rref``,
 ``Mat.solve``, ``Mat.__mul__``, ``Mat.pow``, ``analyze.fitting_power``,
 ``extend.extend_to_D`` and more).  A rename in the library would break the
-traced benchmark silently, so install the tracer, run one extension and one
-endomorphism solve through it, and uninstall it again.
+traced benchmark silently, so install the tracer, run one extension, one
+endomorphism solve and one isomorphism test through it, and uninstall it
+again.
 """
 
 import sys
@@ -46,11 +47,14 @@ def test_tracer_installs_runs_and_uninstalls(tracing):
         assert extend.extend_to_D is not originals[2]
         ext = extend.extend_to_D(V)
         end = analyze.endomorphisms(W, "D")
+        # the sweep tests each candidate's invertibility by its rank
+        iso = analyze.are_isomorphic(W, W, "D")
     finally:
         tracer.uninstall()
 
     assert (Mat.__dict__["rref"], Mat.__dict__["solve"], extend.extend_to_D, analyze.endomorphisms) == originals
     assert ext.kind == "UNIQUE"
+    assert iso.is_yes
     metrics = tracer.metrics()
     assert tuple(metrics) == tracing.METRICS
     assert metrics["extend.calls"] == 1

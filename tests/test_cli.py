@@ -21,6 +21,7 @@ from qdweight.cli import (
     main,
     run_suite,
 )
+from qdweight.linalg import Mat
 
 F9_FIELD = {"kind": "EXT_FIELD", "p": 3, "f": [1, 0, 1], "q": "2"}
 F3_FIELD = {"kind": "PRIME_FIELD", "p": 3, "q": "2"}
@@ -363,6 +364,42 @@ def test_zero_denominator_in_a_scenario_exits_2(tmp_path, capsys, field, params,
 def test_zero_denominator_in_realize_q_exits_2(capsys):
     code, _, err = run_cli(["realize", "--field", "RATIONAL", "--q", "1/0", "--N", "3"], capsys)
     assert code == 2 and err == "error: zero denominator in '1/0'\n"
+
+
+def test_realize_over_the_entry_cap_exits_2_before_any_matrix(capsys, monkeypatch):
+    # (N+1)^2 = 66049 entries per matrix: refused before Mat.zeros builds one
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(Mat, "zeros", no_matrix)
+    start = time.perf_counter()
+    code, out, err = run_cli(["realize", "--field", "RATIONAL", "--q", "2", "--N", "256"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "error: the degree bound N = 256 needs 66049 entries per matrix, over the limit of 65536\n"
+
+
+def test_construct_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    path = write_json(tmp_path / "s.json", scenario(QQ_FIELD, "VQ_B_A", {"b": "3", "a": "1/2"}, (-2, 2)))
+    out_path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["construct", "--scenario", path, "--out", str(out_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert not out_path.exists()
+
+
+def test_repeated_operator_offset_exits_2(tmp_path, capsys):
+    # the second matrix used to replace the first: X_0 loaded as [5]
+    raw = {
+        "field": {"kind": "PRIME_FIELD", "p": 7, "q": "2"},
+        "base": ["1", "1"],
+        "spaces": [{"offset": 0, "dim": 1}, {"offset": 1, "dim": 1}],
+        "ops": {"X": [{"offset": 0, "matrix": [["3"]]}, {"offset": 0, "matrix": [["5"]]}]},
+    }
+    path = write_json(tmp_path / "m.json", raw)
+    code, out, err = run_cli(["verify", path], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: module {path} is invalid: operator X has two matrices at offset 0\n"
 
 
 def test_verify_bad_module_file(tmp_path, capsys):
