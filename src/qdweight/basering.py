@@ -54,12 +54,12 @@ class Products(NamedTuple):
 
 
 # D's product relations: YX = tau, XY = tau - 1, Y1X = q sigma - 1 and
-# XY1 = sigma - 1.  The mixed relation Y1 (tau - 1) = Y (sigma - 1) is
-# Y1 (X Y) = Y (X Y1).
+# XY1 = sigma - 1, the - 1 added as the context's stored -1.  The mixed
+# relation Y1 (tau - 1) = Y (sigma - 1) is Y1 (X Y) = Y (X Y1).
 PRODUCTS = {
-    "Y": Products("YX=tau", lambda ctx, a, b: a, "XY=alpha(tau)", lambda ctx, a, b: a - ctx.one),
-    "Y1": Products("Y1X=qsigma-1", lambda ctx, a, b: ctx.q * b - ctx.one,
-                   "XY1=alpha(qsigma-1)", lambda ctx, a, b: b - ctx.one),
+    "Y": Products("YX=tau", lambda ctx, a, b: a, "XY=alpha(tau)", lambda ctx, a, b: a + ctx.minus_one),
+    "Y1": Products("Y1X=qsigma-1", lambda ctx, a, b: ctx.q * b + ctx.minus_one,
+                   "XY1=alpha(qsigma-1)", lambda ctx, a, b: b + ctx.minus_one),
 }
 MIXED_ID = "Y1(tau-1)=Y(sigma-1)"
 

@@ -359,6 +359,7 @@ class FieldCtx:
     # subclasses set these in __init__
     zero: Fel
     one: Fel
+    minus_one: Fel
     q: Fel
 
     def el(self, val) -> Fel:
@@ -466,6 +467,7 @@ class RationalField(FieldCtx):
     def __init__(self, q_text: str):
         self.zero = self.el((0, 1))
         self.one = self.el((1, 1))
+        self.minus_one = self.neg(self.one)
         self.q = self.parse(q_text)
         if not self.q:
             raise ValueError("q must be nonzero")
@@ -550,6 +552,7 @@ class CyclotomicField(FieldCtx):
         self.spec = FieldSpec(kind="CYCLOTOMIC", n=n)
         self.zero = self.el(((), 1))
         self.one = self.el(((1,), 1))
+        self.minus_one = self.neg(self.one)
         self.q = self.el((self._reduce((0, 1)), 1))
 
     def _reduce(self, poly: IntPoly) -> IntPoly:
@@ -674,6 +677,7 @@ class FunctionField(FieldCtx):
         self.spec = FieldSpec(kind="FUNCTION_FIELD")
         self.zero = self.el(((), (1,)))
         self.one = self.el(((1,), (1,)))
+        self.minus_one = self.neg(self.one)
         self.q = self.el(((0, 1), (1,)))
 
     @staticmethod
@@ -818,6 +822,7 @@ class PrimeField(_FiniteField):
         self._intern(p)
         self.zero = self.el(0)
         self.one = self.el(1 % p)
+        self.minus_one = self.neg(self.one)
         self.q = self.el(q)
 
     def _add(self, a, b):
@@ -888,6 +893,7 @@ class ExtField(_FiniteField):
         self._intern(p**self.degree)
         self.zero = self.el(0)
         self.one = self.el(1)
+        self.minus_one = self.neg(self.one)
         qval = self.parse(q_text).val
         if qval == 0:
             raise ValueError("q must be nonzero")
@@ -1045,9 +1051,9 @@ def make_field(spec: FieldSpec) -> FieldCtx:
     if kind == "CYCLOTOMIC":
         if spec.n is None:
             raise ValueError("CYCLOTOMIC requires n")
-        return CyclotomicField(spec.n)
+        return _fixed_q(CyclotomicField(spec.n), spec.q)
     if kind == "FUNCTION_FIELD":
-        return FunctionField()
+        return _fixed_q(FunctionField(), spec.q)
     if kind == "PRIME_FIELD":
         if spec.p is None or spec.q is None:
             raise ValueError("PRIME_FIELD requires p and q")
@@ -1057,6 +1063,13 @@ def make_field(spec: FieldSpec) -> FieldCtx:
             raise ValueError("EXT_FIELD requires p, f and q")
         return ExtField(spec.p, spec.f, spec.q)
     raise ValueError(f"unknown field kind {kind!r}")
+
+
+def _fixed_q(ctx: FieldCtx, text: Optional[str]) -> FieldCtx:
+    """ctx, whose kind fixes q (zeta_n, t), once a q the spec gives reads as that q."""
+    if text is not None and ctx.parse(text) != ctx.q:
+        raise ValueError(f"{ctx.spec.kind} has q = {ctx.show(ctx.q)}, not {text}")
+    return ctx
 
 
 def q_order(ctx: FieldCtx) -> Optional[int]:

@@ -310,6 +310,79 @@ def test_scenario_top_level_q_must_agree(tmp_path, capsys):
     assert code == 0
 
 
+# FUNCTION_FIELD and CYCLOTOMIC fix q (t, zeta_n): another q is refused,
+# any encoding of the fixed one is read as it
+
+FF_Q_ERROR = "FUNCTION_FIELD has q = [0,1]|[1], not 5"
+C5_Q_ERROR = "CYCLOTOMIC has q = [0,1], not 3"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--field", "FUNCTION_FIELD", "--q", "5", "--N", "3"], FF_Q_ERROR),
+        (["--field", "CYCLOTOMIC", "--n", "5", "--q", "3", "--N", "2"], C5_Q_ERROR),
+    ],
+)
+def test_realize_refuses_a_q_the_kind_does_not_have(capsys, argv, error):
+    code, out, err = run_cli(["realize", *argv], capsys)
+    assert code == 2 and not out
+    assert err.strip() == f"error: {error}"
+
+
+@pytest.mark.parametrize(
+    "field, q",
+    [
+        (["--field", "FUNCTION_FIELD"], "[0,2]|[2]"),
+        (["--field", "CYCLOTOMIC", "--n", "5"], "[0,1]"),
+        (["--field", "CYCLOTOMIC", "--n", "5"], "[0,0,0,0,0,0,1]"),  # zeta^6 = zeta
+    ],
+)
+def test_realize_reads_any_encoding_of_the_fixed_q(capsys, field, q):
+    code, out, _ = run_cli(["realize", *field, "--q", q, "--N", "2"], capsys)
+    assert code == 0
+    assert out == run_cli(["realize", *field, "--N", "2"], capsys)[1]
+
+
+@pytest.mark.parametrize(
+    "field, params, error",
+    [
+        ({"kind": "FUNCTION_FIELD", "q": "5"}, {"b": "2", "a": "[0,1]"}, FF_Q_ERROR),
+        ({"kind": "CYCLOTOMIC", "n": 5, "q": "3"}, {"b": "3", "a": "1/2"}, C5_Q_ERROR),
+    ],
+)
+def test_construct_refuses_a_q_the_kind_does_not_have(tmp_path, capsys, field, params, error):
+    path = write_json(tmp_path / "s.json", scenario(field, "VQ_B_A", params, (-2, 2)))
+    code, out, err = run_cli(["construct", "--scenario", path], capsys)
+    assert code == 2 and not out
+    assert err.strip() == f"error: bad field spec: {error}"
+    # a top-level q reaches the field spec the same way
+    sc = scenario({k: v for k, v in field.items() if k != "q"}, "VQ_B_A", params, (-2, 2))
+    sc["q"] = field["q"]
+    path = write_json(tmp_path / "s2.json", sc)
+    code, _, err = run_cli(["construct", "--scenario", path], capsys)
+    assert code == 2 and err.strip() == f"error: bad field spec: {error}"
+
+
+@pytest.mark.parametrize(
+    "field, params, error",
+    [
+        ({"kind": "FUNCTION_FIELD"}, {"b": "2", "a": "[0,1]"}, FF_Q_ERROR),
+        ({"kind": "CYCLOTOMIC", "n": 5}, {"b": "3", "a": "1/2"}, C5_Q_ERROR),
+    ],
+)
+def test_verify_refuses_a_module_field_with_a_q_the_kind_does_not_have(tmp_path, capsys, field, params, error):
+    path = build_module_file(tmp_path, "m", scenario(field, "VQ_B_A", params, (-2, 2)), capsys)
+    code, _, _ = run_cli(["verify", path], capsys)
+    assert code == 0
+    module = json.loads(Path(path).read_text())
+    module["field"]["q"] = error.rsplit(" ", 1)[1]
+    write_json(Path(path), module)
+    code, out, err = run_cli(["verify", path], capsys)
+    assert code == 2 and not out
+    assert err.strip() == f"error: module {path} is invalid: {error}"
+
+
 # verify
 
 

@@ -2,19 +2,20 @@
 
 import json
 import random
+from math import isqrt
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdweight.basering import WeightPoint
+from qdweight.basering import PRODUCTS, WeightPoint
 from qdweight.analyze import direct_sum
 from qdweight.cli import canonical_json
-from qdweight.extend import FAMILY, IMPOSSIBLE, UNIQUE, ExtensionResult, extend_to_D, solve_blocks
+from qdweight.extend import FAMILY, IMPOSSIBLE, UNIQUE, ExtensionResult, _conflict_json, extend_to_D, solve_blocks
 from qdweight.families import construct_family
-from qdweight.fields import FieldSpec, make_field
-from qdweight.linalg import Mat
+from qdweight.fields import Fel, FieldSpec, make_field
+from qdweight.linalg import Echelon, Mat
 from qdweight.orbits import compute_orbit
 from qdweight.verify import check_relations
 from qdweight.wmod import (
@@ -302,12 +303,26 @@ def test_family_dimension_survives_basis_rescaling(scales):
 # the per-block solve against the whole system
 
 
+def expand(ctx, widths, instances):
+    """Instances with each scalar one, a Z = c 1 on an n x n block, as its
+    n^2 dense single-term rows."""
+    out = []
+    for b, rows, rhs in instances:
+        if isinstance(rows, Fel):
+            a, c, w = rows, rhs, widths[b]
+            n = isqrt(w)
+            rows = [[a if j == i else ctx.zero for j in range(w)] for i in range(w)]
+            rhs = [c if i % (n + 1) == 0 else ctx.zero for i in range(w)]
+        out.append((b, rows, rhs))
+    return out
+
+
 def prefix_oracle(ctx, widths, instances):
     """Index of the first instance whose prefix the whole system's solve rejects."""
     n = sum(widths)
     base = [sum(widths[:b]) for b in range(len(widths))]
     rows, rhs = [], []
-    for index, (b, block_rows, block_rhs) in enumerate(instances):
+    for index, (b, block_rows, block_rhs) in enumerate(expand(ctx, widths, instances)):
         for row, c in zip(block_rows, block_rhs):
             full = [ctx.zero] * n
             full[base[b] : base[b] + widths[b]] = row
@@ -327,7 +342,7 @@ def global_solution(ctx, widths, instances):
     n = sum(widths)
     base = [sum(widths[:b]) for b in range(len(widths))]
     rows, rhs = [], []
-    for b, block_rows, block_rhs in instances:
+    for b, block_rows, block_rhs in expand(ctx, widths, instances):
         for row, c in zip(block_rows, block_rhs):
             full = [ctx.zero] * n
             full[base[b] : base[b] + widths[b]] = row
@@ -343,10 +358,14 @@ def global_solution(ctx, widths, instances):
 
 
 def random_instances(ctx, rng, widths, count):
+    """Generic instances, and on square blocks scalar ones (b, a, c) half the time."""
     elements = list(ctx.all_elements())
     out = []
     for _ in range(count):
         b = rng.randrange(len(widths))
+        if widths[b] in (1, 4) and rng.random() < 0.5:
+            out.append((b, rng.choice(elements), rng.choice(elements)))
+            continue
         nrows = rng.randint(1, 3)
         rows = [
             [rng.choice(elements) if rng.random() < 0.4 else ctx.zero for _ in range(widths[b])]
@@ -359,7 +378,10 @@ def random_instances(ctx, rng, widths, count):
 
 def as_terms(instances):
     """Instances with dense rows as solve_blocks takes them: each row its nonzero (unknown, coefficient) terms."""
-    return [(b, [[(j, c) for j, c in enumerate(row) if c] for row in rows], rhs) for b, rows, rhs in instances]
+    return [
+        (b, rows if isinstance(rows, Fel) else [[(j, c) for j, c in enumerate(row) if c] for row in rows], rhs)
+        for b, rows, rhs in instances
+    ]
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -372,6 +394,61 @@ def test_solve_blocks_matches_whole_system(seed):
     assert conflict == prefix_oracle(ctx, widths, instances)
     if conflict is None:
         assert (particular, kernel) == global_solution(ctx, widths, instances)
+
+
+def test_solve_blocks_holds_a_scalar_block_as_free_or_pinned():
+    zero, one, two = F3.zero, F3.one, F3.from_int(2)
+    units = [[one if i == j else zero for i in range(4)] for j in range(4)]
+    # free: particular 0 and the 4 unit vectors, row-major
+    assert solve_blocks(F3, [4], [(0, zero, zero)]) == (None, [zero] * 4, units)
+    # 2 Z = 1 pins Z = 2 1, and 1 Z = 2 1 agrees
+    assert solve_blocks(F3, [4], [(0, two, one), (0, one, two)]) == (None, [two, zero, zero, two], [])
+    # a != 0 against the pinned t, and 0 = c on a free block
+    assert solve_blocks(F3, [4], [(0, two, one), (0, one, one)]) == (1, None, None)
+    assert solve_blocks(F3, [4], [(0, zero, zero), (0, zero, one)]) == (1, None, None)
+    # a generic instance after a pin meets the rows of Z = 2 1
+    pinned_then_row = [(0, two, one), (0, [[(1, one)]], [one])]
+    assert solve_blocks(F3, [4], pinned_then_row) == (1, None, None)
+    # a conflict with a = 0 shows its 0 = c, one with a != 0 shows no equation
+    assert _conflict_json(F3, [4], ("r", 5, 0, zero, two)) == {
+        "relation": "r",
+        "offset": 5,
+        "equation": {"lhs": "0", "rhs": "2"},
+    }
+    assert _conflict_json(F3, [4], ("r", 5, 0, one, two)) == {"relation": "r", "offset": 5}
+
+
+def count_inserts(monkeypatch):
+    calls = []
+    real = Echelon.insert_terms
+    monkeypatch.setattr(Echelon, "insert_terms", lambda self, vec: calls.append(1) or real(self, vec))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: copies(aq_break_module(QQ, 0), 3),
+        lambda: copies(a1_break_module(QQ, 1), 2),
+        lambda: copies(restrict(fam("VQ_B_A", {"b": "2", "a": "[0,1]"}, FF, window=(-3, 3)), "AQ"), 2),
+        lambda: construct_gwa("AQ", circ_no_break("2"), wp(F9, "[0,1]", "[0,1]"), None, F9),
+    ],
+    ids=["family", "impossible", "unique", "circular"],
+)
+def test_an_all_scalar_input_inserts_no_rows(monkeypatch, build):
+    V = build()
+    calls = count_inserts(monkeypatch)
+    extend_to_D(V)
+    assert calls == []
+
+
+def test_f5_alt4_inserts_only_its_junction_block(monkeypatch):
+    V = f5_alt4_aq()
+    # one junction link, X and Y1 on it 4 x 4 and not c 1: its three
+    # instances are 3 * 4^2 rows, and the other 19 blocks are c 1
+    calls = count_inserts(monkeypatch)
+    res = extend_to_D(V)
+    assert res.kind == FAMILY and len(calls) == 3 * 4**2
 
 
 def test_solve_blocks_reports_the_earliest_conflict_even_in_a_higher_block():
@@ -400,6 +477,31 @@ def test_solve_blocks_zero_width_block_checks_its_rhs():
 
 PINNED = json.loads((Path(__file__).parent / "extend_pinned.json").read_text())
 
+FF = make_field(FieldSpec(kind="FUNCTION_FIELD"))
+C5 = make_field(FieldSpec(kind="CYCLOTOMIC", n=5))
+F5 = make_field(FieldSpec(kind="PRIME_FIELD", p=5, q="2"))
+
+
+def copies(V, n):
+    out = V
+    for _ in range(n - 1):
+        out = direct_sum(out, V)
+    return out
+
+
+def y1_vanishes_at_break(ctx, a):
+    """X = 1 on the AQ break line through (a, 1/q), so Y1 = 0 at the break's
+    link and X Y1 = sigma - 1 is 0 one offset above it."""
+    V = aq_break_module(ctx, a)
+    one = Mat.identity(ctx, 1)
+    X = {k: one for k in V.op_sources("X")}
+    Y1 = {s: Mat.scalar(ctx, 1, V.scalar(PRODUCTS["Y1"].tx, s - 1)) for s in V.op_sources("Y1")}
+    return V.with_ops({"X": X, "Y1": Y1})
+
+
+def f5_alt4_aq():
+    return restrict(fam("CHAIN_ALT", {"m": 4, "a": ["1", "1", "1", "1"]}, F5), "AQ")
+
 
 @pytest.mark.parametrize(
     "name, build",
@@ -410,6 +512,22 @@ PINNED = json.loads((Path(__file__).parent / "extend_pinned.json").read_text())
             "unique_f9_circular_aq",
             lambda: construct_gwa("AQ", circ_no_break("2"), wp(F9, "[0,1]", "[0,1]"), None, F9),
         ),
+        # a free 3 x 3 block: its kernel is the 9 unit vectors, row-major
+        ("family_a1_x3", lambda: copies(a1_break_module(QQ, "1/2"), 3)),
+        # X = 0 at the break: the conflict is 0 = b and shows its equation
+        ("impossible_a1_x2", lambda: copies(a1_break_module(QQ, 1), 2)),
+        (
+            "unique_ff_aq_x2",
+            lambda: copies(restrict(fam("VQ_B_A", {"b": "2", "a": "[0,1]"}, FF, window=(-3, 3)), "AQ"), 2),
+        ),
+        (
+            "unique_c5_a1_x2",
+            lambda: copies(restrict(fam("V1_A_B", {"a": "[0,1]", "b": "2"}, C5, window=(-3, 3)), "A1"), 2),
+        ),
+        # the mixed relation reads 0 T' = 0 on the block above the break
+        ("unique_y1_vanishes_x2", lambda: copies(y1_vanishes_at_break(QQ, "1/3"), 2)),
+        # c·1 blocks beside the generic junction block
+        ("family_f5_alt4_aq", lambda: f5_alt4_aq()),
     ],
 )
 def test_extend_json_is_pinned(name, build):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -1058,3 +1059,37 @@ def test_parse_fast_path_skips_fraction(monkeypatch):
     assert [ctx.show(ctx.parse(t)) for t in ("7", "-6/8", " +10/4 ", "0/5")] == ["7", "-3/4", "5/2", "0"]
     assert made == []
     assert ctx.show(ctx.parse("1.5")) == "3/2" and made == [("1.5",)]
+
+
+@pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.kind)
+def test_every_context_stores_minus_one(spec):
+    ctx = make_field(spec)
+    assert ctx.minus_one == -ctx.one and ctx.minus_one + ctx.one == ctx.zero
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        (FieldSpec(kind="FUNCTION_FIELD", q="5"), "FUNCTION_FIELD has q = [0,1]|[1], not 5"),
+        (FieldSpec(kind="FUNCTION_FIELD", q="[1]|[0,1]"), "FUNCTION_FIELD has q = [0,1]|[1], not [1]|[0,1]"),
+        (FieldSpec(kind="CYCLOTOMIC", n=5, q="3"), "CYCLOTOMIC has q = [0,1], not 3"),
+        (FieldSpec(kind="CYCLOTOMIC", n=5, q="[0,0,1]"), "CYCLOTOMIC has q = [0,1], not [0,0,1]"),
+    ],
+)
+def test_a_kind_with_a_fixed_q_refuses_another(spec, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        make_field(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FieldSpec(kind="FUNCTION_FIELD", q="[0,1]"),
+        FieldSpec(kind="FUNCTION_FIELD", q="[0,3]|[3]"),
+        FieldSpec(kind="CYCLOTOMIC", n=5, q="[0,1]"),
+        FieldSpec(kind="CYCLOTOMIC", n=5, q="[0,0,0,0,0,0,1]"),
+    ],
+)
+def test_a_kind_with_a_fixed_q_reads_any_encoding_of_it(spec):
+    ctx = make_field(spec)
+    assert ctx.parse(spec.q) == ctx.q and ctx == make_field(FieldSpec(kind=spec.kind, n=spec.n))

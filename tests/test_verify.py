@@ -328,16 +328,19 @@ def test_twist_laws_with_equal_scalars_scale_nothing(monkeypatch):
 def test_d_check_field_work_is_pinned(monkeypatch):
     # each scalar a relation reads is evaluated once per offset, and the
     # products and the mixed relation of 1 x 1 blocks are decided on their
-    # entries: 600 field operations over the 41 offsets, where evaluating
-    # the scalars per relation and building every product took 1000
+    # entries: 480 field operations over the 41 offsets, where evaluating
+    # the scalars per relation and building every product took 1000; the
+    # - 1 of tau - 1, q sigma - 1 and sigma - 1 adds the context's stored
+    # -1, where negating 1 at each evaluation took 120 more
     V = construct_family({"name": "VQ_B_A", "params": {"b": "3", "a": "1/2"}}, QQ, window=(-20, 20))
     calls = []
     for name in ("add", "mul", "neg", "inv"):
         real = getattr(FieldCtx, name)
-        monkeypatch.setattr(FieldCtx, name, lambda ctx, *xs, _real=real: calls.append(1) or _real(ctx, *xs))
+        monkeypatch.setattr(FieldCtx, name, lambda ctx, *xs, _real=real, _name=name: calls.append(_name) or _real(ctx, *xs))
     rep = check_relations(V, "D")
     assert rep.passed and rep.checked == 11 * 40
-    assert len(calls) == 600
+    assert calls.count("neg") == 0
+    assert len(calls) == 480
 
 
 # check_relations against the checker that evaluated every scalar per
