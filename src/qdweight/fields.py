@@ -71,6 +71,14 @@ def _padd(a: Sequence, b: Sequence) -> tuple:
     return _trim(out)
 
 
+def _order(a: IntPoly) -> int:
+    """The power of t dividing a nonzero a."""
+    j = 0
+    while not a[j]:
+        j += 1
+    return j
+
+
 def _pneg(a: Sequence) -> tuple:
     return tuple(-c for c in a)
 
@@ -693,8 +701,13 @@ class FunctionField(FieldCtx):
     @staticmethod
     def _cancel(num: IntPoly, den: IntPoly) -> Tuple[IntPoly, IntPoly]:
         # divide out gcd(num, den); the gcd is primitive, so the division
-        # is exact in Z[t] (Gauss's lemma)
+        # is exact in Z[t] (Gauss's lemma).  When one side is c t^m, the gcd
+        # is t^j, j the lower of the two orders at t, and dividing by it
+        # drops j low zeros
         if len(num) > 1 and len(den) > 1:
+            if not any(num[:-1]) or not any(den[:-1]):
+                j = min(_order(num), _order(den))
+                return num[j:], den[j:]
             g = _pgcd(num, den)
             if len(g) > 1:
                 return _pdivmod_int(num, g)[0], _pdivmod_int(den, g)[0]
@@ -709,7 +722,8 @@ class FunctionField(FieldCtx):
         return FunctionField._unit(*FunctionField._cancel(num, den))
 
     # a sum with a zero operand, and a sum or product of two polynomials
-    # (denominator 1), is canonical as it stands, so no gcd is taken
+    # (denominator 1), is canonical as it stands, so no gcd is taken; a sum
+    # over one shared denominator adds the numerators
 
     def _add(self, a, b):
         (n1, d1), (n2, d2) = a, b
@@ -717,8 +731,10 @@ class FunctionField(FieldCtx):
             return b
         if not n2:
             return a
-        if d1 == d2 == (1,):
-            return (_padd(n1, n2), d1)
+        if d1 == d2:
+            if d1 == (1,):
+                return (_padd(n1, n2), d1)
+            return self._normalize(_padd(n1, n2), d1)
         return self._normalize(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
     def _neg(self, a):

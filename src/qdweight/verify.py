@@ -17,18 +17,32 @@ a_k = a_{k+1} - 1 and b_k = b_{k+1} / q.  A twist law M c1 = c2 M holds
 when c1 = c2; a product or mixed relation on two c 1 blocks is decided on
 the entries, (c 1)(c' 1) = c c' 1, and any other product is compared with
 c 1 by Mat.scalar_value.  Only a violation builds the sides not yet built.
+Each block's c is read once per call too: Mat.scalar_value runs once on
+every block of the algebra's operators, into a table the products and
+the mixed relation read, beside tables of the dims and of the offsets one
+step up and down.  Each relation row names the operators it reads, so a
+check can keep only the rows that read a given operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .basering import MIXED_ID, PRODUCTS
 from .families import MAX_CHAIN_ENTRIES
 from .fields import Fel, FieldCtx
 from .linalg import Mat
 from .wmod import WeightModule, as_subalgebra, op_names_for
+
+if TYPE_CHECKING:
+    # typing caches a subscripted alias with its arguments, which would keep
+    # this package's classes alive after a re-import replaced them
+
+    # a relation row: (id, direction, the operators it reads, check),
+    # check(k) giving None when the relation holds at k and else its two sides
+    Check = Callable[[int], Optional[Tuple[Mat, Mat]]]
+    Relation = Tuple[str, str, Tuple[str, ...], Check]
 
 # relation instances that step upward use X first (need offset k+1);
 # downward ones use Y or Y1 first (need offset k-1)
@@ -61,104 +75,25 @@ def _column(m: Mat, j: int) -> List[str]:
     return [show(m.data[i][j]) for i in range(m.rows)]
 
 
-def check_relations(V: WeightModule, algebra) -> RelationReport:
-    """Verify the defining relations of D, A_q, or A_1 on the module."""
+def check_relations(V: WeightModule, algebra, *, reading: Optional[str] = None) -> RelationReport:
+    """Verify the defining relations of D, A_q, or A_1 on the module.
+
+    With reading set to an operator name, only the relations that read that
+    operator are checked; extend_to_D re-checks the operator it solved for
+    this way.
+    """
     algebra = as_subalgebra(algebra)
     for name in op_names_for(algebra):
         if not V.has_op(name):
             raise ValueError(f"module lacks operator {name} required by {algebra.value}")
-    ctx = V.ctx
-    one, q = ctx.one, ctx.q
-
-    def up(k: int) -> int:
-        return V.op_target("X", k)
-
-    def dn(k: int) -> int:
-        return V.op_target("Y", k)
-
-    # tau and sigma at every offset, their images a + 1 and q b under
-    # alpha^-1 where X starts, and the PRODUCTS scalars on first use: each
-    # evaluated once in this call
-    point = {k: (V.tau_scalar(k), V.sigma_scalar(k)) for k in V.offsets()}
-    raised = {k: (point[k][0] + one, q * point[k][1]) for k in V.op_sources("X")}
-    values: Dict[tuple, Fel] = {}
-
-    def value(f, k: int) -> Fel:
-        key = (f, k)
-        v = values.get(key)
-        if v is None:
-            v = values[key] = f(ctx, *point[k])
-        return v
-
-    def product(A: Mat, B: Mat, f, k: int) -> Optional[Tuple[Mat, Mat]]:
-        # A B = f(k) 1 on V_k, decided on the entries when A and B are c 1
-        n = V.dim(k)
-        if not n:
-            return None
-        a, b = A.scalar_value(), B.scalar_value()
-        P = None if a is not None and b is not None else A * B
-        s = a * b if P is None else P.scalar_value()
-        if s is not None and s == value(f, k):
-            return None
-        return A * B if P is None else P, Mat.scalar(ctx, n, value(f, k))
-
-    def twist(M: Mat, c1: Fel, c2: Fel) -> Optional[Tuple[Mat, Mat]]:
-        # M c1 = c2 M, scaled only when c1 != c2
-        return None if c1 == c2 else (M.scale(c1), M.scale(c2))
-
-    # each relation: (id, direction, check), check(k) giving None when the
-    # relation holds at k and else its two sides
-    def lowering(T: str) -> List[Tuple[str, str, Callable[[int], Optional[Tuple[Mat, Mat]]]]]:
-        # T X and X T from the table, and the laws T f = alpha^-1(f) T for
-        # f = tau, sigma, whose right side is read one offset down
-        rel = PRODUCTS[T]
-
-        def law(i: int) -> Callable[[int], Optional[Tuple[Mat, Mat]]]:
-            return lambda k: twist(V.op(T, k), point[k][i], raised[dn(k)][i])
-
-        return [
-            (rel.tx_id, UP, lambda k: product(V.op(T, up(k)), V.op("X", k), rel.tx, k)),
-            (rel.xt_id, DOWN, lambda k: product(V.op("X", dn(k)), V.op(T, k), rel.xt, k)),
-            (f"{T}tau=alphainv(tau){T}", DOWN, law(0)),
-            (f"{T}sigma=alphainv(sigma){T}", DOWN, law(1)),
-        ]
-
-    lowered = [T for T in op_names_for(algebra) if T in PRODUCTS]
-    rels = [r for T in lowered for r in lowering(T)]
-    if len(lowered) == 2:
-        # the mixed relation Y1 (X Y) = Y (X Y1)
-        def mixed(k: int) -> Optional[Tuple[Mat, Mat]]:
-            A, B = V.op("Y1", k), V.op("Y", k)
-            xy, xy1 = value(PRODUCTS["Y"].xt, k), value(PRODUCTS["Y1"].xt, k)
-            a, b = A.scalar_value(), B.scalar_value()
-            if a is not None and b is not None and a * xy == b * xy1:
-                return None
-            return A.scale(xy), B.scale(xy1)
-
-        rels.append((MIXED_ID, DOWN, mixed))
-
-    # X's laws X f = alpha(f) X close the list for every algebra; the right
-    # side is read one offset up, and the scalars are tested as
-    # alpha^-1(f) at k against f one offset up
-    def x_law(i: int, alpha: Callable[[Fel], Fel]) -> Callable[[int], Optional[Tuple[Mat, Mat]]]:
-        def check(k: int) -> Optional[Tuple[Mat, Mat]]:
-            if raised[k][i] == point[up(k)][i]:
-                return None
-            return twist(V.op("X", k), point[k][i], alpha(point[up(k)][i]))
-
-        return check
-
-    rels += [
-        ("Xtau=alpha(tau)X", UP, x_law(0, lambda c: c - one)),
-        ("Xsigma=alpha(sigma)X", UP, x_law(1, lambda c: c / q)),
-    ]
+    rels = _relations(V, algebra)
+    if reading is not None:
+        rels = [r for r in rels if reading in r[2]]
 
     report = RelationReport(subject=algebra.value)
-    offsets = V.offsets()
     lo, hi = (None, None) if V.circular else V.window
-    rels.sort(key=lambda r: r[0])
-    for k in offsets:
-        for rel_id, direction, check in rels:
+    for k in V.offsets():
+        for rel_id, direction, _, check in rels:
             if not V.circular:
                 if direction == UP and k == hi:
                     report.skipped.append({"relation": rel_id, "offset": k, "reason": "window-edge"})
@@ -185,6 +120,95 @@ def check_relations(V: WeightModule, algebra) -> RelationReport:
                             }
                         )
     return report
+
+
+def _relations(V: WeightModule, algebra) -> List[Relation]:
+    """The algebra's relation rows on V, sorted by id."""
+    ctx = V.ctx
+    one, q = ctx.one, ctx.q
+    ops = V.ops
+    offsets = V.offsets()
+    dim = {k: V.dim(k) for k in offsets}
+    up = {k: V.op_target("X", k) for k in offsets}
+    dn = {k: V.op_target("Y", k) for k in offsets}
+    # c for each block that is c 1, else None: one scalar_value per block
+    cval = {name: {k: m.scalar_value() for k, m in ops[name].items()} for name in op_names_for(algebra)}
+
+    # tau and sigma at every offset, their images a + 1 and q b under
+    # alpha^-1 where X starts, and the PRODUCTS scalars on first use: each
+    # evaluated once in this call
+    point = {k: (V.tau_scalar(k), V.sigma_scalar(k)) for k in offsets}
+    raised = {k: (point[k][0] + one, q * point[k][1]) for k in V.op_sources("X")}
+    values: Dict[tuple, Fel] = {}
+
+    def value(f, k: int) -> Fel:
+        key = (f, k)
+        v = values.get(key)
+        if v is None:
+            v = values[key] = f(ctx, *point[k])
+        return v
+
+    def product(S: str, s: int, T: str, t: int, f, k: int) -> Optional[Tuple[Mat, Mat]]:
+        # S_s T_t = f(k) 1 on V_k, decided on the entries when both are c 1
+        n = dim[k]
+        if not n:
+            return None
+        A, B, a, b = ops[S][s], ops[T][t], cval[S][s], cval[T][t]
+        P = None if a is not None and b is not None else A * B
+        c = a * b if P is None else P.scalar_value()
+        if c is not None and c == value(f, k):
+            return None
+        return A * B if P is None else P, Mat.scalar(ctx, n, value(f, k))
+
+    def twist(M: Mat, c1: Fel, c2: Fel) -> Optional[Tuple[Mat, Mat]]:
+        # M c1 = c2 M, scaled only when c1 != c2
+        return None if c1 == c2 else (M.scale(c1), M.scale(c2))
+
+    def lowering(T: str) -> List[Relation]:
+        # T X and X T from the table, and the laws T f = alpha^-1(f) T for
+        # f = tau, sigma, whose right side is read one offset down
+        rel, blocks = PRODUCTS[T], ops[T]
+
+        def law(i: int) -> Check:
+            return lambda k: twist(blocks[k], point[k][i], raised[dn[k]][i])
+
+        return [
+            (rel.tx_id, UP, (T, "X"), lambda k: product(T, up[k], "X", k, rel.tx, k)),
+            (rel.xt_id, DOWN, ("X", T), lambda k: product("X", dn[k], T, k, rel.xt, k)),
+            (f"{T}tau=alphainv(tau){T}", DOWN, (T,), law(0)),
+            (f"{T}sigma=alphainv(sigma){T}", DOWN, (T,), law(1)),
+        ]
+
+    lowered = [T for T in op_names_for(algebra) if T in PRODUCTS]
+    rels = [r for T in lowered for r in lowering(T)]
+    if len(lowered) == 2:
+        # the mixed relation Y1 (X Y) = Y (X Y1)
+        def mixed(k: int) -> Optional[Tuple[Mat, Mat]]:
+            xy, xy1 = value(PRODUCTS["Y"].xt, k), value(PRODUCTS["Y1"].xt, k)
+            a, b = cval["Y1"][k], cval["Y"][k]
+            if a is not None and b is not None and a * xy == b * xy1:
+                return None
+            return ops["Y1"][k].scale(xy), ops["Y"][k].scale(xy1)
+
+        rels.append((MIXED_ID, DOWN, ("Y1", "Y"), mixed))
+
+    # X's laws X f = alpha(f) X close the list for every algebra; the right
+    # side is read one offset up, and the scalars are tested as
+    # alpha^-1(f) at k against f one offset up
+    def x_law(i: int, alpha: Callable[[Fel], Fel]) -> Check:
+        def check(k: int) -> Optional[Tuple[Mat, Mat]]:
+            if raised[k][i] == point[up[k]][i]:
+                return None
+            return twist(ops["X"][k], point[k][i], alpha(point[up[k]][i]))
+
+        return check
+
+    rels += [
+        ("Xtau=alpha(tau)X", UP, ("X",), x_law(0, lambda c: c - one)),
+        ("Xsigma=alpha(sigma)X", UP, ("X",), x_law(1, lambda c: c / q)),
+    ]
+    rels.sort(key=lambda r: r[0])
+    return rels
 
 
 def polynomial_realization(ctx: FieldCtx, N: int) -> Tuple[Dict[str, Mat], RelationReport]:

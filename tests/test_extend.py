@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from math import isqrt
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from qdweight.basering import PRODUCTS, WeightPoint
 from qdweight.analyze import direct_sum
-from qdweight.cli import canonical_json
+from qdweight import verify
+from qdweight.cli import canonical_json, load_module
 from qdweight.extend import FAMILY, IMPOSSIBLE, UNIQUE, ExtensionResult, _conflict_json, extend_to_D, solve_blocks
 from qdweight.families import construct_family
 from qdweight.fields import Fel, FieldSpec, make_field
@@ -503,32 +505,100 @@ def f5_alt4_aq():
     return restrict(fam("CHAIN_ALT", {"m": 4, "a": ["1", "1", "1", "1"]}, F5), "AQ")
 
 
-@pytest.mark.parametrize(
-    "name, build",
-    [
-        ("impossible_aq_x2", lambda: direct_sum(aq_break_module(QQ, 1), aq_break_module(QQ, 1))),
-        ("family_aq_x2", lambda: direct_sum(aq_break_module(QQ, 0), aq_break_module(QQ, 0))),
-        (
-            "unique_f9_circular_aq",
-            lambda: construct_gwa("AQ", circ_no_break("2"), wp(F9, "[0,1]", "[0,1]"), None, F9),
-        ),
-        # a free 3 x 3 block: its kernel is the 9 unit vectors, row-major
-        ("family_a1_x3", lambda: copies(a1_break_module(QQ, "1/2"), 3)),
-        # X = 0 at the break: the conflict is 0 = b and shows its equation
-        ("impossible_a1_x2", lambda: copies(a1_break_module(QQ, 1), 2)),
-        (
-            "unique_ff_aq_x2",
-            lambda: copies(restrict(fam("VQ_B_A", {"b": "2", "a": "[0,1]"}, FF, window=(-3, 3)), "AQ"), 2),
-        ),
-        (
-            "unique_c5_a1_x2",
-            lambda: copies(restrict(fam("V1_A_B", {"a": "[0,1]", "b": "2"}, C5, window=(-3, 3)), "A1"), 2),
-        ),
-        # the mixed relation reads 0 T' = 0 on the block above the break
-        ("unique_y1_vanishes_x2", lambda: copies(y1_vanishes_at_break(QQ, "1/3"), 2)),
-        # c·1 blocks beside the generic junction block
-        ("family_f5_alt4_aq", lambda: f5_alt4_aq()),
-    ],
-)
+PINNED_CASES = [
+    ("impossible_aq_x2", lambda: direct_sum(aq_break_module(QQ, 1), aq_break_module(QQ, 1))),
+    ("family_aq_x2", lambda: direct_sum(aq_break_module(QQ, 0), aq_break_module(QQ, 0))),
+    (
+        "unique_f9_circular_aq",
+        lambda: construct_gwa("AQ", circ_no_break("2"), wp(F9, "[0,1]", "[0,1]"), None, F9),
+    ),
+    # a free 3 x 3 block: its kernel is the 9 unit vectors, row-major
+    ("family_a1_x3", lambda: copies(a1_break_module(QQ, "1/2"), 3)),
+    # X = 0 at the break: the conflict is 0 = b and shows its equation
+    ("impossible_a1_x2", lambda: copies(a1_break_module(QQ, 1), 2)),
+    (
+        "unique_ff_aq_x2",
+        lambda: copies(restrict(fam("VQ_B_A", {"b": "2", "a": "[0,1]"}, FF, window=(-3, 3)), "AQ"), 2),
+    ),
+    (
+        "unique_c5_a1_x2",
+        lambda: copies(restrict(fam("V1_A_B", {"a": "[0,1]", "b": "2"}, C5, window=(-3, 3)), "A1"), 2),
+    ),
+    # the mixed relation reads 0 T' = 0 on the block above the break
+    ("unique_y1_vanishes_x2", lambda: copies(y1_vanishes_at_break(QQ, "1/3"), 2)),
+    # c·1 blocks beside the generic junction block
+    ("family_f5_alt4_aq", lambda: f5_alt4_aq()),
+]
+
+
+@pytest.mark.parametrize("name, build", PINNED_CASES)
 def test_extend_json_is_pinned(name, build):
     assert canonical_json(extend_to_D(build()).to_json()) == PINNED[name]
+
+
+# the re-check of each representative: the D relations that read the
+# solved operator, which with the flavor check make up the full D check
+
+# the operators each D relation reads, from its statement
+READS = {
+    "YX=tau": {"Y", "X"},
+    "XY=alpha(tau)": {"X", "Y"},
+    "Ytau=alphainv(tau)Y": {"Y"},
+    "Ysigma=alphainv(sigma)Y": {"Y"},
+    "Y1X=qsigma-1": {"Y1", "X"},
+    "XY1=alpha(qsigma-1)": {"X", "Y1"},
+    "Y1tau=alphainv(tau)Y1": {"Y1"},
+    "Y1sigma=alphainv(sigma)Y1": {"Y1"},
+    "Y1(tau-1)=Y(sigma-1)": {"Y1", "Y"},
+    "Xtau=alpha(tau)X": {"X"},
+    "Xsigma=alpha(sigma)X": {"X"},
+}
+
+
+def bench_extension_inputs(workdir):
+    """The input module of every op of the extension benchmark workload."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return [(op.id, load_module(op.info["module"])) for op in workloads.build("extension", str(workdir), 3)]
+
+
+def record_instances(monkeypatch):
+    """Record the (relation, offset) instances each check_relations call checks."""
+    runs = []
+    real = verify._relations
+
+    def spy(V, algebra):
+        seen = set()
+        runs.append(seen)
+
+        def wrap(rel_id, check):
+            return lambda k: seen.add((rel_id, k)) or check(k)
+
+        return [(rel_id, d, reads, wrap(rel_id, check)) for rel_id, d, reads, check in real(V, algebra)]
+
+    monkeypatch.setattr(verify, "_relations", spy)
+    return runs
+
+
+def test_recheck_reads_exactly_the_d_instances_of_the_solved_operator(monkeypatch, tmp_path):
+    cases = [(name, build()) for name, build in PINNED_CASES] + bench_extension_inputs(tmp_path)
+    assert len(cases) == len(PINNED_CASES) + 25
+    runs = record_instances(monkeypatch)
+    solved = 0
+    for name, V in cases:
+        del runs[:]
+        res = extend_to_D(V)
+        if res.kind == IMPOSSIBLE:
+            continue
+        solved += 1
+        flavor, recheck = runs
+        assert check_relations(res.representative, "D").passed, name
+        full = runs[2]
+        assert {rel for rel, _ in full} == set(READS), name
+        assert recheck == {(rel, k) for rel, k in full if res.missing in READS[rel]}, name
+        assert flavor == full - recheck, name
+    assert solved >= 20

@@ -13,6 +13,8 @@ from qdweight import fields as fields_module
 from qdweight.fields import (
     FieldSpec,
     _padd,
+    _pdivmod_int,
+    _pgcd,
     _pdivmod_modp,
     _pmul,
     _trim,
@@ -486,6 +488,60 @@ def test_function_field_fast_paths_match_the_general_formula():
             ):
                 assert fast == general
                 assert ctx.show(ctx.el(fast)) == ctx.show(ctx.el(general))
+
+
+# Q(t)'s gcd shortcuts against the primitive-remainder gcd: _cancel takes
+# gcd(N, c t^m) as a power of t, and _add adds numerators over one shared
+# denominator
+
+
+def _pgcd_cancel(num, den):
+    """num and den divided by their gcd, found by _pgcd alone."""
+    if len(num) > 1 and len(den) > 1:
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            return _pdivmod_int(num, g)[0], _pdivmod_int(den, g)[0]
+    return num, den
+
+
+def _pgcd_value(num, den):
+    """The canonical (N, D) of num / den by the _pgcd path."""
+    if not num:
+        return ((), (1,))
+    return fields_module.FunctionField._unit(*_pgcd_cancel(num, den))
+
+
+QT = make_field(FieldSpec(kind="FUNCTION_FIELD"))
+_qt_poly = st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(_trim).filter(bool)
+# c t^m, and a polynomial that t divides to some order
+_qt_monomial = st.tuples(st.integers(-6, 6).filter(bool), st.integers(0, 3)).map(lambda cm: (0,) * cm[1] + (cm[0],))
+_qt_laurent = st.tuples(st.integers(0, 3), _qt_poly).map(lambda jp: (0,) * jp[0] + jp[1])
+_qt_pair = st.one_of(
+    st.tuples(_qt_laurent, _qt_monomial),
+    st.tuples(_qt_monomial, _qt_laurent),
+    st.tuples(_qt_poly, _qt_poly),
+    # a common factor that is not a power of t
+    st.tuples(_qt_poly, _qt_poly, _qt_poly).map(lambda abc: (_pmul(abc[0], abc[2]), _pmul(abc[1], abc[2]))),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_qt_pair)
+def test_function_field_cancel_matches_the_pgcd_path(pair):
+    num, den = pair
+    assert fields_module.FunctionField._cancel(num, den) == _pgcd_cancel(num, den)
+    assert fields_module.FunctionField._normalize(num, den) == _pgcd_value(num, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_qt_pair, b=_qt_pair, shared=st.booleans())
+def test_function_field_add_and_mul_match_the_pgcd_path(a, b, shared):
+    a = _pgcd_value(*a)
+    # over a's denominator the sum is taken on the numerators alone
+    b = _pgcd_value(b[0], a[1]) if shared else _pgcd_value(*b)
+    (n1, d1), (n2, d2) = a, b
+    assert QT._add(a, b) == _pgcd_value(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+    assert QT._mul(a, b) == _pgcd_value(_pmul(n1, n2), _pmul(d1, d2))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdweight import extend
 from qdweight.analyze import direct_sum
 from qdweight.basering import MIXED_ID, PRODUCTS, WeightPoint
 from qdweight.cli import build_scenario_module, grid_scenarios
@@ -341,6 +342,36 @@ def test_d_check_field_work_is_pinned(monkeypatch):
     assert rep.passed and rep.checked == 11 * 40
     assert calls.count("neg") == 0
     assert len(calls) == 480
+
+
+def test_d_check_reads_each_block_once(monkeypatch):
+    # X, Y and Y1 have 40 blocks each; the products read X's twice and
+    # the mixed relation reads Y and Y1 beside their products, but each
+    # block's c is read from one table filled once per call (640 calls for
+    # the flavor check, the solve and the D re-check of one extend before)
+    V = construct_family({"name": "VQ_B_A", "params": {"b": "3", "a": "1/2"}}, QQ, window=(-20, 20))
+    blocks = [m for name in ("X", "Y", "Y1") for m in V.ops[name].values()]
+    assert len(blocks) == 3 * 40
+    seen = []
+    real = Mat.scalar_value
+    monkeypatch.setattr(Mat, "scalar_value", lambda m: seen.append(m) or real(m))
+    assert check_relations(V, "D").passed
+    assert len(seen) == len(blocks)
+    assert all(any(m is b for b in blocks) for m in seen)
+
+
+def test_extend_checks_are_pinned(monkeypatch):
+    # extending the AQ restriction checks AQ's six relations at 40 offsets
+    # each, then only the five D relations that read the solved Y: its two
+    # products, its two twist laws and the mixed relation (the full D
+    # re-check checked all eleven, 440)
+    V = construct_family({"name": "VQ_B_A", "params": {"b": "3", "a": "1/2"}}, QQ, window=(-20, 20))
+    reports = []
+    real = extend.check_relations
+    monkeypatch.setattr(extend, "check_relations", lambda *a, **kw: reports.append(real(*a, **kw)) or reports[-1])
+    res = extend.extend_to_D(restrict(V, "AQ"))
+    assert res.kind == "UNIQUE" and res.representative == V
+    assert [(rep.subject, rep.passed, rep.checked) for rep in reports] == [("AQ", True, 6 * 40), ("D", True, 5 * 40)]
 
 
 # check_relations against the checker that evaluated every scalar per
