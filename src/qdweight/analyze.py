@@ -67,10 +67,9 @@ Graded maps are solved on runs of invertible X links.
   kernel at k are A_k^-1 times those at e.  The split's rank is the sum of
   the representatives' ranks times their run lengths.  The projector onto
   the stable image along the stable kernel is unique, so A_k^-1 P_e A_k is
-  the projector a split of each weight space finds.  A candidate whose
-  every nonzero representative block is invertible is invertible at every
-  offset, so its Fitting power has full rank and it cannot split: the
-  sweep drops it without taking a power, and most candidates are such.
+  the projector a split of each weight space finds.  Its rank is the total
+  dimension exactly when phi is invertible at every offset, a unit of End,
+  and 0 exactly when phi is nilpotent; every other phi splits.
   The projector is handed on at the representatives.  An offset with no
   transport has P_e itself, so its summand spaces are the representative's
   column spaces, not computed again; every other offset takes the column
@@ -82,8 +81,41 @@ Graded maps are solved on runs of invertible X links.
   of basis maps is the lift of the same combination of their blocks at the
   representatives, and the sweep combines those blocks only.  With A_k and
   B_k invertible, phi_k is invertible exactly when Z is, so an intertwiner
-  is found on the representatives, as a split is, and only the winner is
-  lifted: the same map, and the same bytes, as combining every offset.
+  is found on the representatives, and only the winner is lifted: the same
+  map, and the same bytes, as combining every offset.
+* The split test in End.  End is an algebra with a unit, and a map phi in
+  it acts on End by L(psi) = phi psi.  L^j is left multiplication by
+  phi^j, and L psi = 0 at psi = 1 only if phi = 0, so L is nilpotent
+  exactly when phi is.  L is invertible exactly when phi is a unit: if
+  phi psi = 1, phi is onto, hence invertible, at every weight space, and
+  its inverse there commutes with the operators as phi does.  So by the
+  Fitting split, phi splits the module exactly when L is neither
+  invertible nor nilpotent, which is when _fitting_projector finds a
+  projector.  A product of two maps of End is, at a top, the product of
+  their blocks there, and column j of L_i is the coordinates of
+  phi_i phi_j: its entries at the basis maps' last nonzero coordinates,
+  where basis map k is 1 and the others are 0 (the output).  So the table
+  L_1 ... L_n is read off the tops once per End, and the sweep tests each
+  candidate sum c_i phi_i on sum c_i L_i, n x n, in place of the module's
+  blocks.  It forms only a candidate that passes on the module, where
+  _fitting_projector builds the projector, and goes on if it does not.
+  The verdicts are the same either way, so an End whose n x n matrices
+  have more entries than the tops' blocks, such as that of many copies
+  of one module, is swept on the blocks, as before.
+* Summands' End by restriction.  A split's projector is p = B C at each
+  offset, with B the summand's basis, the pivot columns of p, and C the
+  nonzero rows of p's reduced form, so C B = 1.  A map psi of End(U), U
+  the summand, extended by 0 on the other summand, is a map of End(V),
+  and C (that map) B = psi; and C phi B is in End(U) for every phi in
+  End(V).  So C phi_i B over End(V)'s basis spans End(U).  Read at U's
+  run tops in U's coordinates and brought to reduced echelon form in
+  reversed coordinate order, that span gives the canonical basis, which
+  depends only on the space: the bytes a solve of End(U) gives, with no
+  solve.  U's run tops are V's: p commutes with an X link invertible in
+  V, so X and its inverse map U's spaces onto each other there, and U's
+  runs are unions of V's.  So End(U) is read off End(V)'s blocks at the
+  tops, and a basis is lifted to every offset only when it is written
+  out.  A factor c 1 is scaled, not multiplied.
 * Irreducibility (Norton's criterion; Parker 1984, Holt and Rees 1994).
   Let k0 be the first offset with V_k0 nonzero, and let the operators act
   on V* by their transposes, each from the dual of its target to the dual
@@ -101,6 +133,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from .fields import Fel, FieldCtx
@@ -177,17 +210,22 @@ class EndBasis:
 
     Each basis element is a per-offset family of square blocks; the family
     commutes with every stored operator matrix of the chosen algebra.  runs
-    are the runs it was solved on, so each map is fixed by its blocks at
-    their representatives.
+    are the module's own runs, on which it was solved or restricted, and
+    tops holds each map's blocks at their representatives, in offset
+    order, which fix it; maps lifts them to every offset when first read.
     """
 
     algebra: Subalgebra
-    maps: List[Dict[int, Mat]]
+    tops: List[Dict[int, Mat]]
     runs: Runs = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.maps)
+        return len(self.tops)
+
+    @cached_property
+    def maps(self) -> List[Dict[int, Mat]]:
+        return [RunMaps(self.runs, blocks).lift() for blocks in self.tops]
 
     def to_json(self) -> dict:
         return {
@@ -298,7 +336,17 @@ def _spans_to_json(V: WeightModule, spans: Dict[int, Echelon]) -> List[dict]:
 
 
 def _maps_to_json(maps: Dict[int, Mat]) -> List[dict]:
-    return [{"offset": k, "matrix": maps[k].to_json()} for k in sorted(maps)]
+    """Each offset's matrix; a block object that RunMaps.lift handed to
+    several offsets is written once, and its rows shared."""
+    written: Dict[int, list] = {}
+    out = []
+    for k in sorted(maps):
+        m = maps[k]
+        rows = written.get(id(m))
+        if rows is None:
+            rows = written[id(m)] = m.to_json()
+        out.append({"offset": k, "matrix": rows})
+    return out
 
 
 def _op_names(algebra, *modules: WeightModule) -> Tuple[str, ...]:
@@ -523,7 +571,7 @@ def _graded_hom_basis(
     V: WeightModule, W: WeightModule, names: Sequence[str]
 ) -> Tuple[List[Dict[int, Mat]], Runs]:
     """Basis of the graded maps V -> W commuting with the named operators,
-    and the runs it was solved on.
+    each given by its blocks at the run tops, and the runs it was solved on.
 
     One unknown block per run; every operator instance off the run links is
     one equation on those blocks.  The kernel vectors of the system, lifted
@@ -556,14 +604,20 @@ def _graded_hom_basis(
             for plus, minus in zip(za, bz):
                 system.insert_terms([(base[u] + j, c) for j, c in plus] + [(base[e] + j, -c) for j, c in minus])
 
-    basis = []
-    for sol in solution(ctx, system.rows, n)[1]:
-        blocks = {
-            e: Mat._of(ctx, [sol[base[e] + i * dv : base[e] + (i + 1) * dv] for i in range(dw)], dv)
-            for e, dw, dv in shapes
-        }
-        basis.append(RunMaps(runs, blocks).lift())
-    return basis, runs
+    return _cut_vectors(ctx, shapes, solution(ctx, system.rows, n)[1]), runs
+
+
+def _cut_vectors(ctx: FieldCtx, shapes: List[Tuple[int, int, int]], vectors: List[List[Fel]]) -> List[Dict[int, Mat]]:
+    """Each coordinate vector cut into the (top, rows, columns) blocks of
+    shapes, row-major, top after top."""
+    out = []
+    for vec in vectors:
+        blocks, at = {}, 0
+        for e, dw, dv in shapes:
+            blocks[e] = Mat._of(ctx, [vec[at + i * dv : at + (i + 1) * dv] for i in range(dw)], dv)
+            at += dw * dv
+        out.append(blocks)
+    return out
 
 
 def endomorphisms(V: WeightModule, algebra) -> EndBasis:
@@ -572,8 +626,8 @@ def endomorphisms(V: WeightModule, algebra) -> EndBasis:
     names = _op_names(algebra, V)
     if not V.circular:
         raise NotApplicable(WINDOWED_REASON)
-    maps, runs = _graded_hom_basis(V, V, names)
-    return EndBasis(algebra=algebra, maps=maps, runs=runs)
+    tops, runs = _graded_hom_basis(V, V, names)
+    return EndBasis(algebra=algebra, tops=tops, runs=runs)
 
 
 def verify_endomorphism(V: WeightModule, names: Sequence[str], maps: Dict[int, Mat]) -> bool:
@@ -669,30 +723,82 @@ def _coefficient_sweep(
 T = TypeVar("T")
 
 
+def _combination(mats: Sequence[Mat], coefs: Sequence[Fel]) -> Optional[Mat]:
+    """The sum of c m over the nonzero coefficients, None when there are
+    none: each entry summed once over the nonzero products it has."""
+    parts = [(m.data, c) for m, c in zip(mats, coefs) if c]
+    if not parts:
+        return None
+    cs = [c for _, c in parts]
+    ctx, cols = mats[0].ctx, mats[0].cols
+    rows = []
+    for group in zip(*(data for data, _ in parts)):
+        row = []
+        for xs in zip(*group):
+            acc = None
+            for x, c in zip(xs, cs):
+                if x:
+                    acc = x * c if acc is None else acc + x * c
+            row.append(ctx.zero if acc is None else acc)
+        rows.append(row)
+    return Mat._of(ctx, rows, cols)
+
+
 def _search(
     ctx: FieldCtx, basis: List[Dict[int, Mat]], runs: Runs, seed: int, trials: int,
-    test: Callable[[RunMaps], Optional[T]]
+    test: Callable[[RunMaps], Optional[T]], screen: Optional[Callable[[List[Fel]], bool]] = None
 ) -> Tuple[Optional[T], bool]:
     """Sweep combinations of a Hom basis solved on runs: the first result of
     test that is not None, and whether the sweep is exhaustive.
 
     A combination is formed at the run representatives only and handed to
-    test as RunMaps; the module docstring says why that is enough.
+    test as RunMaps; the module docstring says why that is enough.  A
+    coefficient vector that screen turns down is not formed at all, nor is
+    a zero draw, which neither splits nor is invertible.
     """
-    reps = [{s: maps[s] for s in runs.members if s in maps} for maps in basis]
+    tops = [s for s in runs.members if s in basis[0]]
+    blocks = [[maps[s] for maps in basis] for s in tops]
     sweep, exhaustive = _coefficient_sweep(ctx, len(basis), seed, trials)
     for coefs in sweep:
-        blocks: Dict[int, Mat] = {}
-        for rep, c in zip(reps, coefs):
-            if not c:
-                continue
-            for s, z in rep.items():
-                scaled = z.scale(c)
-                blocks[s] = (blocks[s] + scaled) if s in blocks else scaled
-        got = test(RunMaps(runs, blocks))
+        if not any(coefs) or (screen is not None and not screen(coefs)):
+            continue
+        got = test(RunMaps(runs, {s: _combination(zs, coefs) for s, zs in zip(tops, blocks)}))
         if got is not None:
             return got, exhaustive
     return None, exhaustive
+
+
+def _regular(ctx: FieldCtx, end: EndBasis) -> List[Mat]:
+    """End's left regular representation: for each basis map phi_i, the
+    matrix L_i whose column j is the coordinates of phi_i phi_j.
+
+    Coordinate k of a map is its entry at basis map k's last nonzero
+    coordinate (module docstring), and a product at a top is the product
+    of the two blocks there, so only those entries of it are formed, each
+    a sum over the nonzero entries of one row: a block c 1 costs one
+    product per entry, as scaling would.
+    """
+    blocks = [[z.data for z in maps.values()] for maps in end.tops]
+    # (top, row, column) of each basis map's last nonzero coordinate
+    where = [
+        max((t, r, c) for t, z in enumerate(zs) for r, row in enumerate(z) for c, x in enumerate(row) if x)
+        for zs in blocks
+    ]
+    table = []
+    for left in blocks:
+        rows = []
+        for t, r, c in where:
+            nonzero = [(s, a) for s, a in enumerate(left[t][r]) if a]
+            rows.append([sum((a * right[t][s][c] for s, a in nonzero if right[t][s][c]), ctx.zero) for right in blocks])
+        table.append(Mat._of(ctx, rows, len(blocks)))
+    return table
+
+
+def _splits(table: List[Mat], coefs: Sequence[Fel]) -> bool:
+    """Does sum c_i phi_i split its module, its regular representation
+    sum c_i L_i being neither invertible nor nilpotent?"""
+    L = _combination(table, coefs)
+    return not L.is_invertible() and not fitting_power(L).is_zero()
 
 
 def _find_split(
@@ -700,12 +806,19 @@ def _find_split(
 ) -> Tuple[Optional[Tuple[RunMaps, int]], bool]:
     """Search End(V) for a splitting idempotent.
 
-    Returns (projector-and-rank or None, decided).  decided is True when
-    the sweep was exhaustive up to scalars, so None means indecomposable.
+    Each candidate is tested on End's regular representation, when its
+    n x n matrices have no more entries than the module's blocks at the
+    tops (module docstring); only one that passes is formed on the module,
+    where _fitting_projector builds the projector, or turns it down and
+    the sweep goes on.  Returns (projector-and-rank or None, decided).
+    decided is True when the sweep was exhaustive up to scalars, so None
+    means indecomposable.
     """
     if end.dim <= 1:
         return None, True
-    return _search(V.ctx, end.maps, end.runs, seed, trials, lambda phi: _fitting_projector(V, phi))
+    small = end.dim**2 <= sum(V.dim(e) ** 2 for e in end.runs.members)
+    screen = partial(_splits, _regular(V.ctx, end)) if small else None
+    return _search(V.ctx, end.tops, end.runs, seed, trials, lambda phi: _fitting_projector(V, phi), screen)
 
 
 def _subspace_module(V: WeightModule, names: Sequence[str], bases: Dict[int, Mat]) -> WeightModule:
@@ -733,18 +846,22 @@ def _subspace_module(V: WeightModule, names: Sequence[str], bases: Dict[int, Mat
     return WeightModule(V.ctx, V.orbit, V.window, labels, ops)
 
 
-def _split_module(V: WeightModule, names: Sequence[str], proj: RunMaps) -> Tuple[WeightModule, WeightModule]:
-    """Split V along an idempotent, given at the run representatives, into
-    image and complement summands.
+def _split_module(
+    V: WeightModule, names: Sequence[str], proj: RunMaps
+) -> List[Tuple[WeightModule, Dict[int, Tuple[Mat, Mat]]]]:
+    """Split V along an idempotent p, given at the run representatives,
+    into the image summand and the complement summand, each with the rank
+    factors B, C of its projector (p or 1 - p) at every offset: B is the
+    summand's basis, and C B = 1.
 
     An offset with no transport carries its representative's block, so it
-    takes the representative's two column spaces; every other offset takes
-    those of its own block.
+    takes the representative's factors; every other offset takes those of
+    its own block.
     """
     ctx = V.ctx
     runs = proj.runs
     blocks = proj.lift()
-    spaces: Dict[int, Tuple[Mat, Mat]] = {}
+    factors: Dict[int, Tuple[Tuple[Mat, Mat], Tuple[Mat, Mat]]] = {}
     image = {}
     complement = {}
     for k in V.offsets():
@@ -752,14 +869,50 @@ def _split_module(V: WeightModule, names: Sequence[str], proj: RunMaps) -> Tuple
         if d == 0:
             continue
         at = k if k in runs.v else runs.rep[k]
-        if at not in spaces:
+        if at not in factors:
             e = blocks.get(k, Mat.zeros(ctx, d, d))
-            spaces[at] = (e.column_space(), (Mat.identity(ctx, d) - e).column_space())
-        image[k], complement[k] = spaces[at]
-    return (
-        _subspace_module(V, names, image),
-        _subspace_module(V, names, complement),
-    )
+            factors[at] = (e.rank_factors(), (Mat.identity(ctx, d) - e).rank_factors())
+        image[k], complement[k] = factors[at]
+    return [(_subspace_module(V, names, {k: b for k, (b, _) in side.items()}), side) for side in (image, complement)]
+
+
+def _product(a: Mat, b: Mat) -> Mat:
+    """a b, scaled instead where a factor is c 1."""
+    c = a.scalar_value()
+    if c is not None:
+        return b.scale(c)
+    c = b.scalar_value()
+    return a * b if c is None else a.scale(c)
+
+
+def _restricted_end(
+    end: EndBasis, U: WeightModule, names: Sequence[str], factors: Dict[int, Tuple[Mat, Mat]]
+) -> EndBasis:
+    """End(U) for a summand U of V, from End(V) with no solve.
+
+    U is cut out by the idempotent B C of End(V) at each offset, with B its
+    basis (module docstring); C phi B over End(V)'s basis spans End(U),
+    read at U's run tops and brought to the canonical basis there.
+    """
+    ctx = U.ctx
+    runs = Runs(U, U, names)
+    shapes = [(e, U.dim(e), U.dim(e)) for e in runs.members if U.dim(e)]
+    zero, width = ctx.zero, sum(r * r for _, r, _ in shapes)
+    # in reversed coordinate order, whose reduced echelon basis is the canonical one
+    system = Echelon()
+    for phi in end.tops:
+        vec = []
+        for e, _, _ in shapes:
+            b, c = factors[e]
+            vec.extend(x for row in _product(_product(c, phi[e]), b).data for x in row)
+        system.insert_terms([(width - 1 - i, x) for i, x in enumerate(vec) if x])
+    vectors = []
+    for p in sorted(system.rows, reverse=True):
+        vec = [zero] * width
+        for j, x in system.rows[p].items():
+            vec[width - 1 - j] = x
+        vectors.append(vec)
+    return EndBasis(algebra=end.algebra, tops=_cut_vectors(ctx, shapes, vectors), runs=runs)
 
 
 def is_indecomposable(
@@ -794,7 +947,8 @@ def decompose(
     not exhaustive and finds nothing, the current piece is kept whole and
     the result is flagged incomplete.  end is End(V) over the algebra when
     the caller has solved it already; otherwise it is solved here, only
-    when a split is searched for.  The summands solve their own End.
+    when a split is searched for.  Each summand's End is restricted from
+    End(V), so one decompose makes at most one End solve.
     """
     names = _op_names(algebra, V)
     if not V.circular:
@@ -805,14 +959,18 @@ def decompose(
         # summands are only stable under the chosen algebra, so drop the rest;
         # End over the algebra reads only its operators, so end serves the copy
         V = V.with_ops({n: V.ops[n] for n in names})
-    found, decided = _find_split(V, end if end is not None else endomorphisms(V, algebra), seed, trials)
+    if end is None:
+        end = endomorphisms(V, algebra)
+    found, decided = _find_split(V, end, seed, trials)
     if found is None:
         if decided:
             return Decomposition([V], True)
         return Decomposition([V], False, reason="no splitting endomorphism found within the trial budget")
     proj, _ = found
-    left, right = _split_module(V, names, proj)
-    parts = [decompose(piece, algebra, seed, trials) for piece in (left, right)]
+    parts = [
+        decompose(U, algebra, seed, trials, end=_restricted_end(end, U, names, factors))
+        for U, factors in _split_module(V, names, proj)
+    ]
     return Decomposition(
         [s for p in parts for s in p.summands],
         all(p.complete for p in parts),

@@ -334,6 +334,12 @@ class Mat:
         """A matrix whose columns are a basis of the column space."""
         return self._columns(self.rref()[1])
 
+    def rank_factors(self) -> Tuple["Mat", "Mat"]:
+        """B, C with self = B C: column_space() and the nonzero rows of the
+        reduced form, from one elimination."""
+        red, pivots = self.rref()
+        return self._columns(pivots), Mat._of(self.ctx, red.data[: len(pivots)], self.cols)
+
     def image_and_kernel(self) -> Tuple["Mat", "Mat"]:
         """column_space() and a matrix whose columns are nullspace(), from one elimination."""
         rows = self._reduced_rows()

@@ -768,7 +768,8 @@ def test_run_solver_matches_dense_hom_basis():
         names = op_names_for(algebra)
         runs = analyze.Runs(V, W, names)
         want = dense_hom_basis(V, W, names)
-        got, _ = analyze._graded_hom_basis(V, W, names)
+        tops, solved_on = analyze._graded_hom_basis(V, W, names)
+        got = [analyze.RunMaps(solved_on, blocks).lift() for blocks in tops]
         assert [{k: m.to_json() for k, m in maps.items()} for maps in got] == [
             {k: m.to_json() for k, m in maps.items()} for maps in want
         ]
@@ -857,8 +858,8 @@ def test_end_keyword_serves_a_solved_end(monkeypatch):
     assert is_indecomposable(V, "D", end=end).to_json() == want[0]
     assert solves == []
     assert decompose(V, "D", end=end).to_json() == want[1]
-    # only the two summands solve their own End
-    assert len(solves) == 2
+    # the two summands' End is restricted from end, not solved
+    assert solves == []
 
 
 def test_runs_built_once_per_end_solve(monkeypatch):
@@ -879,7 +880,9 @@ def test_runs_built_once_per_end_solve(monkeypatch):
     assert is_indecomposable(V, "D").is_no
     assert len(solves) == 1 and len(built) == 1
     assert decompose(V, "D").count == 2
-    assert len(solves) == 4 and len(built) == 4
+    # one End solved for V, and one restricted to each summand, on its own runs:
+    # Runs is built once per End, solved or restricted
+    assert len(solves) == 2 and len(built) == 4
 
 
 def test_invertible_candidates_take_no_fitting_power(monkeypatch):
@@ -888,9 +891,11 @@ def test_invertible_candidates_take_no_fitting_power(monkeypatch):
     V = fam("CHAIN_ALT", {"m": 6, "a": ["1"] * 6}, F9)
     assert is_indecomposable(V, "D").is_yes
     # the exhaustive sweep tries 100 candidates; the 87 invertible ones are
-    # dropped before a power is taken
+    # dropped before a power is taken, and the 13 others are powered on
+    # End's 3 x 3 regular representation, not on the module's 6 x 6 blocks
     assert len(powered) == 13
     assert not any(m.is_invertible() for m in powered)
+    assert all(m.rows == 3 for m in powered)
 
 
 def test_no_identity_is_inverted_or_multiplied(monkeypatch):
@@ -909,6 +914,95 @@ def test_no_identity_is_inverted_or_multiplied(monkeypatch):
     assert [s.total_dim() for s in decompose(V, "D").summands] == [12, 12]
     assert inverses and products
     assert not any(inverses) and not any(products)
+
+
+def test_ladder_decompose_solves_end_once(monkeypatch):
+    solve, solves = analyze._graded_hom_basis, []
+    monkeypatch.setattr(analyze, "_graded_hom_basis", lambda *args: solves.append(args) or solve(*args))
+    F7Q3 = make_field(FieldSpec(kind="PRIME_FIELD", p=7, q="3"))
+    dec = decompose(fam("CHAIN_ALT", {"m": 16, "a": ["1"] * 16}, F7Q3), "D")
+    assert [U.total_dim() for U in dec.summands] == [168, 168, 168, 84, 84]
+    # every summand's End is restricted from the one solved (nine solves before)
+    assert len(solves) == 1
+
+
+def test_maps_json_writes_each_block_object_once(monkeypatch):
+    end = endomorphisms(CHAIN_A6, "D")
+    want = [[{"offset": k, "matrix": maps[k].to_json()} for k in sorted(maps)] for maps in end.maps]
+    to_json, written = Mat.to_json, []
+    monkeypatch.setattr(Mat, "to_json", lambda m: written.append(m) or to_json(m))
+    assert end.to_json()["basis"] == want
+    # X = 1 off the junction: each map hands one block to all six offsets
+    assert len(written) == sum(len({id(m) for m in maps.values()}) for maps in end.maps) == 2
+
+
+def test_decompose_lifts_projectors_only(monkeypatch):
+    # End bases are read at the run tops; only each split's projector is
+    # lifted, to cut its summands, and End is lifted when it is written out
+    V = five_twisted()
+    end = endomorphisms(V, "D")
+    lift, lifted = analyze.RunMaps.lift, []
+    monkeypatch.setattr(analyze.RunMaps, "lift", lambda phi: lifted.append(phi) or lift(phi))
+    assert decompose(V, "D", end=end).count == 5
+    assert len(lifted) == 4
+    assert end.to_json()["dim"] == 25 and len(lifted) == 4 + 25
+
+
+# the split test on End's regular representation, against the Fitting
+# projector on the module's blocks that it screens for
+
+
+def sweep_both_ways(V, algebra, trials=analyze.DEFAULT_TRIALS):
+    """For each candidate of the split sweep, whether the regular
+    representation splits and whether _fitting_projector does; the first
+    hit with the screen, without it, and as _find_split gives it; and
+    whether the sweep is exhaustive."""
+    end = endomorphisms(V, algebra)
+    table = analyze._regular(V.ctx, end)
+    verdicts, coefs = [], []
+
+    def regular(c):
+        return analyze._splits(table, c)
+
+    def fitting(phi):
+        return analyze._fitting_projector(V, phi)
+
+    def record(c):
+        coefs[:] = c
+        return True
+
+    def both(phi):
+        verdicts.append((regular(coefs), fitting(phi) is not None))
+
+    def sweep(test, screen=None):
+        return analyze._search(V.ctx, end.tops, end.runs, 0, trials, test, screen)
+
+    _, exhaustive = sweep(both, record)
+    first = [sweep(fitting, regular)[0], sweep(fitting)[0], analyze._find_split(V, end, 0, trials)[0]]
+    hits = [None if f is None else ({k: m.to_json() for k, m in f[0].blocks.items()}, f[1]) for f in first]
+    return verdicts, hits, exhaustive
+
+
+@pytest.mark.parametrize(
+    "V, algebra, trials, exhaustive, splits",
+    [
+        (CHAIN_A6, "D", analyze.DEFAULT_TRIALS, True, True),
+        (CHAIN_A6, "AQ", 50, False, True),
+        (CHAIN_A6, "A1", 50, False, True),
+        (fam("CHAIN_ALT", {"m": 6, "a": ["1"] * 6}, F9), "D", analyze.DEFAULT_TRIALS, True, False),
+        (direct_sum(TWISTED, TWISTED), "D", analyze.DEFAULT_TRIALS, True, True),
+        (five_twisted(), "D", 20, False, True),
+    ],
+    ids=["alt4-D", "alt4-AQ", "alt4-A1", "alt6-D", "twisted2-D", "twisted5-D"],
+)
+def test_regular_split_test_matches_fitting_projector(V, algebra, trials, exhaustive, splits):
+    verdicts, (screened, unscreened, found), swept_all = sweep_both_ways(V, algebra, trials)
+    assert swept_all == exhaustive
+    assert [got for got, _ in verdicts] == [want for _, want in verdicts]
+    assert screened == unscreened == found and (screened is not None) == splits
+    # some candidate splits exactly where the module does, and not every one
+    assert any(got for got, _ in verdicts) == splits
+    assert not all(got for got, _ in verdicts)
 
 
 # the split on runs, against the split of every weight space that it replaced
@@ -1015,7 +1109,8 @@ def test_split_on_runs_matches_per_offset_split():
                 assert {k: m.to_json() for k, m in proj.lift().items()} == {k: m.to_json() for k, m in lifted.items()}
                 solves = []
                 want = per_offset_split(M, names, lifted, solves)
-                assert tuple(map(module_bytes, analyze._split_module(M, names, proj))) == tuple(map(module_bytes, want))
+                got = [U for U, _ in analyze._split_module(M, names, proj)]
+                assert tuple(map(module_bytes, got)) == tuple(map(module_bytes, want))
                 seen["split"] += 1
                 seen[x_mode] += 1
                 reps = end.runs.rep

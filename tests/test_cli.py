@@ -686,8 +686,9 @@ def test_analyze_end_and_decompose_solve_end_once(tmp_path, capsys, monkeypatch)
         assert code == 0
         counts[m] = (len(solves), json.loads(out)["checks"]["decompose"]["count"])
     # m=6 is indecomposable over D: one End serves both checks (two solves
-    # before they shared it); m=4 splits in two, and each summand solves its own
-    assert counts == {4: (3, 2), 6: (1, 1)}
+    # before they shared it); m=4 splits in two, and each summand's End is
+    # restricted from the one solved (three solves before)
+    assert counts == {4: (1, 2), 6: (1, 1)}
 
 
 @pytest.mark.parametrize(

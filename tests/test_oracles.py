@@ -25,6 +25,7 @@ import json
 import random
 
 import pytest
+from qdweight import analyze
 from qdweight.analyze import are_isomorphic, decompose, endomorphisms, is_irreducible
 from qdweight.basering import PRODUCTS, WeightPoint, eval_at
 from qdweight.extend import FAMILY, UNIQUE, extend_to_D
@@ -35,6 +36,7 @@ from qdweight.orbits import compute_orbit
 from qdweight.verify import check_relations
 from qdweight.wmod import junction_module, restrict
 from test_analyze import full_scan_irreducible
+from test_hom_ladder_pinned import RUNGS
 
 F4 = make_field(FieldSpec(kind="EXT_FIELD", p=2, f=(1, 1, 1), q="[0,1]"))
 F5 = make_field(FieldSpec(kind="PRIME_FIELD", p=5, q="2"))
@@ -193,3 +195,31 @@ def test_chain_alt_extension_family_size(ctx, m):
     for flavour in ("AQ", "A1"):
         res = extend_to_D(restrict(V, flavour))
         assert (res.kind, res.k) == (FAMILY, m * m)
+
+
+def test_summand_end_by_restriction_matches_solve(monkeypatch):
+    # every summand's End, restricted from its parent's, has the bytes of
+    # End solved on the summand: on the oracle modules and the ladder rungs
+    restricted, dims = analyze._restricted_end, []
+
+    def checked(end, U, names, factors):
+        got = restricted(end, U, names, factors)
+        assert json.dumps(got.to_json()) == json.dumps(endomorphisms(U, end.algebra).to_json())
+        dims.append(got.dim)
+        return got
+
+    monkeypatch.setattr(analyze, "_restricted_end", checked)
+    base = {F9: WeightPoint(F9.parse("[0,1]"), F9.parse("[0,1]")), F4: WeightPoint(F4.parse("[0,1]"), F4.one)}
+    for ctx, point in base.items():
+        for M, _ in _classes(ctx):
+            decompose(monodromy_module(ctx, point, M), "D")
+    for ctx, x, y, y1, _ in LAMBDA_CASES:
+        decompose(lambda_module(ctx, x, y, y1), "D")
+    alt4 = construct_family({"name": "CHAIN_ALT", "params": {"m": 4, "a": ["1"] * 4}}, F9)
+    for algebra in ("D", "AQ", "A1"):
+        decompose(alt4, algebra)
+    for _, p, q, m, split in RUNGS:
+        if split:
+            ctx = make_field(FieldSpec(kind="PRIME_FIELD", p=p, q=q))
+            decompose(construct_family({"name": "CHAIN_ALT", "params": {"m": m, "a": ["1"] * m}}, ctx), "D")
+    assert len(dims) >= 100 and max(dims) >= 4
