@@ -73,10 +73,7 @@ Graded maps are solved on runs of invertible X links.
   The projector is handed on at the representatives.  An offset with no
   transport has P_e itself, so its summand spaces are the representative's
   column spaces, not computed again; every other offset takes the column
-  spaces of A_k^-1 P_e A_k.  An operator c 1 between two offsets with
-  equal summand bases B restricts to c 1 with no solve: B has full column
-  rank, so B Z = c B forces Z = c 1.  Those are the values the general
-  path computes, so the summands' bytes are the same.
+  spaces of A_k^-1 P_e A_k.
 * The sweep.  Lifting Z to phi_k = B_k^-1 Z A_k is linear, so a combination
   of basis maps is the lift of the same combination of their blocks at the
   representatives, and the sweep combines those blocks only.  With A_k and
@@ -102,20 +99,24 @@ Graded maps are solved on runs of invertible X links.
   The verdicts are the same either way, so an End whose n x n matrices
   have more entries than the tops' blocks, such as that of many copies
   of one module, is swept on the blocks, as before.
-* Summands' End by restriction.  A split's projector is p = B C at each
+* Summands by restriction.  A split's projector is p = B C at each
   offset, with B the summand's basis, the pivot columns of p, and C the
-  nonzero rows of p's reduced form, so C B = 1.  A map psi of End(U), U
-  the summand, extended by 0 on the other summand, is a map of End(V),
-  and C (that map) B = psi; and C phi B is in End(U) for every phi in
-  End(V).  So C phi_i B over End(V)'s basis spans End(U).  Read at U's
-  run tops in U's coordinates and brought to reduced echelon form in
+  nonzero rows of p's reduced form.  B's columns are columns of the
+  idempotent p, so B C B = p B = B and, B of full column rank, C B = 1.
+  p commutes with an operator O from k to t, so O B_k = p_t O B_k =
+  B_t (C_t O B_k): the summand's operator, the one Z with B_t Z = O B_k,
+  is C_t O B_k, with no solve.  It is c 1 where O is c 1 and k and t share
+  one factor pair, and a square C is 1, as is its B.  Likewise a map psi
+  of End(U), U the summand, extended by 0 on the other summand, is a map
+  of End(V), and C (that map) B = psi; and C phi B is in End(U) for every
+  phi in End(V).  So C phi_i B over End(V)'s basis spans End(U).  Read at
+  U's run tops in U's coordinates and brought to reduced echelon form in
   reversed coordinate order, that span gives the canonical basis, which
-  depends only on the space: the bytes a solve of End(U) gives, with no
-  solve.  U's run tops are V's: p commutes with an X link invertible in
-  V, so X and its inverse map U's spaces onto each other there, and U's
-  runs are unions of V's.  So End(U) is read off End(V)'s blocks at the
-  tops, and a basis is lifted to every offset only when it is written
-  out.  A factor c 1 is scaled, not multiplied.
+  depends only on the space: the bytes a solve of End(U) gives.  U's run
+  tops are V's: p commutes with an X link invertible in V, so X and its
+  inverse map U's spaces onto each other there, and U's runs are unions
+  of V's.  So End(U) is read off End(V)'s blocks at the tops, and a basis
+  is lifted to every offset only when it is written out.
 * Irreducibility (Norton's criterion; Parker 1984, Holt and Rees 1994).
   Let k0 be the first offset with V_k0 nonzero, and let the operators act
   on V* by their transposes, each from the dual of its target to the dual
@@ -821,27 +822,19 @@ def _find_split(
     return _search(V.ctx, end.tops, end.runs, seed, trials, lambda phi: _fitting_projector(V, phi), screen)
 
 
-def _subspace_module(V: WeightModule, names: Sequence[str], bases: Dict[int, Mat]) -> WeightModule:
-    """Restriction of V to op-stable subspaces given by basis columns.
-
-    An operator c 1 between two offsets with equal bases B restricts to c 1
-    with no solve: B has full column rank, so B Z = c B forces Z = c 1.
-    """
-    labels = {k: default_labels(k, b.cols) for k, b in bases.items()}
+def _subspace_module(
+    V: WeightModule, names: Sequence[str], factors: Dict[int, Tuple[Mat, Mat]], ones: Dict[Tuple[int, Fel], Mat]
+) -> WeightModule:
+    """Restriction of V to the op-stable subspaces whose projectors have
+    rank factors B, C: an operator O from k to t restricts to C_t O B_k."""
+    labels = {k: default_labels(k, b.cols) for k, (b, _) in factors.items()}
     ops: Dict[str, Dict[int, Mat]] = {}
     for name in names:
         table = {}
         for k in V.op_sources(name):
             t = V.op_target(name, k)
-            sk = bases[k].cols if k in bases else 0
-            st = bases[t].cols if t in bases else 0
-            if sk and st:
-                op = V.op(name, k)
-                c = op.scalar_value() if bases[t] == bases[k] else None
-                sol = Mat.scalar(V.ctx, sk, c) if c is not None else bases[t].solve(op * bases[k])
-                if sol is None:
-                    raise ValueError("subspaces are not closed under the operators")
-                table[k] = sol
+            if k in factors and t in factors and factors[k][0].cols and factors[t][0].cols:
+                table[k] = _cut(factors[t], V.op(name, k), factors[k], ones)
         ops[name] = table
     return WeightModule(V.ctx, V.orbit, V.window, labels, ops)
 
@@ -855,8 +848,8 @@ def _split_module(
     summand's basis, and C B = 1.
 
     An offset with no transport carries its representative's block, so it
-    takes the representative's factors; every other offset takes those of
-    its own block.
+    takes the representative's factors, the same pair; every other offset
+    takes those of its own block.
     """
     ctx = V.ctx
     runs = proj.runs
@@ -873,16 +866,26 @@ def _split_module(
             e = blocks.get(k, Mat.zeros(ctx, d, d))
             factors[at] = (e.rank_factors(), (Mat.identity(ctx, d) - e).rank_factors())
         image[k], complement[k] = factors[at]
-    return [(_subspace_module(V, names, {k: b for k, (b, _) in side.items()}), side) for side in (image, complement)]
+    ones: Dict[Tuple[int, Fel], Mat] = {}  # the c 1 blocks the two summands share
+    return [(_subspace_module(V, names, side, ones), side) for side in (image, complement)]
 
 
-def _product(a: Mat, b: Mat) -> Mat:
-    """a b, scaled instead where a factor is c 1."""
-    c = a.scalar_value()
+def _cut(target: Tuple[Mat, Mat], m: Mat, source: Tuple[Mat, Mat], ones: Dict[Tuple[int, Fel], Mat]) -> Mat:
+    """C_t m B_k, m from the space with rank factors B_k, C_k to the one
+    with B_t, C_t (module docstring).  An m that is c 1 between one factor
+    pair is c 1, one block per (size, c) kept in ones; a square factor is 1
+    and is not multiplied, and an m that is c 1 is scaled."""
+    c = m.scalar_value()
+    (_, left), (right, _) = target, source
     if c is not None:
-        return b.scale(c)
-    c = b.scalar_value()
-    return a * b if c is None else a.scale(c)
+        if target is source:
+            if (right.cols, c) not in ones:
+                ones[right.cols, c] = Mat.scalar(m.ctx, right.cols, c)
+            return ones[right.cols, c]
+        m = right.scale(c)
+    elif right.rows > right.cols:
+        m = m * right
+    return m if left.rows == left.cols else left * m
 
 
 def _restricted_end(
@@ -898,20 +901,15 @@ def _restricted_end(
     runs = Runs(U, U, names)
     shapes = [(e, U.dim(e), U.dim(e)) for e in runs.members if U.dim(e)]
     zero, width = ctx.zero, sum(r * r for _, r, _ in shapes)
+    ones: Dict[Tuple[int, Fel], Mat] = {}
     # in reversed coordinate order, whose reduced echelon basis is the canonical one
     system = Echelon()
     for phi in end.tops:
         vec = []
         for e, _, _ in shapes:
-            b, c = factors[e]
-            vec.extend(x for row in _product(_product(c, phi[e]), b).data for x in row)
+            vec.extend(x for row in _cut(factors[e], phi[e], factors[e], ones).data for x in row)
         system.insert_terms([(width - 1 - i, x) for i, x in enumerate(vec) if x])
-    vectors = []
-    for p in sorted(system.rows, reverse=True):
-        vec = [zero] * width
-        for j, x in system.rows[p].items():
-            vec[width - 1 - j] = x
-        vectors.append(vec)
+    vectors = [dense(system.rows[p], width, zero)[::-1] for p in sorted(system.rows, reverse=True)]
     return EndBasis(algebra=end.algebra, tops=_cut_vectors(ctx, shapes, vectors), runs=runs)
 
 

@@ -10,10 +10,10 @@ takes each new vector as (column, entry) terms; its work is bounded by the
 entries it touches, not by the width of the system.  Every solver writes
 its equations with `product_terms` and reads them with `solution`.  Dense
 callers (`Mat.rref`, and through it rank, nullspace, column space,
-image_and_kernel and solve) go through `terms` on the way in and `dense`
-on the way out.  Products and
-scales skip zero entries of both factors, so a shift, diagonal or identity
-factor costs one field product per nonzero pair rather than d^3.
+rank_factors, image_and_kernel and solve) go through `terms` on the way
+in and `dense` on the way out.  Products and scales skip zero entries
+of both factors, so a shift, diagonal or identity factor costs one field
+product per nonzero pair rather than d^3.
 `Mat.scalar_value` reads c off a block that is c times the identity, so
 that a caller can scale by c, or skip an X = 1 link, where it would
 otherwise invert or multiply the block.

@@ -38,6 +38,7 @@ from qdweight.wmod import (
     restrict,
     simple_no_break,
 )
+from test_hom_ladder_pinned import RUNGS
 
 QQ = make_field(FieldSpec(kind="RATIONAL", q="2"))
 QH = make_field(FieldSpec(kind="RATIONAL", q="1/2"))
@@ -900,7 +901,7 @@ def test_invertible_candidates_take_no_fitting_power(monkeypatch):
 
 def test_no_identity_is_inverted_or_multiplied(monkeypatch):
     # X = 1 off the junction: no transport is formed across those links,
-    # and no summand solves for an operator that is c 1 on equal bases
+    # and no summand multiplies by an operator that is c 1 or a square factor
     inverse, mul = Mat.inverse, Mat.__mul__
     inverses, products = [], []
 
@@ -916,14 +917,41 @@ def test_no_identity_is_inverted_or_multiplied(monkeypatch):
     assert not any(inverses) and not any(products)
 
 
+def count_solves(monkeypatch):
+    """A list that gets the shape of each Mat.solve call's matrix from now on."""
+    solve, solves = Mat.solve, []
+    monkeypatch.setattr(Mat, "solve", lambda m, rhs: solves.append((m.rows, m.cols)) or solve(m, rhs))
+    return solves
+
+
+def ladder_rung(p, q, m):
+    ctx = make_field(FieldSpec(kind="PRIME_FIELD", p=p, q=q))
+    return construct_family({"name": "CHAIN_ALT", "params": {"m": m, "a": ["1"] * m}}, ctx)
+
+
 def test_ladder_decompose_solves_end_once(monkeypatch):
     solve, solves = analyze._graded_hom_basis, []
     monkeypatch.setattr(analyze, "_graded_hom_basis", lambda *args: solves.append(args) or solve(*args))
-    F7Q3 = make_field(FieldSpec(kind="PRIME_FIELD", p=7, q="3"))
-    dec = decompose(fam("CHAIN_ALT", {"m": 16, "a": ["1"] * 16}, F7Q3), "D")
+    mat_solves = count_solves(monkeypatch)
+    dec = decompose(ladder_rung(7, "3", 16), "D")
     assert [U.total_dim() for U in dec.summands] == [168, 168, 168, 84, 84]
     # every summand's End is restricted from the one solved (nine solves before)
     assert len(solves) == 1
+    # and its operators are cut by its projector's rank factors: the only
+    # Mat solves left are the Fitting projectors' [image | kernel] inverses
+    # (20 before)
+    assert len(mat_solves) == 4
+
+
+@pytest.mark.parametrize("rung", [rung for rung in RUNGS if rung[-1]], ids=lambda rung: rung[0])
+def test_ladder_split_makes_no_solve(monkeypatch, rung):
+    _, p, q, m, _ = rung
+    V = ladder_rung(p, q, m)
+    found = found_projectors(V, endomorphisms(V, "D"), count=1)
+    assert found
+    solves = count_solves(monkeypatch)
+    parts = analyze._split_module(V, op_names_for("D"), found[0])
+    assert solves == [] and all(U.total_dim() for U, _ in parts)
 
 
 def test_maps_json_writes_each_block_object_once(monkeypatch):
@@ -1093,10 +1121,20 @@ def found_projectors(M, end, count=2):
     return found
 
 
-def test_split_on_runs_matches_per_offset_split():
+def test_split_on_runs_matches_per_offset_split(monkeypatch):
     rng = random.Random(20261021)
     seen = {"split": 0, "identity in V, transport in W": 0, "spaces reused": 0, "transported": 0, "c 1 restriction": 0}
     seen.update({mode: 0 for mode in X_KINDS})
+    # cuts of an operator that is not c 1 between two factor pairs: the product path
+    seen["product cut"] = 0
+    cut = analyze._cut
+
+    def counted(target, m, source, ones):
+        seen["product cut"] += target is not source and m.scalar_value() is None
+        return cut(target, m, source, ones)
+
+    monkeypatch.setattr(analyze, "_cut", counted)
+    solves = count_solves(monkeypatch)
     for _ in range(40):
         V, W, algebra, x_mode = random_split_pair(rng)
         names = op_names_for(algebra)
@@ -1107,16 +1145,18 @@ def test_split_on_runs_matches_per_offset_split():
             for proj in found:
                 lifted = per_offset_projector(M, proj)
                 assert {k: m.to_json() for k, m in proj.lift().items()} == {k: m.to_json() for k, m in lifted.items()}
-                solves = []
-                want = per_offset_split(M, names, lifted, solves)
+                instances = []
+                want = per_offset_split(M, names, lifted, instances)
+                before = len(solves)
                 got = [U for U, _ in analyze._split_module(M, names, proj)]
+                assert len(solves) == before
                 assert tuple(map(module_bytes, got)) == tuple(map(module_bytes, want))
                 seen["split"] += 1
                 seen[x_mode] += 1
                 reps = end.runs.rep
                 seen["spaces reused"] += any(k != reps[k] and k not in end.runs.v for k in reps if M.dim(k))
                 seen["transported"] += any(M.dim(k) for k in end.runs.v)
-                seen["c 1 restriction"] += any(same and c is not None for same, c in solves)
+                seen["c 1 restriction"] += any(same and c is not None for same, c in instances)
             runs.append(end.runs if found else None)
         # W is a gauge copy of V: an X = 1 link of V is a transport in W
         if runs[0] and runs[1]:

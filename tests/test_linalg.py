@@ -285,6 +285,43 @@ def test_scalar_value_matches_the_naive_check(kind):
     assert sum(naive(m) is not None for m in cases) >= 9
 
 
+def random_idempotent(ctx, rng, d, rank):
+    """S diag(1, ..., 1, 0, ..., 0) S^-1 for a random invertible S."""
+    while True:
+        s = random_mat(ctx, rng, d, d, 1)
+        inverse = s.inverse()
+        if inverse is not None:
+            break
+    diag = Mat(ctx, [[ctx.one if i == j < rank else ctx.zero for j in range(d)] for i in range(d)], cols=d)
+    return s * diag * inverse
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_FIELDS))
+def test_rank_factors(kind):
+    ctx = KERNEL_FIELDS[kind]
+    rng = random.Random(f"rank_factors/{kind}")
+    d = 3 if kind == "FUNCTION_FIELD" else 4
+    cases = [Mat.zeros(ctx, d, d), Mat.identity(ctx, d), Mat.zeros(ctx, 2, 3), Mat.zeros(ctx, 0, 0)]
+    cases += [random_mat(ctx, rng, r, c, density) for r, c in ((1, 1), (3, 5), (5, 2), (d, d)) for density in (0.3, 1)]
+    # of rank below their size
+    cases += [random_mat(ctx, rng, r, k, 1) * random_mat(ctx, rng, k, c, 1) for r, k, c in ((4, 1, 3), (d, 2, d))]
+    idempotents = [random_idempotent(ctx, rng, d, rank) for rank in range(d + 1)]
+    for m in cases + idempotents:
+        b, c = m.rank_factors()
+        red, pivots = m.rref()
+        assert b * c == m
+        assert b == m.column_space()
+        assert c == Mat(ctx, red.data[: len(pivots)], cols=m.cols)
+        assert (b.rows, b.cols, c.rows, c.cols) == (m.rows, len(pivots), len(pivots), m.cols)
+    for rank, p in enumerate(idempotents):
+        assert p * p == p
+        b, c = p.rank_factors()
+        assert c * b == Mat.identity(ctx, rank)
+    # the zero and identity matrices: empty factors, and the identity twice
+    assert Mat.zeros(ctx, d, d).rank_factors() == (Mat.zeros(ctx, d, 0), Mat.zeros(ctx, 0, d))
+    assert Mat.identity(ctx, d).rank_factors() == (Mat.identity(ctx, d), Mat.identity(ctx, d))
+
+
 @pytest.mark.parametrize("d", [1, 5, 9])
 def test_identity_product_costs_at_most_d_squared_products(monkeypatch, d):
     rng = random.Random(d)
