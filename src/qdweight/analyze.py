@@ -226,7 +226,7 @@ class EndBasis:
 
     @cached_property
     def maps(self) -> List[Dict[int, Mat]]:
-        return [RunMaps(self.runs, blocks).lift() for blocks in self.tops]
+        return [self.runs.lift(blocks) for blocks in self.tops]
 
     def to_json(self) -> dict:
         return {
@@ -337,7 +337,7 @@ def _spans_to_json(V: WeightModule, spans: Dict[int, Echelon]) -> List[dict]:
 
 
 def _maps_to_json(maps: Dict[int, Mat]) -> List[dict]:
-    """Each offset's matrix; a block object that RunMaps.lift handed to
+    """Each offset's matrix; a block object that Runs.lift handed to
     several offsets is written once, and its rows shared."""
     written: Dict[int, list] = {}
     out = []
@@ -476,38 +476,77 @@ class Runs:
     links only has A_k = 1 and no entry, in v or in w on its own: with W not
     V one side may hold a transport where the other holds none.  links are
     the X links inside runs.
+
+    A graded map V -> W is kept as its dict {top: block} over the tops
+    where V and W are both nonzero, in offset order; to_reps moves an
+    operator's block to the tops, and lift gives the map at every offset.
     """
 
     __slots__ = ("members", "rep", "links", "v", "w")
 
-    def __init__(self, V: WeightModule, W: WeightModule, names: Sequence[str]):
+    def __init__(self, V: WeightModule, W: WeightModule):
         offsets = V.offsets()
-        # the inverse of each invertible X link, None where X = 1
-        inv_v: Dict[int, Optional[Mat]] = {}
-        inv_w: Dict[int, Optional[Mat]] = {}
-        if "X" in names:
-            for k, t in zip(offsets, offsets[1:]):
-                if V.dim(k) == V.dim(t) > 0 and W.dim(k) == W.dim(t) > 0:
-                    xv = _link_inverse(V.op("X", k))
-                    xw = xv if W is V else _link_inverse(W.op("X", k))
-                    if xv is not False and xw is not False:
-                        inv_v[k], inv_w[k] = xv, xw
+        pairs = list(zip(offsets, offsets[1:]))
+        sides = [V] if W is V else [V, W]
+        # each side's inverse of every invertible X link, None where X = 1
+        inverses: List[Dict[int, Optional[Mat]]] = [{} for _ in sides]
+        for k, t in pairs:
+            if all(M.dim(k) == M.dim(t) > 0 for M in sides):
+                got = [_link_inverse(M.op("X", k)) for M in sides]
+                if all(x is not False for x in got):
+                    for inverse, x in zip(inverses, got):
+                        inverse[k] = x
 
+        self.links: Set[int] = set(inverses[0])
         self.members: Dict[int, List[int]] = {}
         self.rep: Dict[int, int] = {}
-        self.links: Set[int] = set(inv_v)
-        self.v: Dict[int, Tuple[Mat, Mat]] = {}
-        self.w = self.v if W is V else {}
         members: List[int] = []
         for k in offsets:
             members.append(k)
-            if k not in inv_v:  # k tops its run
+            if k not in self.links:  # k tops its run
                 self.members[k] = members
                 self.rep.update((j, k) for j in members)
-                self.v.update(_transports(V, members, inv_v))
-                if W is not V:
-                    self.w.update(_transports(W, members, inv_w))
                 members = []
+
+        transports = []
+        for M, inverse in zip(sides, inverses):
+            side: Dict[int, Tuple[Mat, Mat]] = {}
+            for k, t in reversed(pairs):
+                if k not in inverse:
+                    continue
+                x_inv = inverse[k]
+                if x_inv is None:  # X_k = 1 carries A_{k+1} over unchanged
+                    if t in side:
+                        side[k] = side[t]
+                    continue
+                x = M.op("X", k)
+                side[k] = (side[t][0] * x, x_inv * side[t][1]) if t in side else (x, x_inv)
+            transports.append(side)
+        self.v, self.w = transports[0], transports[-1]
+
+    @staticmethod
+    def to_reps(side: Dict[int, Tuple[Mat, Mat]], t: int, m: Mat, k: int) -> Mat:
+        """A block from offset k to offset t of one side, v or w, moved to
+        their representatives: A_t m A_k^-1."""
+        if k in side:
+            m = m * side[k][1]
+        if t in side:
+            m = side[t][0] * m
+        return m
+
+    def lift(self, blocks: Dict[int, Mat]) -> Dict[int, Mat]:
+        """The per-offset blocks of the map given at the tops: B_k^-1 Z A_k
+        on the run of Z."""
+        out: Dict[int, Mat] = {}
+        for e, z in blocks.items():
+            for k in self.members[e]:
+                m = z
+                if k in self.w:
+                    m = self.w[k][1] * m
+                if k in self.v:
+                    m = m * self.v[k][0]
+                out[k] = m
+        return out
 
 
 def _link_inverse(x: Mat):
@@ -516,56 +555,6 @@ def _link_inverse(x: Mat):
         return None
     inverse = x.inverse()
     return False if inverse is None else inverse
-
-
-def _transports(
-    M: WeightModule, members: List[int], inverses: Dict[int, Optional[Mat]]
-) -> Dict[int, Tuple[Mat, Mat]]:
-    """(A_k, A_k^-1) with A_k = X_{e-1} ... X_k, for each offset k below the
-    top e of a run that does not reach e across X = 1 links only."""
-    out: Dict[int, Tuple[Mat, Mat]] = {}
-    for k, t in reversed(list(zip(members, members[1:]))):
-        x_inv = inverses[k]
-        if x_inv is None:  # X_k = 1 carries A_{k+1} over unchanged
-            if t in out:
-                out[k] = out[t]
-            continue
-        x = M.op("X", k)
-        out[k] = (out[t][0] * x, x_inv * out[t][1]) if t in out else (x, x_inv)
-    return out
-
-
-def _to_reps(side: Dict[int, Tuple[Mat, Mat]], t: int, m: Mat, k: int) -> Mat:
-    """A block from offset k to offset t, moved to their representatives: A_t m A_k^-1."""
-    if k in side:
-        m = m * side[k][1]
-    if t in side:
-        m = side[t][0] * m
-    return m
-
-
-class RunMaps:
-    """A graded map V -> W given by its blocks at the run representatives."""
-
-    __slots__ = ("runs", "blocks")
-
-    def __init__(self, runs: Runs, blocks: Dict[int, Mat]):
-        self.runs = runs
-        self.blocks = blocks
-
-    def lift(self) -> Dict[int, Mat]:
-        """The per-offset blocks: B_k^-1 Z A_k on the run of Z."""
-        out: Dict[int, Mat] = {}
-        runs = self.runs
-        for e, z in self.blocks.items():
-            for k in runs.members[e]:
-                m = z
-                if k in runs.w:
-                    m = runs.w[k][1] * m
-                if k in runs.v:
-                    m = m * runs.v[k][0]
-                out[k] = m
-        return out
 
 
 def _graded_hom_basis(
@@ -579,7 +568,7 @@ def _graded_hom_basis(
     to every offset, are the canonical basis of the module docstring.
     """
     ctx = V.ctx
-    runs = Runs(V, W, names)
+    runs = Runs(V, W)
     # unknowns: the entries of each run top's block, row-major, top after top
     # in offset order, as the output coordinates order them
     shapes = [(e, W.dim(e), V.dim(e)) for e in runs.members if W.dim(e) and V.dim(e)]
@@ -595,8 +584,8 @@ def _graded_hom_basis(
                 continue
             t = V.op_target(name, k)
             e, u = runs.rep[k], runs.rep[t]
-            A = _to_reps(runs.v, t, V.op(name, k), k)
-            B = A if W is V else _to_reps(runs.w, t, W.op(name, k), k)
+            A = runs.to_reps(runs.v, t, V.op(name, k), k)
+            B = A if W is V else runs.to_reps(runs.w, t, W.op(name, k), k)
             if u == e and B is A and A.scalar_value() is not None:
                 continue  # Z c = c Z holds for every Z: only zero rows
             # Z_u A = B Z_e, entry by entry; the two sides may share a block
@@ -647,12 +636,13 @@ def verify_endomorphism(V: WeightModule, names: Sequence[str], maps: Dict[int, M
 # decomposition
 
 
-def _invertible(V: WeightModule, phi: RunMaps) -> bool:
-    """Is the graded map invertible at every nonzero weight space?"""
-    return all(s in phi.blocks and phi.blocks[s].is_invertible() for s in phi.runs.members if V.dim(s))
+def _invertible(phi: Dict[int, Mat]) -> bool:
+    """Is the graded map, given at the tops, invertible at every nonzero
+    weight space?"""
+    return all(z.is_invertible() for z in phi.values())
 
 
-def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[RunMaps, int]]:
+def _fitting_projector(V: WeightModule, runs: Runs, phi: Dict[int, Mat]) -> Optional[Tuple[Dict[int, Mat], int]]:
     """Idempotent projecting onto the stable image of phi, if it splits.
 
     On each weight space, phi^N for N at least its dimension has the same
@@ -664,20 +654,15 @@ def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[RunMaps,
     None when the split is trivial (phi nilpotent or invertible); an
     invertible phi is answered before any power is taken.
     """
-    if _invertible(V, phi):
+    if _invertible(phi):
         return None
-    total = V.total_dim()
     rank = 0
     pieces: Dict[int, Tuple[Mat, Mat]] = {}
-    for e, members in phi.runs.members.items():
-        d = V.dim(e)
-        if d == 0:
-            continue
-        block = phi.blocks.get(e, Mat.zeros(V.ctx, d, d))
+    for e, block in phi.items():
         image, kernel = fitting_power(block).image_and_kernel()
         pieces[e] = (image, kernel)
-        rank += image.cols * len(members)
-    if rank == 0 or rank == total:
+        rank += image.cols * len(runs.members[e])
+    if rank == 0 or rank == V.total_dim():
         return None
 
     # with B = [image | kernel], the projector is B diag(1, 0) B^-1: the
@@ -688,7 +673,7 @@ def _fitting_projector(V: WeightModule, phi: RunMaps) -> Optional[Tuple[RunMaps,
         if inverse is None:
             raise ValueError("stable image and kernel do not split the space")
         proj[e] = image * Mat(V.ctx, inverse.data[: image.cols], cols=V.dim(e))
-    return RunMaps(phi.runs, proj), rank
+    return proj, rank
 
 
 def _coefficient_sweep(
@@ -746,24 +731,25 @@ def _combination(mats: Sequence[Mat], coefs: Sequence[Fel]) -> Optional[Mat]:
 
 
 def _search(
-    ctx: FieldCtx, basis: List[Dict[int, Mat]], runs: Runs, seed: int, trials: int,
-    test: Callable[[RunMaps], Optional[T]], screen: Optional[Callable[[List[Fel]], bool]] = None
+    ctx: FieldCtx, basis: List[Dict[int, Mat]], seed: int, trials: int,
+    test: Callable[[Dict[int, Mat]], Optional[T]], screen: Optional[Callable[[List[Fel]], bool]] = None
 ) -> Tuple[Optional[T], bool]:
     """Sweep combinations of a Hom basis solved on runs: the first result of
     test that is not None, and whether the sweep is exhaustive.
 
-    A combination is formed at the run representatives only and handed to
-    test as RunMaps; the module docstring says why that is enough.  A
-    coefficient vector that screen turns down is not formed at all, nor is
-    a zero draw, which neither splits nor is invertible.
+    The basis maps are given at the tops, and a combination is formed there
+    only, a block at every top, and handed to test as such; the module
+    docstring says why that is enough.  A coefficient vector that screen
+    turns down is not formed at all, nor is a zero draw, which neither
+    splits nor is invertible.
     """
-    tops = [s for s in runs.members if s in basis[0]]
+    tops = list(basis[0])
     blocks = [[maps[s] for maps in basis] for s in tops]
     sweep, exhaustive = _coefficient_sweep(ctx, len(basis), seed, trials)
     for coefs in sweep:
         if not any(coefs) or (screen is not None and not screen(coefs)):
             continue
-        got = test(RunMaps(runs, {s: _combination(zs, coefs) for s, zs in zip(tops, blocks)}))
+        got = test({s: _combination(zs, coefs) for s, zs in zip(tops, blocks)})
         if got is not None:
             return got, exhaustive
     return None, exhaustive
@@ -804,7 +790,7 @@ def _splits(table: List[Mat], coefs: Sequence[Fel]) -> bool:
 
 def _find_split(
     V: WeightModule, end: EndBasis, seed: int, trials: int
-) -> Tuple[Optional[Tuple[RunMaps, int]], bool]:
+) -> Tuple[Optional[Tuple[Dict[int, Mat], int]], bool]:
     """Search End(V) for a splitting idempotent.
 
     Each candidate is tested on End's regular representation, when its
@@ -819,7 +805,7 @@ def _find_split(
         return None, True
     small = end.dim**2 <= sum(V.dim(e) ** 2 for e in end.runs.members)
     screen = partial(_splits, _regular(V.ctx, end)) if small else None
-    return _search(V.ctx, end.tops, end.runs, seed, trials, lambda phi: _fitting_projector(V, phi), screen)
+    return _search(V.ctx, end.tops, seed, trials, lambda phi: _fitting_projector(V, end.runs, phi), screen)
 
 
 def _subspace_module(
@@ -840,7 +826,7 @@ def _subspace_module(
 
 
 def _split_module(
-    V: WeightModule, names: Sequence[str], proj: RunMaps
+    V: WeightModule, names: Sequence[str], runs: Runs, proj: Dict[int, Mat]
 ) -> List[Tuple[WeightModule, Dict[int, Tuple[Mat, Mat]]]]:
     """Split V along an idempotent p, given at the run representatives,
     into the image summand and the complement summand, each with the rank
@@ -852,8 +838,7 @@ def _split_module(
     takes those of its own block.
     """
     ctx = V.ctx
-    runs = proj.runs
-    blocks = proj.lift()
+    blocks = runs.lift(proj)
     factors: Dict[int, Tuple[Tuple[Mat, Mat], Tuple[Mat, Mat]]] = {}
     image = {}
     complement = {}
@@ -863,8 +848,8 @@ def _split_module(
             continue
         at = k if k in runs.v else runs.rep[k]
         if at not in factors:
-            e = blocks.get(k, Mat.zeros(ctx, d, d))
-            factors[at] = (e.rank_factors(), (Mat.identity(ctx, d) - e).rank_factors())
+            p = blocks[k]
+            factors[at] = (p.rank_factors(), (Mat.identity(ctx, d) - p).rank_factors())
         image[k], complement[k] = factors[at]
     ones: Dict[Tuple[int, Fel], Mat] = {}  # the c 1 blocks the two summands share
     return [(_subspace_module(V, names, side, ones), side) for side in (image, complement)]
@@ -888,9 +873,7 @@ def _cut(target: Tuple[Mat, Mat], m: Mat, source: Tuple[Mat, Mat], ones: Dict[Tu
     return m if left.rows == left.cols else left * m
 
 
-def _restricted_end(
-    end: EndBasis, U: WeightModule, names: Sequence[str], factors: Dict[int, Tuple[Mat, Mat]]
-) -> EndBasis:
+def _restricted_end(end: EndBasis, U: WeightModule, factors: Dict[int, Tuple[Mat, Mat]]) -> EndBasis:
     """End(U) for a summand U of V, from End(V) with no solve.
 
     U is cut out by the idempotent B C of End(V) at each offset, with B its
@@ -898,7 +881,7 @@ def _restricted_end(
     read at U's run tops and brought to the canonical basis there.
     """
     ctx = U.ctx
-    runs = Runs(U, U, names)
+    runs = Runs(U, U)
     shapes = [(e, U.dim(e), U.dim(e)) for e in runs.members if U.dim(e)]
     zero, width = ctx.zero, sum(r * r for _, r, _ in shapes)
     ones: Dict[Tuple[int, Fel], Mat] = {}
@@ -926,10 +909,12 @@ def is_indecomposable(
         return Verdict.not_applicable(WINDOWED_REASON)
     if V.total_dim() == 0:
         return Verdict.no({"kind": "zero_module"})
-    found, decided = _find_split(V, end if end is not None else endomorphisms(V, algebra), seed, trials)
+    if end is None:
+        end = endomorphisms(V, algebra)
+    found, decided = _find_split(V, end, seed, trials)
     if found is not None:
         proj, rank = found
-        return Verdict.no({"kind": "idempotent", "maps": _maps_to_json(proj.lift()), "rank": rank})
+        return Verdict.no({"kind": "idempotent", "maps": _maps_to_json(end.runs.lift(proj)), "rank": rank})
     if decided:
         return Verdict.yes()
     return Verdict.unknown("no splitting endomorphism found within the trial budget")
@@ -966,8 +951,8 @@ def decompose(
         return Decomposition([V], False, reason="no splitting endomorphism found within the trial budget")
     proj, _ = found
     parts = [
-        decompose(U, algebra, seed, trials, end=_restricted_end(end, U, names, factors))
-        for U, factors in _split_module(V, names, proj)
+        decompose(U, algebra, seed, trials, end=_restricted_end(end, U, factors))
+        for U, factors in _split_module(V, names, end.runs, proj)
     ]
     return Decomposition(
         [s for p in parts for s in p.summands],
@@ -1019,9 +1004,9 @@ def are_isomorphic(
     if not homs:
         return Verdict.no({"kind": "no_invertible_intertwiner", "hom_dim": 0, "exhaustive": True})
 
-    phi, exhaustive = _search(V.ctx, homs, runs, seed, trials, lambda phi: phi if _invertible(V, phi) else None)
+    phi, exhaustive = _search(V.ctx, homs, seed, trials, lambda phi: phi if _invertible(phi) else None)
     if phi is not None:
-        return Verdict.yes({"kind": "intertwiner", "maps": _maps_to_json(phi.lift())})
+        return Verdict.yes({"kind": "intertwiner", "maps": _maps_to_json(runs.lift(phi))})
     if exhaustive:
         return Verdict.no(
             {"kind": "no_invertible_intertwiner", "hom_dim": len(homs), "exhaustive": True}

@@ -16,7 +16,8 @@ of both factors, so a shift, diagonal or identity factor costs one field
 product per nonzero pair rather than d^3.
 `Mat.scalar_value` reads c off a block that is c times the identity, so
 that a caller can scale by c, or skip an X = 1 link, where it would
-otherwise invert or multiply the block.
+otherwise invert or multiply the block.  It reads the diagonal first, so
+a dense block costs one or two compares, not a row's.
 """
 
 from __future__ import annotations
@@ -284,13 +285,18 @@ class Mat:
         """c when self is c times the identity (0 for the 0 x 0 matrix), else None."""
         if self.rows != self.cols:
             return None
-        zero = self.ctx.zero
-        c = self.data[0][0] if self.rows else zero
-        # row i is c at i and zero elsewhere; count tests identity before
-        # equality, and a finite field keeps one element per value
+        zero, data = self.ctx.zero, self.data
+        c = data[0][0] if self.rows else zero
+        # the diagonal first, so a dense block is turned down at its second
+        # entry; plain loops, as most blocks read here are 1 x 1 to 3 x 3
+        for i in range(1, self.rows):
+            if data[i][i] != c:
+                return None
+        # then each row holds c once and zero elsewhere; count tests identity
+        # before equality, and a finite field keeps one element per value
         zeros = self.cols - 1 if c else self.cols
-        for i, row in enumerate(self.data):
-            if row[i] != c or row.count(zero) != zeros:
+        for row in data:
+            if row.count(zero) != zeros:
                 return None
         return c
 

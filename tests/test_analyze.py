@@ -488,14 +488,14 @@ def test_sweep_over_a_large_space_is_seeded_and_bounded():
 def test_trial_budget_unknowns(monkeypatch):
     V = five_twisted()
     assert endomorphisms(V, "D").dim == 25
-    monkeypatch.setattr(analyze, "_fitting_projector", lambda V, phi: None)
+    monkeypatch.setattr(analyze, "_fitting_projector", lambda V, runs, phi: None)
     reason = "no splitting endomorphism found within the trial budget"
     verdict = is_indecomposable(V, "D", trials=3)
     assert verdict.kind == "UNKNOWN" and verdict.reason == reason
     dec = decompose(V, "D", trials=3)
     assert not dec.complete and dec.reason == reason and dec.summands == [V]
 
-    monkeypatch.setattr(analyze, "_invertible", lambda V, phi: False)
+    monkeypatch.setattr(analyze, "_invertible", lambda phi: False)
     verdict = are_isomorphic(V, V, "D", trials=3)
     assert verdict.kind == "UNKNOWN"
     assert verdict.reason == "no invertible intertwiner found within the trial budget"
@@ -767,10 +767,10 @@ def test_run_solver_matches_dense_hom_basis():
     for _ in range(200):
         V, W, algebra, x_mode = random_pair(rng)
         names = op_names_for(algebra)
-        runs = analyze.Runs(V, W, names)
+        runs = analyze.Runs(V, W)
         want = dense_hom_basis(V, W, names)
         tops, solved_on = analyze._graded_hom_basis(V, W, names)
-        got = [analyze.RunMaps(solved_on, blocks).lift() for blocks in tops]
+        got = [solved_on.lift(blocks) for blocks in tops]
         assert [{k: m.to_json() for k, m in maps.items()} for maps in got] == [
             {k: m.to_json() for k, m in maps.items()} for maps in want
         ]
@@ -846,7 +846,7 @@ def test_iso_on_run_representatives_matches_per_offset_search():
         seen["support mismatch"] += kind == "support_mismatch"
         seen["windowed"] += not V.circular
         seen[x_mode] += 1
-        seen["cut cycle"] += V.circular and len(analyze.Runs(V, W, op_names_for(algebra)).links) == V.orbit.length - 1
+        seen["cut cycle"] += V.circular and len(analyze.Runs(V, W).links) == V.orbit.length - 1
     assert min(seen.values()) >= 10, seen
 
 
@@ -947,10 +947,11 @@ def test_ladder_decompose_solves_end_once(monkeypatch):
 def test_ladder_split_makes_no_solve(monkeypatch, rung):
     _, p, q, m, _ = rung
     V = ladder_rung(p, q, m)
-    found = found_projectors(V, endomorphisms(V, "D"), count=1)
+    end = endomorphisms(V, "D")
+    found = found_projectors(V, end, count=1)
     assert found
     solves = count_solves(monkeypatch)
-    parts = analyze._split_module(V, op_names_for("D"), found[0])
+    parts = analyze._split_module(V, op_names_for("D"), end.runs, found[0])
     assert solves == [] and all(U.total_dim() for U, _ in parts)
 
 
@@ -969,8 +970,8 @@ def test_decompose_lifts_projectors_only(monkeypatch):
     # lifted, to cut its summands, and End is lifted when it is written out
     V = five_twisted()
     end = endomorphisms(V, "D")
-    lift, lifted = analyze.RunMaps.lift, []
-    monkeypatch.setattr(analyze.RunMaps, "lift", lambda phi: lifted.append(phi) or lift(phi))
+    lift, lifted = analyze.Runs.lift, []
+    monkeypatch.setattr(analyze.Runs, "lift", lambda runs, phi: lifted.append(phi) or lift(runs, phi))
     assert decompose(V, "D", end=end).count == 5
     assert len(lifted) == 4
     assert end.to_json()["dim"] == 25 and len(lifted) == 4 + 25
@@ -993,21 +994,23 @@ def sweep_both_ways(V, algebra, trials=analyze.DEFAULT_TRIALS):
         return analyze._splits(table, c)
 
     def fitting(phi):
-        return analyze._fitting_projector(V, phi)
+        return analyze._fitting_projector(V, end.runs, phi)
 
     def record(c):
         coefs[:] = c
         return True
 
     def both(phi):
+        # a block at every top of a nonzero weight space, in offset order
+        assert list(phi) == [e for e in end.runs.members if V.dim(e)]
         verdicts.append((regular(coefs), fitting(phi) is not None))
 
     def sweep(test, screen=None):
-        return analyze._search(V.ctx, end.tops, end.runs, 0, trials, test, screen)
+        return analyze._search(V.ctx, end.tops, 0, trials, test, screen)
 
     _, exhaustive = sweep(both, record)
     first = [sweep(fitting, regular)[0], sweep(fitting)[0], analyze._find_split(V, end, 0, trials)[0]]
-    hits = [None if f is None else ({k: m.to_json() for k, m in f[0].blocks.items()}, f[1]) for f in first]
+    hits = [None if f is None else ({k: m.to_json() for k, m in f[0].items()}, f[1]) for f in first]
     return verdicts, hits, exhaustive
 
 
@@ -1036,15 +1039,14 @@ def test_regular_split_test_matches_fitting_projector(V, algebra, trials, exhaus
 # the split on runs, against the split of every weight space that it replaced
 
 
-def per_offset_projector(V, blocks):
+def per_offset_projector(V, runs, blocks):
     """A_k^-1 p_e A_k at every offset of a run, A_k = X_{e-1} ... X_k formed
     in full down from the run's top e."""
     out = {}
-    runs = blocks.runs
     for e, members in runs.members.items():
-        if e not in blocks.blocks:
+        if e not in blocks:
             continue
-        p = out[e] = blocks.blocks[e]
+        p = out[e] = blocks[e]
         a = None
         for k in reversed(members[:-1]):
             a = V.op("X", k) if a is None else a * V.op("X", k)
@@ -1111,13 +1113,13 @@ def found_projectors(M, end, count=2):
     found = []
 
     def collect(phi):
-        got = analyze._fitting_projector(M, phi)
+        got = analyze._fitting_projector(M, end.runs, phi)
         if got is not None:
             found.append(got[0])
         return len(found) >= count or None
 
     if end.dim > 1:
-        analyze._search(M.ctx, end.maps, end.runs, 0, 20, collect)
+        analyze._search(M.ctx, end.tops, 0, 20, collect)
     return found
 
 
@@ -1143,12 +1145,14 @@ def test_split_on_runs_matches_per_offset_split(monkeypatch):
             end = endomorphisms(M, algebra)
             found = found_projectors(M, end)
             for proj in found:
-                lifted = per_offset_projector(M, proj)
-                assert {k: m.to_json() for k, m in proj.lift().items()} == {k: m.to_json() for k, m in lifted.items()}
+                lifted = per_offset_projector(M, end.runs, proj)
+                assert {k: m.to_json() for k, m in end.runs.lift(proj).items()} == {
+                    k: m.to_json() for k, m in lifted.items()
+                }
                 instances = []
                 want = per_offset_split(M, names, lifted, instances)
                 before = len(solves)
-                got = [U for U, _ in analyze._split_module(M, names, proj)]
+                got = [U for U, _ in analyze._split_module(M, names, end.runs, proj)]
                 assert len(solves) == before
                 assert tuple(map(module_bytes, got)) == tuple(map(module_bytes, want))
                 seen["split"] += 1

@@ -5,7 +5,8 @@
 ``extend.extend_to_D`` and more).  A rename in the library would break the
 traced benchmark silently, so install the tracer, run one extension, one
 endomorphism solve and one isomorphism test through it, and uninstall it
-again.
+again; and run a decompose and an indecomposability check through it, whose
+Fitting powers it counts.
 """
 
 import sys
@@ -62,3 +63,24 @@ def test_tracer_installs_runs_and_uninstalls(tracing):
     assert metrics["linalg.rref_calls"] >= 1
     assert metrics["verify.instances"] > 0
     assert metrics["fields.ops"] > 0
+
+
+def test_tracer_counts_a_decompose(tracing):
+    # fitting_power is counted where analyze looks it up: the split sweep's
+    # projectors and the regular representation's screen
+    F9 = make_field(FieldSpec(kind="EXT_FIELD", p=3, f=[1, 0, 1], q="2"))
+    V = construct_family({"name": "CHAIN_ALT", "params": {"m": 4, "a": ["1"] * 4}}, F9)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        dec = analyze.decompose(V, "AQ")
+        verdict = analyze.is_indecomposable(V, "D")
+    finally:
+        tracer.uninstall()
+
+    assert dec.complete and dec.count >= 2
+    assert verdict.is_no
+    metrics = tracer.metrics()
+    assert metrics["analyze.fitting_calls"] == 6
+    assert metrics["analyze.end_dim"] == 10

@@ -285,6 +285,26 @@ def test_scalar_value_matches_the_naive_check(kind):
     assert sum(naive(m) is not None for m in cases) >= 9
 
 
+@pytest.mark.parametrize("kind", ["PRIME_FIELD", "RATIONAL"])
+def test_scalar_value_reads_the_diagonal_first(monkeypatch, kind):
+    # Fel.__eq__ calls per read, against the row-by-row check (9, 16 and 2):
+    # a dense block is turned down at its second diagonal entry
+    ctx = KERNEL_FIELDS[kind]
+    eq, calls = Fel.__eq__, []
+    monkeypatch.setattr(Fel, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+
+    def work(m):
+        calls.clear()
+        m.scalar_value()
+        return len(calls)
+
+    full = Mat(ctx, [[ctx.from_int(1 + (i + j) % 6) for j in range(8)] for i in range(8)])
+    assert full.scalar_value() is None and full.data[1][1] != full.data[0][0]
+    assert work(full) <= 2
+    assert work(Mat.scalar(ctx, 8, ctx.from_int(3))) <= 16
+    assert work(Mat(ctx, [[ctx.from_int(3)]])) <= 2
+
+
 def random_idempotent(ctx, rng, d, rank):
     """S diag(1, ..., 1, 0, ..., 0) S^-1 for a random invertible S."""
     while True:

@@ -202,8 +202,8 @@ def test_summand_end_by_restriction_matches_solve(monkeypatch):
     # End solved on the summand: on the oracle modules and the ladder rungs
     restricted, dims = analyze._restricted_end, []
 
-    def checked(end, U, names, factors):
-        got = restricted(end, U, names, factors)
+    def checked(end, U, factors):
+        got = restricted(end, U, factors)
         assert json.dumps(got.to_json()) == json.dumps(endomorphisms(U, end.algebra).to_json())
         dims.append(got.dim)
         return got
