@@ -229,10 +229,11 @@ class EndBasis:
         return [self.runs.lift(blocks) for blocks in self.tops]
 
     def to_json(self) -> dict:
+        memo: Dict[object, str] = {}
         return {
             "algebra": self.algebra.value,
             "dim": self.dim,
-            "basis": [_maps_to_json(m) for m in self.maps],
+            "basis": [_maps_to_json(m, memo) for m in self.maps],
         }
 
 
@@ -253,10 +254,11 @@ class Decomposition:
         return len(self.summands)
 
     def to_json(self) -> dict:
+        memo: Dict[object, str] = {}
         out = {
             "count": self.count,
             "complete": self.complete,
-            "summands": [v.to_json() for v in self.summands],
+            "summands": [v.to_json(memo) for v in self.summands],
         }
         if self.reason is not None:
             out["reason"] = self.reason
@@ -336,16 +338,16 @@ def _spans_to_json(V: WeightModule, spans: Dict[int, Echelon]) -> List[dict]:
     return out
 
 
-def _maps_to_json(maps: Dict[int, Mat]) -> List[dict]:
-    """Each offset's matrix; a block object that Runs.lift handed to
-    several offsets is written once, and its rows shared."""
+def _maps_to_json(maps: Dict[int, Mat], memo: Dict[object, str]) -> List[dict]:
+    """Each offset's matrix, through Mat.to_json's memo; a block object that
+    Runs.lift handed to several offsets is written once, its rows shared."""
     written: Dict[int, list] = {}
     out = []
     for k in sorted(maps):
         m = maps[k]
         rows = written.get(id(m))
         if rows is None:
-            rows = written[id(m)] = m.to_json()
+            rows = written[id(m)] = m.to_json(memo)
         out.append({"offset": k, "matrix": rows})
     return out
 
@@ -914,7 +916,7 @@ def is_indecomposable(
     found, decided = _find_split(V, end, seed, trials)
     if found is not None:
         proj, rank = found
-        return Verdict.no({"kind": "idempotent", "maps": _maps_to_json(end.runs.lift(proj)), "rank": rank})
+        return Verdict.no({"kind": "idempotent", "maps": _maps_to_json(end.runs.lift(proj), {}), "rank": rank})
     if decided:
         return Verdict.yes()
     return Verdict.unknown("no splitting endomorphism found within the trial budget")
@@ -1006,7 +1008,7 @@ def are_isomorphic(
 
     phi, exhaustive = _search(V.ctx, homs, seed, trials, lambda phi: phi if _invertible(phi) else None)
     if phi is not None:
-        return Verdict.yes({"kind": "intertwiner", "maps": _maps_to_json(runs.lift(phi))})
+        return Verdict.yes({"kind": "intertwiner", "maps": _maps_to_json(runs.lift(phi), {})})
     if exhaustive:
         return Verdict.no(
             {"kind": "no_invertible_intertwiner", "hom_dim": len(homs), "exhaustive": True}

@@ -314,7 +314,8 @@ def cmd_realize(args) -> int:
     ctx = make_field(spec)
     mats, report = polynomial_realization(ctx, args.N)
     raw = report.to_json()
-    raw["matrices"] = {name: m.to_json() for name, m in sorted(mats.items())}
+    memo: Dict[object, str] = {}
+    raw["matrices"] = {name: m.to_json(memo) for name, m in sorted(mats.items())}
     raw["degree_bound"] = args.N
     emit(raw, args.pretty)
     return 0 if report.passed else 1

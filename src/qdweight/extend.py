@@ -99,13 +99,14 @@ class ExtensionResult:
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "missing": self.missing}
+        memo: Dict[object, str] = {}  # one for the representative and the basis
         if self.kind == FAMILY:
             out["k"] = self.k
         if self.representative is not None:
-            out["representative"] = self.representative.to_json()
+            out["representative"] = self.representative.to_json(memo)
         if self.homogeneous_basis:
             out["homogeneous_basis"] = [
-                [{"offset": k, "matrix": maps[k].to_json()} for k in sorted(maps)]
+                [{"offset": k, "matrix": maps[k].to_json(memo)} for k in sorted(maps)]
                 for maps in self.homogeneous_basis
             ]
         if self.conflict is not None:

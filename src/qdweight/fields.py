@@ -320,14 +320,15 @@ class Fel:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.field.inv(self)
-        k = abs(k)
-        acc = self.field.one
-        while k:
-            if k & 1:
-                acc = self.field.mul(acc, base)
-            base = self.field.mul(base, base)
-            k >>= 1
+        if not k:
+            return self.field.one
+        mul = self.field.mul
+        acc = base = self if k > 0 else self.field.inv(self)
+        # left to right below the top bit: a square per bit, a product per set bit
+        for bit in bin(abs(k))[3:]:
+            acc = mul(acc, acc)
+            if bit == "1":
+                acc = mul(acc, base)
         return acc
 
     def inverse(self) -> "Fel":

@@ -377,8 +377,20 @@ class Mat:
 
     # serialization
 
-    def to_json(self) -> list:
-        return [[str(v) for v in row] for row in self.data]
+    def to_json(self, memo: Optional[Dict[object, str]] = None) -> list:
+        """Entry texts; the matrices of one document share one memo {value: text}."""
+        memo = {} if memo is None else memo
+        get, show = memo.get, self.ctx.show
+        out = []
+        for row in self.data:
+            texts = []
+            for v in row:
+                text = get(v.val)
+                if text is None:
+                    text = memo[v.val] = show(v)
+                texts.append(text)
+            out.append(texts)
+        return out
 
     @staticmethod
     def from_json(ctx: FieldCtx, data: list, rows: int, cols: int) -> "Mat":
@@ -387,7 +399,19 @@ class Mat:
 
 def _from_json(ctx: FieldCtx, data: list, rows: int, cols: int, parse: Callable[[str], Fel]) -> Mat:
     """Mat.from_json with each entry read by parse, which a caller loading
-    many matrices can make remember the texts it has read."""
+    many matrices can make remember the texts it has read.  One loop reads
+    a well-formed matrix; on a fault the checks below name it, in order."""
+    if isinstance(data, list) and len(data) == rows:
+        out = []
+        try:
+            for row in data:
+                if not isinstance(row, list) or len(row) != cols:
+                    break
+                out.append([parse(v) for v in row])
+            else:
+                return Mat._of(ctx, out, cols)
+        except ValueError:
+            pass
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("a matrix must be a list of rows, each a list of entries")
     if len(data) != rows or any(len(row) != cols for row in data):

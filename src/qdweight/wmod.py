@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .basering import PRODUCTS, WeightPoint, eval_at
 from .fields import Fel, FieldCtx, FieldSpec, make_field
@@ -47,6 +47,45 @@ def op_names_for(algebra) -> Tuple[str, ...]:
     return ("X", LOWERING[algebra])
 
 
+def _sources(window: Optional[Tuple[int, int]], length: int, name: str) -> range:
+    """Offsets where the operator's matrix is stored; window None means a circular orbit."""
+    if window is None:
+        return range(length)
+    lo, hi = window
+    return range(lo, hi) if OP_STEP[name] == 1 else range(lo + 1, hi + 1)
+
+
+def _target(window: Optional[Tuple[int, int]], length: int, name: str, k: int) -> Optional[int]:
+    """The offset the named operator takes k to; None off the window's end."""
+    t = k + OP_STEP[name]
+    if window is None:
+        return t % length
+    return t if window[0] <= t <= window[1] else None
+
+
+def _geometry(orbit: Orbit, window, labels: Dict[int, Sequence[str]]):
+    """The checked window (None on a circular orbit) and nonempty labels of a module on orbit."""
+    if orbit.circular:
+        window = None
+    else:
+        if window is None:
+            raise ValueError("a module on an infinite orbit needs a window")
+        lo, hi = int(window[0]), int(window[1])
+        if lo > hi:
+            raise ValueError("empty window")
+        check_width(lo, hi)
+        window = (lo, hi)
+    offsets = range(orbit.length) if window is None else range(window[0], window[1] + 1)
+    clean: Dict[int, Tuple[str, ...]] = {}
+    for k, labs in labels.items():
+        if k not in offsets:
+            raise ValueError(f"offset {k} lies outside the module's offset range")
+        labs = tuple(str(s) for s in labs)
+        if labs:
+            clean[k] = labs
+    return window, clean
+
+
 class WeightModule:
     """Immutable weight module on one orbit; validates shapes on construction."""
 
@@ -63,39 +102,20 @@ class WeightModule:
     ):
         self.ctx = ctx
         self.orbit = orbit
-        if orbit.circular:
-            self.window = None
-        else:
-            if window is None:
-                raise ValueError("a module on an infinite orbit needs a window")
-            lo, hi = int(window[0]), int(window[1])
-            if lo > hi:
-                raise ValueError("empty window")
-            check_width(lo, hi)
-            self.window = (lo, hi)
-        offset_set = set(self.offsets())
-        clean: Dict[int, Tuple[str, ...]] = {}
-        for k, labs in labels.items():
-            if k not in offset_set:
-                raise ValueError(f"offset {k} lies outside the module's offset range")
-            labs = tuple(str(s) for s in labs)
-            if labs:
-                clean[k] = labs
-        self.labels = clean
+        self.window, self.labels = _geometry(orbit, window, labels)
         if edge_flags is None:
             edge_flags = {"low": self.window is not None, "high": self.window is not None}
         if self.window is None and (edge_flags.get("low") or edge_flags.get("high")):
             raise ValueError("circular modules have no truncated edges")
         self.edge_flags = {"low": bool(edge_flags.get("low")), "high": bool(edge_flags.get("high"))}
-        vops: Dict[str, Dict[int, Mat]] = {}
+        labels, window, vops = self.labels, self.window, {}
         for name, mats in ops.items():
             if name not in OP_NAMES:
                 raise ValueError(f"unknown operator name {name!r}")
             got = dict(mats)
             table: Dict[int, Mat] = {}
             for k in self.op_sources(name):
-                tgt = self.op_target(name, k)
-                want = (self.dim(tgt), self.dim(k))
+                want = (len(labels.get(_target(window, orbit.length, name, k), ())), len(labels.get(k, ())))
                 m = got.pop(k, None)
                 if m is None:
                     if 0 in want:
@@ -159,21 +179,10 @@ class WeightModule:
 
     def op_sources(self, name: str) -> List[int]:
         """Offsets where the named operator's matrix is stored."""
-        if self.circular:
-            return list(range(self.orbit.length))
-        lo, hi = self.window
-        if OP_STEP[name] == 1:
-            return list(range(lo, hi))
-        return list(range(lo + 1, hi + 1))
+        return list(_sources(self.window, self.orbit.length, name))
 
     def op_target(self, name: str, k: int) -> Optional[int]:
-        t = k + OP_STEP[name]
-        if self.circular:
-            return t % self.orbit.length
-        lo, hi = self.window
-        if lo <= t <= hi:
-            return t
-        return None
+        return _target(self.window, self.orbit.length, name, k)
 
     def with_ops(self, ops: Dict[str, Dict[int, Mat]]) -> "WeightModule":
         return WeightModule(self.ctx, self.orbit, self.window, self.labels, ops, self.edge_flags)
@@ -196,7 +205,8 @@ class WeightModule:
         where = "circular" if self.circular else f"window {self.window}"
         return f"WeightModule({where}; dims {shape}; ops {sorted(self.ops)})"
 
-    def to_json(self) -> dict:
+    def to_json(self, memo: Optional[Dict[object, str]] = None) -> dict:
+        memo = {} if memo is None else memo  # Mat.to_json's, one per document
         show = self.ctx.show
         out = {
             "field": self.ctx.spec.to_json(),
@@ -205,13 +215,11 @@ class WeightModule:
             "kind": "CIRCULAR" if self.circular else "INFINITE",
             "window": list(self.window) if self.window else None,
             "spaces": [
-                {"offset": k, "dim": self.dim(k), "labels": list(self.label_list(k))}
-                for k in self.offsets()
-                if self.dim(k)
+                {"offset": k, "dim": len(labs), "labels": list(labs)} for k, labs in sorted(self.labels.items())
             ],
             "ops": {
                 name: [
-                    {"offset": k, "matrix": table[k].to_json()}
+                    {"offset": k, "matrix": table[k].to_json(memo)}
                     for k in sorted(table)
                     if table[k].rows and table[k].cols
                 ]
@@ -299,21 +307,21 @@ def make_module(raw: dict) -> WeightModule:
         if k in labels:
             raise ValueError(f"offset {k} listed twice")
         labels[k] = labs
-    shell = WeightModule(ctx, orbit, window, labels, {})
+    window, labels = _geometry(orbit, window, labels)
     ops: Dict[str, Dict[int, Mat]] = {}
     for name, entries in (raw.get("ops") or {}).items():
+        if name not in OP_NAMES:
+            raise ValueError(f"unknown operator name {name!r}")
+        sources = _sources(window, orbit.length, name)
         table: Dict[int, Mat] = {}
-        sources: Optional[Set[int]] = None  # read once per operator, not once per entry
         for entry in _json_objects(entries, f"ops.{name}", ("offset", "matrix")):
             k = _json_int(entry["offset"], "an offset")
-            if sources is None:
-                sources = set(shell.op_sources(name))
             if k not in sources:
                 raise ValueError(f"operator {name} has a matrix at offset {k} outside its sources")
             if k in table:
                 raise ValueError(f"operator {name} has two matrices at offset {k}")
-            tgt = shell.op_target(name, k)
-            table[k] = _from_json(ctx, entry["matrix"], shell.dim(tgt), shell.dim(k), parse)
+            rows = len(labels.get(_target(window, orbit.length, name, k), ()))
+            table[k] = _from_json(ctx, entry["matrix"], rows, len(labels.get(k, ())), parse)
         ops[name] = table
     return WeightModule(ctx, orbit, window, labels, ops, raw.get("edge_flags"))
 

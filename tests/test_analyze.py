@@ -959,7 +959,7 @@ def test_maps_json_writes_each_block_object_once(monkeypatch):
     end = endomorphisms(CHAIN_A6, "D")
     want = [[{"offset": k, "matrix": maps[k].to_json()} for k in sorted(maps)] for maps in end.maps]
     to_json, written = Mat.to_json, []
-    monkeypatch.setattr(Mat, "to_json", lambda m: written.append(m) or to_json(m))
+    monkeypatch.setattr(Mat, "to_json", lambda m, memo=None: written.append(m) or to_json(m, memo))
     assert end.to_json()["basis"] == want
     # X = 1 off the junction: each map hands one block to all six offsets
     assert len(written) == sum(len({id(m) for m in maps.values()}) for maps in end.maps) == 2

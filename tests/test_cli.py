@@ -581,6 +581,21 @@ def test_malformed_spaces_and_ops_name_the_field(tmp_path, capsys, spaces, ops, 
     assert err.strip() == f"error: module {path} is invalid: {message}"
 
 
+@pytest.mark.parametrize("entries", [[], [{"offset": 0, "matrix": [["1"]]}]], ids=["empty", "one-matrix"])
+def test_unknown_operator_name_exits_2(tmp_path, capsys, entries):
+    # with a matrix, the name was looked up before it was checked: a bare 'Z'
+    raw = {
+        "field": {"kind": "PRIME_FIELD", "p": 7, "q": "2"},
+        "base": ["1", "1"],
+        "spaces": [{"offset": 0, "dim": 1}],
+        "ops": {"Z": entries},
+    }
+    path = write_json(tmp_path / "m.json", raw)
+    code, out, err = run_cli(["analyze", path, "--checks", "dims"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: module {path} is invalid: unknown operator name 'Z'\n"
+
+
 # analyze
 
 

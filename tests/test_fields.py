@@ -219,6 +219,23 @@ def test_int_coercion():
     assert ctx.q ** -1 == ctx.q  # 2 is its own inverse
 
 
+@pytest.mark.parametrize("spec", all_specs(), ids=lambda s: f"{s.kind}-{s.n or s.p or ''}")
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (-1, 0), (-6, 3)])
+def test_power_makes_one_square_per_bit_below_the_top(monkeypatch, spec, k, products):
+    ctx = make_field(spec)
+    x = ctx.q + 1 if ctx.q + 1 else ctx.q
+    expected = ctx.one
+    for _ in range(abs(k)):
+        expected = expected * x
+    if k < 0:
+        expected = expected.inverse()
+    calls = []
+    mul = type(ctx).mul
+    monkeypatch.setattr(type(ctx), "mul", lambda c, a, b: calls.append(1) or mul(c, a, b))
+    assert x ** k == expected
+    assert len(calls) == products
+
+
 def test_hashable_and_dict_keys():
     ctx = make_field(F9_Q2)
     seen = {x: str(x) for x in ctx.all_elements()}

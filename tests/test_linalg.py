@@ -218,6 +218,27 @@ KERNEL_FIELDS = {
 KERNEL_SHAPES = [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (1, 1, 1), (4, 4, 4), (3, 5, 2)]
 
 
+@pytest.mark.parametrize("kind", sorted(KERNEL_FIELDS))
+def test_a_document_memo_writes_what_str_writes(kind):
+    ctx = KERNEL_FIELDS[kind]
+    rng = random.Random(kind)
+    values = [ctx.random_element(rng) for _ in range(6)] + [ctx.zero, ctx.one, -ctx.one, ctx.q]
+    # equal values held by distinct objects: in characteristic 0 each
+    # product is a new Fel, in a finite field the one interned element
+    twins = [ctx.q * ctx.q, ctx.q * ctx.q, ctx.parse(str(ctx.q * ctx.q))]
+    assert twins[0] == twins[1] == twins[2]
+    if not ctx.is_finite:
+        assert twins[0] is not twins[1]
+    dense_block = Mat(ctx, [[rng.choice(values + twins) for _ in range(4)] for _ in range(3)])
+    blocks = [dense_block, Mat(ctx, [twins]), Mat.zeros(ctx, 2, 3), Mat.zeros(ctx, 0, 4), Mat.zeros(ctx, 3, 0)]
+    memo = {}
+    for m in blocks + blocks:  # every block twice, through one memo
+        assert m.to_json(memo) == [[str(v) for v in row] for row in m.data]
+        assert m.to_json() == m.to_json(memo)
+    shown = {str(v) for m in blocks for row in m.data for v in row}
+    assert sorted(memo.values()) == sorted(shown)
+
+
 def random_mat(ctx, rng, rows, cols, density):
     return Mat(
         ctx,

@@ -630,13 +630,13 @@ def test_realization_function_field():
 
 def test_realization_work_count_is_pinned(monkeypatch):
     # products skip zero entries of both factors: the shift, bidiagonal and
-    # diagonal factors of the realization cost 489 field products, not 3032
+    # diagonal factors of the realization cost 389 field products, not 3032
     calls = []
     mul = FieldCtx.mul
     monkeypatch.setattr(FieldCtx, "mul", lambda ctx, x, y: calls.append(1) or mul(ctx, x, y))
     _, rep = polynomial_realization(FF, 8)
     assert rep.passed
-    assert len(calls) == 489
+    assert len(calls) == 389
 
 
 def test_realization_finite_field():

@@ -292,6 +292,40 @@ def test_make_module_entry_outside_sources_keeps_its_message():
         make_module(raw)
 
 
+def _two_faults(kind):
+    """A module file on the window [0, 2] that holds two faults at once."""
+    raw = construct_gwa("AQ", simple_no_break(), wp(QQ, 5, 3), (0, 2), QQ).to_json()
+    X = raw["ops"]["X"]
+    if kind == "label offset":
+        raw["spaces"].append({"offset": 99, "dim": 1})
+        X[0]["matrix"] = [["1", "2"]]
+    elif kind == "ragged":
+        X[0]["matrix"] = [["1", "2"], "3"]
+    elif kind == "shape":
+        X[0]["matrix"] = [[1, 2]]
+    elif kind == "shape after entry":
+        X[0]["matrix"] = [[1], ["1", "2"]]
+    else:
+        raw["ops"] = {"X": [], "Y1": []}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("label offset", "offset 99 lies outside the module's offset range"),
+        ("ragged", "a matrix must be a list of rows, each a list of entries"),
+        ("shape", "matrix shape mismatch: expected 1x1"),
+        ("shape after entry", "matrix shape mismatch: expected 1x1"),
+        ("empty op list", "operator X is missing its matrix at offset 0"),
+    ],
+)
+def test_make_module_names_the_first_of_several_faults(kind, message):
+    with pytest.raises(ValueError) as info:
+        make_module(_two_faults(kind))
+    assert str(info.value) == message
+
+
 def test_round_trip_windowed():
     V = construct_gwa("AQ", simple_no_break(), wp(QQ, 5, 3), (-2, 2), QQ)
     W = make_module(V.to_json())
