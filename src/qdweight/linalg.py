@@ -399,22 +399,18 @@ class Mat:
 
 def _from_json(ctx: FieldCtx, data: list, rows: int, cols: int, parse: Callable[[str], Fel]) -> Mat:
     """Mat.from_json with each entry read by parse, which a caller loading
-    many matrices can make remember the texts it has read.  One loop reads
-    a well-formed matrix; on a fault the checks below name it, in order."""
-    if isinstance(data, list) and len(data) == rows:
-        out = []
-        try:
-            for row in data:
-                if not isinstance(row, list) or len(row) != cols:
-                    break
-                out.append([parse(v) for v in row])
-            else:
-                return Mat._of(ctx, out, cols)
-        except ValueError:
-            pass
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise ValueError("a matrix must be a list of rows, each a list of entries")
-    if len(data) != rows or any(len(row) != cols for row in data):
+    many matrices can make remember the texts it has read.  A row that is
+    not a list is named before a wrong shape, and a wrong shape before a
+    bad entry."""
+    not_rows = "a matrix must be a list of rows, each a list of entries"
+    if not isinstance(data, list):
+        raise ValueError(not_rows)
+    misshapen = len(data) != rows
+    for row in data:
+        if not isinstance(row, list):
+            raise ValueError(not_rows)
+        misshapen = misshapen or len(row) != cols
+    if misshapen:
         raise ValueError(f"matrix shape mismatch: expected {rows}x{cols}")
     return Mat._of(ctx, [[parse(v) for v in row] for row in data], cols)
 

@@ -47,6 +47,11 @@ def op_names_for(algebra) -> Tuple[str, ...]:
     return ("X", LOWERING[algebra])
 
 
+def _offsets(window: Optional[Tuple[int, int]], length: int) -> range:
+    """A module's offsets; window None means a circular orbit of that length."""
+    return range(length) if window is None else range(window[0], window[1] + 1)
+
+
 def _sources(window: Optional[Tuple[int, int]], length: int, name: str) -> range:
     """Offsets where the operator's matrix is stored; window None means a circular orbit."""
     if window is None:
@@ -75,7 +80,7 @@ def _geometry(orbit: Orbit, window, labels: Dict[int, Sequence[str]]):
             raise ValueError("empty window")
         check_width(lo, hi)
         window = (lo, hi)
-    offsets = range(orbit.length) if window is None else range(window[0], window[1] + 1)
+    offsets = _offsets(window, orbit.length)
     clean: Dict[int, Tuple[str, ...]] = {}
     for k, labs in labels.items():
         if k not in offsets:
@@ -108,14 +113,15 @@ class WeightModule:
         if self.window is None and (edge_flags.get("low") or edge_flags.get("high")):
             raise ValueError("circular modules have no truncated edges")
         self.edge_flags = {"low": bool(edge_flags.get("low")), "high": bool(edge_flags.get("high"))}
-        labels, window, vops = self.labels, self.window, {}
+        vops: Dict[str, Dict[int, Mat]] = {}
         for name, mats in ops.items():
             if name not in OP_NAMES:
                 raise ValueError(f"unknown operator name {name!r}")
             got = dict(mats)
             table: Dict[int, Mat] = {}
             for k in self.op_sources(name):
-                want = (len(labels.get(_target(window, orbit.length, name, k), ())), len(labels.get(k, ())))
+                tgt = self.op_target(name, k)
+                want = (self.dim(tgt), self.dim(k))
                 m = got.pop(k, None)
                 if m is None:
                     if 0 in want:
@@ -140,10 +146,7 @@ class WeightModule:
         return self.window is None
 
     def offsets(self) -> List[int]:
-        if self.circular:
-            return list(range(self.orbit.length))
-        lo, hi = self.window
-        return list(range(lo, hi + 1))
+        return list(_offsets(self.window, self.orbit.length))
 
     def dim(self, k: int) -> int:
         return len(self.labels.get(k, ()))
@@ -338,16 +341,18 @@ def junction_module(ctx: FieldCtx, orbit: Orbit, window, labels, j: int, x: Mat,
     checked; a link joining spaces of different dimensions fails the shape
     check.
     """
-    shell = WeightModule(ctx, orbit, window, labels, {})
-    ident = {d: Mat.identity(ctx, d) for d in {shell.dim(k) for k in shell.offsets()}}
-    ops = {"X": {k: x if k == j else ident[shell.dim(k)] for k in shell.op_sources("X")}}
-    top = shell.op_target("X", j)
+    window, labels = _geometry(orbit, window, labels)
+    n, units = orbit.length, {d: Mat.identity(ctx, d) for d in {0, *map(len, labels.values())}}
+    ident = {k: units[len(labels.get(k, ()))] for k in _offsets(window, n)}
+    ops = {"X": {k: x if k == j else ident[k] for k in _sources(window, n, "X")}}
+    top = _target(window, n, "X", j)
     for T, t in (("Y", y), ("Y1", y1)):
         xt = PRODUCTS[T].xt
         ops[T] = {
-            k: t if k == top else ident[shell.dim(k)].scale(shell.scalar(xt, k)) for k in shell.op_sources(T)
+            k: t if k == top else ident[k].scale(xt(ctx, orbit.point(k).a, orbit.point(k).b))
+            for k in _sources(window, n, T)
         }
-    return shell.with_ops(ops)
+    return WeightModule(ctx, orbit, window, labels, ops)
 
 
 def restrict(V: WeightModule, flavor) -> WeightModule:
