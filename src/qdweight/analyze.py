@@ -69,11 +69,8 @@ Graded maps are solved on runs of invertible X links.
   the stable image along the stable kernel is unique, so A_k^-1 P_e A_k is
   the projector a split of each weight space finds.  Its rank is the total
   dimension exactly when phi is invertible at every offset, a unit of End,
-  and 0 exactly when phi is nilpotent; every other phi splits.
-  The projector is handed on at the representatives.  An offset with no
-  transport has P_e itself, so its summand spaces are the representative's
-  column spaces, not computed again; every other offset takes the column
-  spaces of A_k^-1 P_e A_k.
+  and 0 exactly when phi is nilpotent; every other phi splits.  The
+  projector is kept at the representatives.
 * The sweep.  Lifting Z to phi_k = B_k^-1 Z A_k is linear, so a combination
   of basis maps is the lift of the same combination of their blocks at the
   representatives, and the sweep combines those blocks only.  With A_k and
@@ -109,14 +106,20 @@ Graded maps are solved on runs of invertible X links.
   one factor pair, and a square C is 1, as is its B.  Likewise a map psi
   of End(U), U the summand, extended by 0 on the other summand, is a map
   of End(V), and C (that map) B = psi; and C phi B is in End(U) for every
-  phi in End(V).  So C phi_i B over End(V)'s basis spans End(U).  Read at
-  U's run tops in U's coordinates and brought to reduced echelon form in
-  reversed coordinate order, that span gives the canonical basis, which
-  depends only on the space: the bytes a solve of End(U) gives.  U's run
-  tops are V's: p commutes with an X link invertible in V, so X and its
-  inverse map U's spaces onto each other there, and U's runs are unions
-  of V's.  So End(U) is read off End(V)'s blocks at the tops, and a basis
-  is lifted to every offset only when it is written out.
+  phi in End(V).  So C phi_i B over End(V)'s basis spans End(U), and in
+  reduced echelon form in reversed coordinate order it is the canonical
+  basis: the bytes a solve of End(U) gives.  Two facts keep a whole
+  decomposition at V's run tops.  (1) For an idempotent b c of End(U), in
+  U's coordinates, B b c C has rank factors B b, c C: a column of it off
+  B's pivots depends on earlier columns, as C is reduced, so its pivots
+  are B's indexed by b's, and C is fixed by B.  (2) U's dimension is
+  constant along V's runs, where X restricts to the invertible C X B, so
+  a map of End(U) that is 0 at a run's top is 0 on the run, and the
+  canonical basis, which depends only on the space, is read at V's tops
+  whatever U's own runs.  So a piece of the split tree is its factors at
+  V's tops with its End there, and only a final summand is built: B C
+  lifted along V's runs is factored again at each offset with a
+  transport, and every other offset takes its top's pair.
 * Irreducibility (Norton's criterion; Parker 1984, Holt and Rees 1994).
   Let k0 be the first offset with V_k0 nonzero, and let the operators act
   on V* by their transposes, each from the dual of its target to the dual
@@ -148,6 +151,7 @@ UNKNOWN = "UNKNOWN"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 WINDOWED_REASON = "only decided for circular modules; a windowed truncation cannot answer for the infinite module"
+NO_SPLIT_FOUND = "no splitting endomorphism found within the trial budget"
 
 # exhaustive search caps: coefficient lines for endomorphism/intertwiner
 # sweeps, weight-vector lines for irreducibility, random trials otherwise
@@ -211,9 +215,9 @@ class EndBasis:
 
     Each basis element is a per-offset family of square blocks; the family
     commutes with every stored operator matrix of the chosen algebra.  runs
-    are the module's own runs, on which it was solved or restricted, and
-    tops holds each map's blocks at their representatives, in offset
-    order, which fix it; maps lifts them to every offset when first read.
+    are the module's runs, on which it was solved, and tops holds each
+    map's blocks at their representatives, in offset order, which fix it;
+    maps lifts them to every offset when first read.
     """
 
     algebra: Subalgebra
@@ -269,12 +273,18 @@ class Decomposition:
 
 
 # An arrow acts by the columns of its block, each the (row, entry) terms of
-# its nonzero entries, or by c when the block is c 1.  Like basering.Scalar,
-# the alias exists for the type checker only.
+# its nonzero entries, or by c when the block is c 1.  Tops holds graded
+# maps at the run tops, Factors rank factors B, C, Split a projector with
+# its rank, and Ones the c 1 blocks that cuts share.  Like basering.Scalar,
+# the aliases exist for the type checker only.
 if TYPE_CHECKING:
     from typing import Union
 
     Action = Union[Fel, List[List[Tuple[int, Fel]]]]
+    Tops = List[Dict[int, Mat]]
+    Factors = Dict[int, Tuple[Mat, Mat]]
+    Ones = Dict[Tuple[int, Fel], Mat]
+    Split = Tuple[Dict[int, Mat], int]
 
 
 def _arrows(V: WeightModule, names: Sequence[str], dual: bool = False) -> Dict[int, List[Tuple[int, Action]]]:
@@ -644,7 +654,7 @@ def _invertible(phi: Dict[int, Mat]) -> bool:
     return all(z.is_invertible() for z in phi.values())
 
 
-def _fitting_projector(V: WeightModule, runs: Runs, phi: Dict[int, Mat]) -> Optional[Tuple[Dict[int, Mat], int]]:
+def _fitting_projector(runs: Runs, phi: Dict[int, Mat]) -> Optional[Split]:
     """Idempotent projecting onto the stable image of phi, if it splits.
 
     On each weight space, phi^N for N at least its dimension has the same
@@ -653,8 +663,9 @@ def _fitting_projector(V: WeightModule, runs: Runs, phi: Dict[int, Mat]) -> Opti
     On a run phi is conjugate to its representative block, so one Fitting
     power per run gives the rank there.  Returns the projector onto the
     image along the kernel, at the run representatives, and its rank, or
-    None when the split is trivial (phi nilpotent or invertible); an
-    invertible phi is answered before any power is taken.
+    None when the split is trivial: phi invertible, answered before any
+    power is taken, or nilpotent.  Any other phi has a kernel at some top,
+    so its rank is short of the total dimension.
     """
     if _invertible(phi):
         return None
@@ -664,7 +675,7 @@ def _fitting_projector(V: WeightModule, runs: Runs, phi: Dict[int, Mat]) -> Opti
         image, kernel = fitting_power(block).image_and_kernel()
         pieces[e] = (image, kernel)
         rank += image.cols * len(runs.members[e])
-    if rank == 0 or rank == V.total_dim():
+    if rank == 0:
         return None
 
     # with B = [image | kernel], the projector is B diag(1, 0) B^-1: the
@@ -674,7 +685,7 @@ def _fitting_projector(V: WeightModule, runs: Runs, phi: Dict[int, Mat]) -> Opti
         inverse = image.hstack(kernel).inverse()
         if inverse is None:
             raise ValueError("stable image and kernel do not split the space")
-        proj[e] = image * Mat(V.ctx, inverse.data[: image.cols], cols=V.dim(e))
+        proj[e] = image * Mat(image.ctx, inverse.data[: image.cols], cols=image.rows)
     return proj, rank
 
 
@@ -757,7 +768,7 @@ def _search(
     return None, exhaustive
 
 
-def _regular(ctx: FieldCtx, end: EndBasis) -> List[Mat]:
+def _regular(ctx: FieldCtx, end: Tops) -> List[Mat]:
     """End's left regular representation: for each basis map phi_i, the
     matrix L_i whose column j is the coordinates of phi_i phi_j.
 
@@ -767,7 +778,7 @@ def _regular(ctx: FieldCtx, end: EndBasis) -> List[Mat]:
     a sum over the nonzero entries of one row: a block c 1 costs one
     product per entry, as scaling would.
     """
-    blocks = [[z.data for z in maps.values()] for maps in end.tops]
+    blocks = [[z.data for z in maps.values()] for maps in end]
     # (top, row, column) of each basis map's last nonzero coordinate
     where = [
         max((t, r, c) for t, z in enumerate(zs) for r, row in enumerate(z) for c, x in enumerate(row) if x)
@@ -790,74 +801,64 @@ def _splits(table: List[Mat], coefs: Sequence[Fel]) -> bool:
     return not L.is_invertible() and not fitting_power(L).is_zero()
 
 
-def _find_split(
-    V: WeightModule, end: EndBasis, seed: int, trials: int
-) -> Tuple[Optional[Tuple[Dict[int, Mat], int]], bool]:
-    """Search End(V) for a splitting idempotent.
+def _find_split(ctx: FieldCtx, runs: Runs, end: Tops, seed: int, trials: int) -> Tuple[Optional[Split], bool]:
+    """Search the End of V or of a piece of it, a block at every run top
+    where it is nonzero, for a splitting idempotent.
 
     Each candidate is tested on End's regular representation, when its
-    n x n matrices have no more entries than the module's blocks at the
-    tops (module docstring); only one that passes is formed on the module,
-    where _fitting_projector builds the projector, or turns it down and
-    the sweep goes on.  Returns (projector-and-rank or None, decided).
-    decided is True when the sweep was exhaustive up to scalars, so None
-    means indecomposable.
+    n x n matrices have no more entries than those blocks (module
+    docstring); only one that passes is formed at the tops, where
+    _fitting_projector builds the projector, or turns it down and the sweep
+    goes on.  Returns (projector-and-rank or None, decided).  decided is
+    True when the sweep was exhaustive up to scalars, so None means
+    indecomposable.
     """
-    if end.dim <= 1:
+    if len(end) <= 1:
         return None, True
-    small = end.dim**2 <= sum(V.dim(e) ** 2 for e in end.runs.members)
-    screen = partial(_splits, _regular(V.ctx, end)) if small else None
-    return _search(V.ctx, end.tops, seed, trials, lambda phi: _fitting_projector(V, end.runs, phi), screen)
+    small = len(end) ** 2 <= sum(z.rows**2 for z in end[0].values())
+    screen = partial(_splits, _regular(ctx, end)) if small else None
+    return _search(ctx, end, seed, trials, partial(_fitting_projector, runs), screen)
 
 
-def _subspace_module(
-    V: WeightModule, names: Sequence[str], factors: Dict[int, Tuple[Mat, Mat]], ones: Dict[Tuple[int, Fel], Mat]
-) -> WeightModule:
-    """Restriction of V to the op-stable subspaces whose projectors have
-    rank factors B, C: an operator O from k to t restricts to C_t O B_k."""
-    labels = {k: default_labels(k, b.cols) for k, (b, _) in factors.items()}
-    ops: Dict[str, Dict[int, Mat]] = {}
-    for name in names:
-        table = {}
-        for k in V.op_sources(name):
-            t = V.op_target(name, k)
-            if k in factors and t in factors and factors[k][0].cols and factors[t][0].cols:
-                table[k] = _cut(factors[t], V.op(name, k), factors[k], ones)
-        ops[name] = table
-    return WeightModule(V.ctx, V.orbit, V.window, labels, ops)
+def _parts(factors: Optional[Factors], end: Tops, proj: Dict[int, Mat], ones: Ones) -> List[Tuple[Factors, Tops]]:
+    """The two parts of a piece of V, with rank factors B, C at the run tops
+    (None for V itself), along the idempotent p of its End: for p and for
+    1 - p, with rank factors b, c at each top where the part is nonzero,
+    the part's factors B b, c C in V's coordinates and its End, c phi b
+    over the piece's End basis (module docstring)."""
+    ctx = next(iter(proj.values())).ctx
+    inner: List[Factors] = [{}, {}]
+    outer: List[Factors] = [{}, {}]
+    for e, p in proj.items():
+        for part, whole, q in zip(inner, outer, (p, Mat.identity(ctx, p.rows) - p)):
+            b, c = pair = q.rank_factors()
+            if b.cols:
+                part[e] = pair
+                whole[e] = pair if factors is None else (_times(factors[e][0], b), _times(c, factors[e][1]))
+    return [(whole, _restricted_end(ctx, end, part, ones)) for part, whole in zip(inner, outer)]
 
 
-def _split_module(
-    V: WeightModule, names: Sequence[str], runs: Runs, proj: Dict[int, Mat]
-) -> List[Tuple[WeightModule, Dict[int, Tuple[Mat, Mat]]]]:
-    """Split V along an idempotent p, given at the run representatives,
-    into the image summand and the complement summand, each with the rank
-    factors B, C of its projector (p or 1 - p) at every offset: B is the
-    summand's basis, and C B = 1.
-
-    An offset with no transport carries its representative's block, so it
-    takes the representative's factors, the same pair; every other offset
-    takes those of its own block.
-    """
-    ctx = V.ctx
-    blocks = runs.lift(proj)
-    factors: Dict[int, Tuple[Tuple[Mat, Mat], Tuple[Mat, Mat]]] = {}
-    image = {}
-    complement = {}
-    for k in V.offsets():
-        d = V.dim(k)
-        if d == 0:
-            continue
-        at = k if k in runs.v else runs.rep[k]
-        if at not in factors:
-            p = blocks[k]
-            factors[at] = (p.rank_factors(), (Mat.identity(ctx, d) - p).rank_factors())
-        image[k], complement[k] = factors[at]
-    ones: Dict[Tuple[int, Fel], Mat] = {}  # the c 1 blocks the two summands share
-    return [(_subspace_module(V, names, side, ones), side) for side in (image, complement)]
+def _times(a: Mat, b: Mat) -> Mat:
+    """The product of two rank factors: a square one is 1 and is not multiplied."""
+    return b if a.rows == a.cols else a if b.rows == b.cols else a * b
 
 
-def _cut(target: Tuple[Mat, Mat], m: Mat, source: Tuple[Mat, Mat], ones: Dict[Tuple[int, Fel], Mat]) -> Mat:
+def _restricted_end(ctx: FieldCtx, end: Tops, factors: Factors, ones: Ones) -> Tops:
+    """End of the part of a piece cut out by the idempotent B C at each run
+    top, from the piece's End with no solve: C phi B over its basis spans
+    the part's End, brought to the canonical basis (module docstring)."""
+    shapes = [(e, b.cols, b.cols) for e, (b, _) in factors.items()]
+    zero, width = ctx.zero, sum(r * r for _, r, _ in shapes)
+    # in reversed coordinate order, whose reduced echelon basis is the canonical one
+    system = Echelon()
+    for phi in end:
+        vec = [x for e, pair in factors.items() for row in _cut(pair, phi[e], pair, ones).data for x in row]
+        system.insert_terms([(width - 1 - i, x) for i, x in enumerate(vec) if x])
+    vectors = [dense(system.rows[p], width, zero)[::-1] for p in sorted(system.rows, reverse=True)]
+    return _cut_vectors(ctx, shapes, vectors)
+
+
+def _cut(target: Tuple[Mat, Mat], m: Mat, source: Tuple[Mat, Mat], ones: Ones) -> Mat:
     """C_t m B_k, m from the space with rank factors B_k, C_k to the one
     with B_t, C_t (module docstring).  An m that is c 1 between one factor
     pair is c 1, one block per (size, c) kept in ones; a square factor is 1
@@ -875,27 +876,22 @@ def _cut(target: Tuple[Mat, Mat], m: Mat, source: Tuple[Mat, Mat], ones: Dict[Tu
     return m if left.rows == left.cols else left * m
 
 
-def _restricted_end(end: EndBasis, U: WeightModule, factors: Dict[int, Tuple[Mat, Mat]]) -> EndBasis:
-    """End(U) for a summand U of V, from End(V) with no solve.
-
-    U is cut out by the idempotent B C of End(V) at each offset, with B its
-    basis (module docstring); C phi B over End(V)'s basis spans End(U),
-    read at U's run tops and brought to the canonical basis there.
-    """
-    ctx = U.ctx
-    runs = Runs(U, U)
-    shapes = [(e, U.dim(e), U.dim(e)) for e in runs.members if U.dim(e)]
-    zero, width = ctx.zero, sum(r * r for _, r, _ in shapes)
-    ones: Dict[Tuple[int, Fel], Mat] = {}
-    # in reversed coordinate order, whose reduced echelon basis is the canonical one
-    system = Echelon()
-    for phi in end.tops:
-        vec = []
-        for e, _, _ in shapes:
-            vec.extend(x for row in _cut(factors[e], phi[e], factors[e], ones).data for x in row)
-        system.insert_terms([(width - 1 - i, x) for i, x in enumerate(vec) if x])
-    vectors = [dense(system.rows[p], width, zero)[::-1] for p in sorted(system.rows, reverse=True)]
-    return EndBasis(algebra=end.algebra, tops=_cut_vectors(ctx, shapes, vectors), runs=runs)
+def _summand(V: WeightModule, names: Sequence[str], runs: Runs, factors: Factors, ones: Ones) -> WeightModule:
+    """The summand of V whose idempotent has rank factors B, C at the run
+    tops: B C lifted along the runs is factored again at each offset with a
+    transport, every other offset takes its top's pair, and an operator O
+    from k to t restricts to C_t O B_k (module docstring)."""
+    lifted = runs.lift({e: b * c for e, (b, c) in factors.items() if b.rows > b.cols})
+    at = {k: pair for e, pair in factors.items() for k in runs.members[e]}
+    at.update((k, lifted[k].rank_factors()) for k in lifted if k in runs.v)
+    labels = {k: default_labels(k, b.cols) for k, (b, _) in at.items()}
+    ops: Dict[str, Dict[int, Mat]] = {name: {} for name in names}
+    for name, table in ops.items():
+        for k in V.op_sources(name):
+            t = V.op_target(name, k)
+            if k in at and t in at:
+                table[k] = _cut(at[t], V.op(name, k), at[k], ones)
+    return WeightModule(V.ctx, V.orbit, V.window, labels, ops)
 
 
 def is_indecomposable(
@@ -913,13 +909,13 @@ def is_indecomposable(
         return Verdict.no({"kind": "zero_module"})
     if end is None:
         end = endomorphisms(V, algebra)
-    found, decided = _find_split(V, end, seed, trials)
+    found, decided = _find_split(V.ctx, end.runs, end.tops, seed, trials)
     if found is not None:
         proj, rank = found
         return Verdict.no({"kind": "idempotent", "maps": _maps_to_json(end.runs.lift(proj), {}), "rank": rank})
     if decided:
         return Verdict.yes()
-    return Verdict.unknown("no splitting endomorphism found within the trial budget")
+    return Verdict.unknown(NO_SPLIT_FOUND)
 
 
 def decompose(
@@ -927,13 +923,16 @@ def decompose(
 ) -> Decomposition:
     """Split a circular module into indecomposable summands.
 
-    Recursively splits along idempotents found in the graded endomorphism
-    ring of the chosen algebra's action.  When the endomorphism sweep is
-    not exhaustive and finds nothing, the current piece is kept whole and
-    the result is flagged incomplete.  end is End(V) over the algebra when
-    the caller has solved it already; otherwise it is solved here, only
-    when a split is searched for.  Each summand's End is restricted from
-    End(V), so one decompose makes at most one End solve.
+    Splits along idempotents found in the graded endomorphism ring of the
+    chosen algebra's action, then splits each part the same way, all at
+    the tops of the runs End(V) was solved on: a piece is held as its
+    idempotent's rank factors there with its End, restricted from its
+    parent's, and only a piece that splits no further is built as a module
+    (module docstring).  When the endomorphism sweep is not exhaustive and
+    finds nothing, that piece is kept whole and the result is flagged
+    incomplete.  end is End(V) over the algebra when the caller has solved
+    it already; otherwise it is solved here, the one End solve and the one
+    Runs of a decompose.
     """
     names = _op_names(algebra, V)
     if not V.circular:
@@ -946,21 +945,19 @@ def decompose(
         V = V.with_ops({n: V.ops[n] for n in names})
     if end is None:
         end = endomorphisms(V, algebra)
-    found, decided = _find_split(V, end, seed, trials)
-    if found is None:
-        if decided:
-            return Decomposition([V], True)
-        return Decomposition([V], False, reason="no splitting endomorphism found within the trial budget")
-    proj, _ = found
-    parts = [
-        decompose(U, algebra, seed, trials, end=_restricted_end(end, U, factors))
-        for U, factors in _split_module(V, names, end.runs, proj)
-    ]
-    return Decomposition(
-        [s for p in parts for s in p.summands],
-        all(p.complete for p in parts),
-        reason=next((p.reason for p in parts if p.reason), None),
-    )
+    ones: Ones = {}
+    summands, complete = [], True
+    # depth first, image before complement
+    pieces: List[Tuple[Optional[Factors], Tops]] = [(None, end.tops)]
+    while pieces:
+        factors, tops = pieces.pop()
+        found, decided = _find_split(V.ctx, end.runs, tops, seed, trials)
+        if found is not None:
+            pieces.extend(reversed(_parts(factors, tops, found[0], ones)))
+            continue
+        complete = complete and decided
+        summands.append(V if factors is None else _summand(V, names, end.runs, factors, ones))
+    return Decomposition(summands, complete, None if complete else NO_SPLIT_FOUND)
 
 
 # isomorphism

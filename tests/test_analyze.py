@@ -3,6 +3,7 @@ decomposition, and isomorphism."""
 
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -488,7 +489,7 @@ def test_sweep_over_a_large_space_is_seeded_and_bounded():
 def test_trial_budget_unknowns(monkeypatch):
     V = five_twisted()
     assert endomorphisms(V, "D").dim == 25
-    monkeypatch.setattr(analyze, "_fitting_projector", lambda V, runs, phi: None)
+    monkeypatch.setattr(analyze, "_fitting_projector", lambda runs, phi: None)
     reason = "no splitting endomorphism found within the trial budget"
     verdict = is_indecomposable(V, "D", trials=3)
     assert verdict.kind == "UNKNOWN" and verdict.reason == reason
@@ -881,9 +882,9 @@ def test_runs_built_once_per_end_solve(monkeypatch):
     assert is_indecomposable(V, "D").is_no
     assert len(solves) == 1 and len(built) == 1
     assert decompose(V, "D").count == 2
-    # one End solved for V, and one restricted to each summand, on its own runs:
-    # Runs is built once per End, solved or restricted
-    assert len(solves) == 2 and len(built) == 4
+    # one End solved for V, and one restricted to each summand at V's run
+    # tops: Runs is built once per End solve, none for a restricted End
+    assert len(solves) == 2 and len(built) == 2
 
 
 def test_invertible_candidates_take_no_fitting_power(monkeypatch):
@@ -951,8 +952,8 @@ def test_ladder_split_makes_no_solve(monkeypatch, rung):
     found = found_projectors(V, end, count=1)
     assert found
     solves = count_solves(monkeypatch)
-    parts = analyze._split_module(V, op_names_for("D"), end.runs, found[0])
-    assert solves == [] and all(U.total_dim() for U, _ in parts)
+    parts = split_along(V, op_names_for("D"), end, found[0])
+    assert solves == [] and all(U.total_dim() for U in parts)
 
 
 def test_maps_json_writes_each_block_object_once(monkeypatch):
@@ -966,15 +967,15 @@ def test_maps_json_writes_each_block_object_once(monkeypatch):
 
 
 def test_decompose_lifts_projectors_only(monkeypatch):
-    # End bases are read at the run tops; only each split's projector is
-    # lifted, to cut its summands, and End is lifted when it is written out
+    # End bases are read at the run tops; only each final summand's
+    # projector is lifted, to cut it, and End is lifted when it is written out
     V = five_twisted()
     end = endomorphisms(V, "D")
     lift, lifted = analyze.Runs.lift, []
     monkeypatch.setattr(analyze.Runs, "lift", lambda runs, phi: lifted.append(phi) or lift(runs, phi))
     assert decompose(V, "D", end=end).count == 5
-    assert len(lifted) == 4
-    assert end.to_json()["dim"] == 25 and len(lifted) == 4 + 25
+    assert len(lifted) == 5
+    assert end.to_json()["dim"] == 25 and len(lifted) == 5 + 25
 
 
 # the split test on End's regular representation, against the Fitting
@@ -987,14 +988,14 @@ def sweep_both_ways(V, algebra, trials=analyze.DEFAULT_TRIALS):
     hit with the screen, without it, and as _find_split gives it; and
     whether the sweep is exhaustive."""
     end = endomorphisms(V, algebra)
-    table = analyze._regular(V.ctx, end)
+    table = analyze._regular(V.ctx, end.tops)
     verdicts, coefs = [], []
 
     def regular(c):
         return analyze._splits(table, c)
 
     def fitting(phi):
-        return analyze._fitting_projector(V, end.runs, phi)
+        return analyze._fitting_projector(end.runs, phi)
 
     def record(c):
         coefs[:] = c
@@ -1009,7 +1010,7 @@ def sweep_both_ways(V, algebra, trials=analyze.DEFAULT_TRIALS):
         return analyze._search(V.ctx, end.tops, 0, trials, test, screen)
 
     _, exhaustive = sweep(both, record)
-    first = [sweep(fitting, regular)[0], sweep(fitting)[0], analyze._find_split(V, end, 0, trials)[0]]
+    first = [sweep(fitting, regular)[0], sweep(fitting)[0], analyze._find_split(V.ctx, end.runs, end.tops, 0, trials)[0]]
     hits = [None if f is None else ({k: m.to_json() for k, m in f[0].items()}, f[1]) for f in first]
     return verdicts, hits, exhaustive
 
@@ -1108,12 +1109,18 @@ def module_bytes(V):
     return json.dumps(V.to_json(), sort_keys=True)
 
 
+def split_along(M, names, end, proj):
+    """The image and complement summands of M along a projector given at
+    the run tops, cut as decompose cuts its final summands."""
+    return [analyze._summand(M, names, end.runs, factors, {}) for factors, _ in analyze._parts(None, end.tops, proj, {})]
+
+
 def found_projectors(M, end, count=2):
     """The first count projectors the split sweep finds in End(M), at the run representatives."""
     found = []
 
     def collect(phi):
-        got = analyze._fitting_projector(M, end.runs, phi)
+        got = analyze._fitting_projector(end.runs, phi)
         if got is not None:
             found.append(got[0])
         return len(found) >= count or None
@@ -1152,7 +1159,7 @@ def test_split_on_runs_matches_per_offset_split(monkeypatch):
                 instances = []
                 want = per_offset_split(M, names, lifted, instances)
                 before = len(solves)
-                got = [U for U, _ in analyze._split_module(M, names, end.runs, proj)]
+                got = split_along(M, names, end, proj)
                 assert len(solves) == before
                 assert tuple(map(module_bytes, got)) == tuple(map(module_bytes, want))
                 seen["split"] += 1
@@ -1166,6 +1173,71 @@ def test_split_on_runs_matches_per_offset_split(monkeypatch):
         if runs[0] and runs[1]:
             seen["identity in V, transport in W"] += any(k not in runs[0].v and k in runs[1].v for k in runs[0].rep)
     assert min(seen.values()) >= 10, seen
+
+
+def per_offset_decompose(M, algebra):
+    """The recursive decompose that the split tree at the run tops replaced:
+    End solved on every summand, each split's projector lifted in full, and
+    a column space and a solve per weight space and operator instance."""
+    names = op_names_for(algebra)
+    M = M.with_ops({n: M.ops[n] for n in names})
+    end = endomorphisms(M, algebra)
+    found, _ = analyze._search(M.ctx, end.tops, 0, analyze.DEFAULT_TRIALS, partial(analyze._fitting_projector, end.runs))
+    if found is None:
+        return [M]
+    parts = per_offset_split(M, names, per_offset_projector(M, end.runs, found[0]), [])
+    return [U for part in parts for U in per_offset_decompose(part, algebra)]
+
+
+def test_decompose_matches_per_offset_recursion(monkeypatch):
+    # the split tree at the run tops gives the recursion's bytes; a part's
+    # factors are composed with its parent's, and a square one, which is 1,
+    # is never multiplied
+    rng = random.Random(20261022)
+    seen = {"split": 0, "split again": 0, "square parent factor": 0}
+    parts, mul, inside = analyze._parts, Mat.__mul__, []
+
+    def is_one(m):
+        return m.scalar_value() == m.ctx.one
+
+    def checked_parts(factors, *args):
+        seen["square parent factor"] += factors is not None and any(b.rows == b.cols for b, _ in factors.values())
+        inside.append(factors)
+        try:
+            return parts(factors, *args)
+        finally:
+            inside.pop()
+
+    def checked_mul(a, b):
+        assert not (inside and (is_one(a) or is_one(b)))
+        return mul(a, b)
+
+    monkeypatch.setattr(analyze, "_parts", checked_parts)
+    monkeypatch.setattr(Mat, "__mul__", checked_mul)
+    for _ in range(30):
+        V, W, algebra, _ = random_split_pair(rng)
+        for M in (V, W):
+            want = per_offset_decompose(M, algebra)
+            assert list(map(module_bytes, decompose(M, algebra).summands)) == list(map(module_bytes, want))
+            seen["split"] += len(want) > 1
+            seen["split again"] += len(want) > 2
+    assert min(seen.values()) >= 10, seen
+
+
+def test_ladder_decompose_builds_each_summand_once(monkeypatch):
+    V = ladder_rung(7, "3", 16)
+    end = endomorphisms(V, "D")
+    built, modules, cuts = [], [], []
+    runs, init, cut = analyze.Runs, WeightModule.__init__, analyze._cut
+    monkeypatch.setattr(analyze, "Runs", lambda *args: built.append(args) or runs(*args))
+    monkeypatch.setattr(WeightModule, "__init__", lambda M, *args, **kw: modules.append(args) or init(M, *args, **kw))
+    monkeypatch.setattr(analyze, "_cut", lambda *args: cuts.append(args) or cut(*args))
+    dec = decompose(V, "D", end=end)
+    assert [U.total_dim() for U in dec.summands] == [168, 168, 168, 84, 84]
+    # the split tree is worked at V's run tops: no Runs and one module per
+    # returned summand (8 and 8 when each summand was split as a module),
+    # and 680 cuts (1,058)
+    assert built == [] and len(modules) == 5 and len(cuts) == 680
 
 
 # irreducibility by Norton's criterion, against the scan of every weight line

@@ -363,6 +363,45 @@ def test_rank_factors(kind):
     assert Mat.identity(ctx, d).rank_factors() == (Mat.identity(ctx, d), Mat.identity(ctx, d))
 
 
+def idempotent_with_pivots(ctx, rng, d, pivots):
+    """B C with C the reduced echelon form with the given pivot columns and
+    random entries right of its pivots, and B random but for C B = 1."""
+    r, free = len(pivots), [j for j in range(d) if j not in pivots]
+    c = [[ctx.zero] * d for _ in range(r)]
+    for i, p in enumerate(pivots):
+        c[i][p] = ctx.one
+        for j in free:
+            if j > p:
+                c[i][j] = ctx.random_element(rng)
+    b = {j: [ctx.random_element(rng) for _ in range(r)] for j in free}
+    for i, p in enumerate(pivots):
+        b[p] = [(ctx.one if i == s else ctx.zero) - sum((c[i][j] * b[j][s] for j in free), ctx.zero) for s in range(r)]
+    return Mat(ctx, [b[j] for j in range(d)], cols=r) * Mat(ctx, c, cols=d)
+
+
+@pytest.mark.parametrize("kind", ["PRIME_FIELD", "EXT_FIELD", "RATIONAL"])
+def test_rank_factors_of_an_idempotent_inside_another(kind):
+    # p2 an idempotent in the image coordinates of p1 = B1 C1: the idempotent
+    # B1 p2 C1 has rank factors B1 B2 and C2 C1, its pivots p1's indexed by
+    # p2's, whatever p1's pivots are
+    ctx = KERNEL_FIELDS[kind]
+    rng = random.Random(f"nested_rank_factors/{kind}")
+    cases = 0
+    for d in (1, 2, 4, 6):
+        for r1 in range(1, d + 1):
+            for r2 in range(r1 + 1):
+                for _ in range(2):
+                    pivots1, pivots2 = sorted(rng.sample(range(d), r1)), sorted(rng.sample(range(r1), r2))
+                    p1, p2 = idempotent_with_pivots(ctx, rng, d, pivots1), idempotent_with_pivots(ctx, rng, r1, pivots2)
+                    assert p1 * p1 == p1 and p2 * p2 == p2
+                    (b1, c1), (b2, c2) = p1.rank_factors(), p2.rank_factors()
+                    nested = b1 * p2 * c1
+                    assert nested.rank_factors() == (b1 * b2, c2 * c1)
+                    assert nested.rref()[1] == [pivots1[j] for j in pivots2]
+                    cases += pivots1 != list(range(r1))
+    assert cases >= 20
+
+
 @pytest.mark.parametrize("d", [1, 5, 9])
 def test_identity_product_costs_at_most_d_squared_products(monkeypatch, d):
     rng = random.Random(d)

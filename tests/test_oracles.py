@@ -34,7 +34,7 @@ from qdweight.fields import FieldSpec, make_field
 from qdweight.linalg import Mat
 from qdweight.orbits import compute_orbit
 from qdweight.verify import check_relations
-from qdweight.wmod import junction_module, restrict
+from qdweight.wmod import junction_module, op_names_for, restrict
 from test_analyze import full_scan_irreducible
 from test_hom_ladder_pinned import RUNGS
 
@@ -198,28 +198,42 @@ def test_chain_alt_extension_family_size(ctx, m):
 
 
 def test_summand_end_by_restriction_matches_solve(monkeypatch):
-    # every summand's End, restricted from its parent's, has the bytes of
-    # End solved on the summand: on the oracle modules and the ladder rungs
-    restricted, dims = analyze._restricted_end, []
+    # every piece of a decomposition, at every level of the split tree, has
+    # its End restricted from its parent's at V's run tops: it has the bytes,
+    # at those tops, of End solved on the summand its factors cut out; on the
+    # oracle modules and the ladder rungs
+    parts, pieces, dims = analyze._parts, [], []
 
-    def checked(end, U, factors):
-        got = restricted(end, U, factors)
-        assert json.dumps(got.to_json()) == json.dumps(endomorphisms(U, end.algebra).to_json())
-        dims.append(got.dim)
+    def recorded(*args):
+        got = parts(*args)
+        pieces.extend(got)
         return got
 
-    monkeypatch.setattr(analyze, "_restricted_end", checked)
+    def check(V, algebra):
+        pieces.clear()
+        decompose(V, algebra)
+        names, runs = op_names_for(algebra), analyze.Runs(V, V)
+        for factors, tops in pieces:
+            U = analyze._summand(V, names, runs, factors, {})
+            solved = endomorphisms(U, algebra).maps
+            assert len(tops) == len(solved)
+            for got, want in zip(tops, solved):
+                assert list(got) == [e for e in runs.members if U.dim(e)]
+                assert [m.to_json() for m in got.values()] == [want[e].to_json() for e in got]
+            dims.append(len(tops))
+
+    monkeypatch.setattr(analyze, "_parts", recorded)
     base = {F9: WeightPoint(F9.parse("[0,1]"), F9.parse("[0,1]")), F4: WeightPoint(F4.parse("[0,1]"), F4.one)}
     for ctx, point in base.items():
         for M, _ in _classes(ctx):
-            decompose(monodromy_module(ctx, point, M), "D")
+            check(monodromy_module(ctx, point, M), "D")
     for ctx, x, y, y1, _ in LAMBDA_CASES:
-        decompose(lambda_module(ctx, x, y, y1), "D")
+        check(lambda_module(ctx, x, y, y1), "D")
     alt4 = construct_family({"name": "CHAIN_ALT", "params": {"m": 4, "a": ["1"] * 4}}, F9)
     for algebra in ("D", "AQ", "A1"):
-        decompose(alt4, algebra)
+        check(alt4, algebra)
     for _, p, q, m, split in RUNGS:
         if split:
             ctx = make_field(FieldSpec(kind="PRIME_FIELD", p=p, q=q))
-            decompose(construct_family({"name": "CHAIN_ALT", "params": {"m": m, "a": ["1"] * m}}, ctx), "D")
+            check(construct_family({"name": "CHAIN_ALT", "params": {"m": m, "a": ["1"] * m}}, ctx), "D")
     assert len(dims) >= 100 and max(dims) >= 4
