@@ -881,9 +881,11 @@ def _summand(V: WeightModule, names: Sequence[str], runs: Runs, factors: Factors
     tops: B C lifted along the runs is factored again at each offset with a
     transport, every other offset takes its top's pair, and an operator O
     from k to t restricts to C_t O B_k (module docstring)."""
-    lifted = runs.lift({e: b * c for e, (b, c) in factors.items() if b.rows > b.cols})
     at = {k: pair for e, pair in factors.items() for k in runs.members[e]}
-    at.update((k, lifted[k].rank_factors()) for k in lifted if k in runs.v)
+    moved = {e: b * c for e, (b, c) in factors.items() if b.rows > b.cols and any(k in runs.v for k in runs.members[e])}
+    if moved:
+        lifted = runs.lift(moved)
+        at.update((k, lifted[k].rank_factors()) for k in lifted if k in runs.v)
     labels = {k: default_labels(k, b.cols) for k, (b, _) in at.items()}
     ops: Dict[str, Dict[int, Mat]] = {name: {} for name in names}
     for name, table in ops.items():

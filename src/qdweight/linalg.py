@@ -8,12 +8,13 @@ and R reach.  So there is one elimination kernel, `Echelon`, an incremental
 reduced echelon form that keeps each row as {column: nonzero entry} and
 takes each new vector as (column, entry) terms; its work is bounded by the
 entries it touches, not by the width of the system.  Every solver writes
-its equations with `product_terms` and reads them with `solution`.  Dense
-callers (`Mat.rref`, and through it rank, nullspace, column space,
-rank_factors, image_and_kernel and solve) go through `terms` on the way
-in and `dense` on the way out.  Products and scales skip zero entries
-of both factors, so a shift, diagonal or identity factor costs one field
-product per nonzero pair rather than d^3.
+its equations with `product_terms` and reads them with `solution`.
+`Mat.rref` feeds a matrix's rows in through `terms` and returns the
+`Echelon` itself; rank, nullspace, column space, image_and_kernel, solve
+and inverse read its rows and pivots as they are, and only rank_factors
+makes dense rows, the nonzero rows of its C.  Products and scales skip
+zero entries of both factors, so a shift, diagonal or identity factor
+costs one field product per nonzero pair rather than d^3.
 `Mat.scalar_value` reads c off a block that is c times the identity, so
 that a caller can scale by c, or skip an X = 1 link, where it would
 otherwise invert or multiply the block.  It reads the diagonal first, so
@@ -46,7 +47,8 @@ class Echelon:
     rows maps each pivot to its row, a dict {column: nonzero entry} whose
     smallest column is the pivot, with entry 1; no row holds another row's
     pivot.  Reduced echelon form is unique, so the rows depend only on the
-    span of what was inserted, in whatever order.
+    span of what was inserted, in whatever order.  It is what `Mat.rref`
+    returns: a matrix's reduced row echelon form, its zero rows dropped.
     """
 
     __slots__ = ("rows", "_holders")
@@ -308,49 +310,43 @@ class Mat:
 
     # elimination
 
-    def rref(self) -> Tuple["Mat", List[int]]:
-        """Reduced row echelon form and the pivot column indices."""
-        ech = Echelon()
-        for row in self.data:
-            ech.insert_terms(terms(row))
-        pivots, zero = ech.pivots, self.ctx.zero
-        rows = [dense(ech.rows[p], self.cols, zero) for p in pivots]
-        rows += [[zero] * self.cols for _ in range(self.rows - ech.rank)]
-        return Mat._of(self.ctx, rows, self.cols), pivots
-
-    def _reduced_rows(self) -> Dict[int, Dict[int, Fel]]:
-        """The rows of rref(), keyed by pivot as Echelon keeps them, for solution.
+    def rref(self) -> Echelon:
+        """The reduced row echelon form of the rows, as an Echelon.
 
         Every elimination of a Mat goes through rref, the one name a caller
         timing this layer needs to wrap."""
-        red, pivots = self.rref()
-        return {p: dict(terms(row)) for p, row in zip(pivots, red.data)}
+        ech = Echelon()
+        for row in self.data:
+            ech.insert_terms(terms(row))
+        return ech
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return self.rref().rank
 
     def _columns(self, js: List[int]) -> "Mat":
         return Mat._of(self.ctx, [[row[j] for j in js] for row in self.data], len(js))
 
     def nullspace(self) -> List["Mat"]:
         """Basis of the right kernel, as column vectors."""
-        return [Mat.column(self.ctx, v) for v in solution(self.ctx, self._reduced_rows(), self.cols)[1]]
+        return [Mat.column(self.ctx, v) for v in solution(self.ctx, self.rref().rows, self.cols)[1]]
 
     def column_space(self) -> "Mat":
         """A matrix whose columns are a basis of the column space."""
-        return self._columns(self.rref()[1])
+        return self._columns(self.rref().pivots)
 
     def rank_factors(self) -> Tuple["Mat", "Mat"]:
         """B, C with self = B C: column_space() and the nonzero rows of the
         reduced form, from one elimination."""
-        red, pivots = self.rref()
-        return self._columns(pivots), Mat._of(self.ctx, red.data[: len(pivots)], self.cols)
+        ech = self.rref()
+        pivots, zero = ech.pivots, self.ctx.zero
+        c = [dense(ech.rows[p], self.cols, zero) for p in pivots]
+        return self._columns(pivots), Mat._of(self.ctx, c, self.cols)
 
     def image_and_kernel(self) -> Tuple["Mat", "Mat"]:
         """column_space() and a matrix whose columns are nullspace(), from one elimination."""
-        rows = self._reduced_rows()
-        kernel = Mat._of(self.ctx, solution(self.ctx, rows, self.cols)[1], self.cols).transpose()
-        return self._columns(sorted(rows)), kernel
+        ech = self.rref()
+        kernel = Mat._of(self.ctx, solution(self.ctx, ech.rows, self.cols)[1], self.cols).transpose()
+        return self._columns(ech.pivots), kernel
 
     def solve(self, rhs: "Mat") -> Optional["Mat"]:
         """One exact solution X of self * X = rhs, or None if inconsistent.
@@ -359,18 +355,16 @@ class Mat:
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs row mismatch")
-        sol = solution(self.ctx, self.hstack(rhs)._reduced_rows(), self.cols, rhs.cols)
+        sol = solution(self.ctx, self.hstack(rhs).rref().rows, self.cols, rhs.cols)
         return None if sol is None else Mat._of(self.ctx, sol[0], rhs.cols)
 
     def inverse(self) -> Optional["Mat"]:
+        """self^-1, or None if self is not square or is singular: [self | 1]
+        has a pivot right of self's columns exactly when self is singular,
+        and otherwise reduces to [1 | self^-1]."""
         if self.rows != self.cols:
             return None
-        sol = self.solve(Mat.identity(self.ctx, self.rows))
-        if sol is None:
-            return None
-        if (self * sol) != Mat.identity(self.ctx, self.rows):
-            return None
-        return sol
+        return self.solve(Mat.identity(self.ctx, self.rows))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

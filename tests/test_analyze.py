@@ -1227,8 +1227,10 @@ def test_decompose_matches_per_offset_recursion(monkeypatch):
 def test_ladder_decompose_builds_each_summand_once(monkeypatch):
     V = ladder_rung(7, "3", 16)
     end = endomorphisms(V, "D")
-    built, modules, cuts = [], [], []
+    built, modules, cuts, lifted = [], [], [], []
     runs, init, cut = analyze.Runs, WeightModule.__init__, analyze._cut
+    lift = runs.lift
+    monkeypatch.setattr(runs, "lift", lambda R, phi: lifted.append(phi) or lift(R, phi))
     monkeypatch.setattr(analyze, "Runs", lambda *args: built.append(args) or runs(*args))
     monkeypatch.setattr(WeightModule, "__init__", lambda M, *args, **kw: modules.append(args) or init(M, *args, **kw))
     monkeypatch.setattr(analyze, "_cut", lambda *args: cuts.append(args) or cut(*args))
@@ -1238,6 +1240,8 @@ def test_ladder_decompose_builds_each_summand_once(monkeypatch):
     # returned summand (8 and 8 when each summand was split as a module),
     # and 680 cuts (1,058)
     assert built == [] and len(modules) == 5 and len(cuts) == 680
+    # its one run has no transported offset, so no projector is lifted (5)
+    assert lifted == []
 
 
 # irreducibility by Norton's criterion, against the scan of every weight line
