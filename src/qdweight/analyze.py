@@ -141,7 +141,7 @@ from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from .fields import Fel, FieldCtx
-from .linalg import Echelon, Mat, dense, fitting_power, product_terms, solution, terms
+from .linalg import Echelon, Mat, cut_vectors, dense, fitting_power, product_terms, solution, terms
 from .orbits import Subalgebra
 from .wmod import WeightModule, as_subalgebra, default_labels, op_names_for
 
@@ -606,20 +606,7 @@ def _graded_hom_basis(
             for plus, minus in zip(za, bz):
                 system.insert_terms([(base[u] + j, c) for j, c in plus] + [(base[e] + j, -c) for j, c in minus])
 
-    return _cut_vectors(ctx, shapes, solution(ctx, system.rows, n)[1]), runs
-
-
-def _cut_vectors(ctx: FieldCtx, shapes: List[Tuple[int, int, int]], vectors: List[List[Fel]]) -> List[Dict[int, Mat]]:
-    """Each coordinate vector cut into the (top, rows, columns) blocks of
-    shapes, row-major, top after top."""
-    out = []
-    for vec in vectors:
-        blocks, at = {}, 0
-        for e, dw, dv in shapes:
-            blocks[e] = Mat._of(ctx, [vec[at + i * dv : at + (i + 1) * dv] for i in range(dw)], dv)
-            at += dw * dv
-        out.append(blocks)
-    return out
+    return cut_vectors(ctx, shapes, solution(ctx, system.rows, n)[1]), runs
 
 
 def endomorphisms(V: WeightModule, algebra) -> EndBasis:
@@ -855,7 +842,7 @@ def _restricted_end(ctx: FieldCtx, end: Tops, factors: Factors, ones: Ones) -> T
         vec = [x for e, pair in factors.items() for row in _cut(pair, phi[e], pair, ones).data for x in row]
         system.insert_terms([(width - 1 - i, x) for i, x in enumerate(vec) if x])
     vectors = [dense(system.rows[p], width, zero)[::-1] for p in sorted(system.rows, reverse=True)]
-    return _cut_vectors(ctx, shapes, vectors)
+    return cut_vectors(ctx, shapes, vectors)
 
 
 def _cut(target: Tuple[Mat, Mat], m: Mat, source: Tuple[Mat, Mat], ones: Ones) -> Mat:

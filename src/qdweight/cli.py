@@ -22,6 +22,8 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .analyze import (
+    DEFAULT_LINE_BUDGET,
+    DEFAULT_TRIALS,
     EndBasis,
     NotApplicable,
     are_isomorphic,
@@ -559,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--algebra", choices=["D", "AQ", "A1"], default="D")
     p.add_argument("--seed", type=int, default=None, help="overrides GWA_SEED")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--budget", type=int, default=20000, help="line budget for irreducibility")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--budget", type=int, default=DEFAULT_LINE_BUDGET, help="line budget for irreducibility")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("extend", help="solve for the missing lowering operator")
@@ -572,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right", help="module JSON path")
     p.add_argument("--algebra", choices=["D", "AQ", "A1"], default="D")
     p.add_argument("--seed", type=int, default=None, help="overrides GWA_SEED")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("realize", help="matrices of the polynomial operators and their relation report")

@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .basering import MIXED_ID, PRODUCTS
 from .fields import Fel, FieldCtx
-from .linalg import Echelon, Mat, product_terms, solution
+from .linalg import Echelon, Mat, cut_vectors, product_terms, solution
 from .orbits import LOWERING
 from .verify import check_relations
 from .wmod import WeightModule
@@ -206,17 +206,10 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
     if conflict is not None:
         return ExtensionResult(IMPOSSIBLE, missing, conflict=_conflict_json(ctx, widths, instances[conflict]))
 
-    def as_maps(vec: List[Fel]) -> Dict[int, Mat]:
-        maps, base = {}, 0
-        for k, w in zip(sources, widths):
-            dk = V.dim(k)
-            if w:
-                maps[k] = Mat._of(ctx, [vec[base + i * dk : base + (i + 1) * dk] for i in range(w // dk)], dk)
-            base += w
-        return maps
-
+    shapes = [(k, w // V.dim(k), V.dim(k)) for k, w in zip(sources, widths) if w]
+    rep, *basis = cut_vectors(ctx, shapes, [particular, *kernel])
     ops = dict(V.ops)
-    ops[missing] = as_maps(particular)
+    ops[missing] = rep
     module = V.with_ops(ops)
     # the flavor check covers the D relations that do not read the missing
     # operator (see the module docstring)
@@ -224,7 +217,6 @@ def extend_to_D(V: WeightModule) -> ExtensionResult:
     if not full.passed:
         raise RuntimeError("extension produced a module that fails re-verification")
 
-    basis = [as_maps(vec) for vec in kernel]
     if not basis:
         return ExtensionResult(UNIQUE, missing, representative=module)
     return ExtensionResult(FAMILY, missing, k=len(basis), representative=module, homogeneous_basis=basis)

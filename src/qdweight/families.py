@@ -2,12 +2,14 @@
 
 Every family is one row of the table ``_FAMILIES``: its name, parameter
 names, catalog text and how to build it.  The windowed line families and the
-twisted circular families are pure data (a ``Line``) read by one
-interpreter, ``_line_module``; the chain, two-row and fixture families keep
-builder functions.  Generic line coefficients are read from D's product
-relations, ``basering.PRODUCTS``, and each flavour's lowering operator from
-``orbits.LOWERING``; the chain and two-row builders pass only their junction
-blocks to ``wmod.junction_module``, which fills in the rest.
+twisted circular families are pure data (a ``Line``): ``_line_module``
+checks a row's parameters, window and breaks, and ``wmod.line_module``
+builds it with the flavour's generic coefficients, as it builds the line
+kinds of ``wmod.construct_gwa``.  The chain, two-row and fixture families
+keep builder functions; the chain and two-row builders pass only their
+junction blocks to ``wmod.junction_module``, which fills in the rest.  Both
+catalogs check windows by one rule, ``wmod.take_window`` and
+``wmod.no_window``.
 Constructors validate their side conditions up front and evaluate
 coefficient formulas lazily, so a bad denominator reports the offending
 offset.  They do not re-check the defining relations; that is
@@ -25,11 +27,11 @@ from fractions import Fraction
 from math import inf
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
-from .basering import PRODUCTS, WeightPoint
+from .basering import WeightPoint
 from .fields import Fel, FieldCtx
 from .linalg import Mat
-from .orbits import LOWERING, Orbit, Subalgebra, breaks, compute_orbit
-from .wmod import OP_NAMES, OP_STEP, WeightModule, check_width, junction_module
+from .orbits import Subalgebra, breaks, compute_orbit
+from .wmod import NUMERATOR, OP_NAMES, WeightModule, junction_module, line_module, no_window, take_window
 
 # a chain module stores 3 r m^2 matrix entries (X, Y and Y1 on r offsets of
 # dimension m); larger ones are refused before any block is built
@@ -169,27 +171,6 @@ def _is_int_scalar(ctx: FieldCtx, a: Fel) -> bool:
     return len(num) <= 1 and den == (1,)
 
 
-def _take_window(orbit: Orbit, window, name: str) -> Tuple[int, int]:
-    if orbit.circular:
-        raise ValueError(f"{name} needs an infinite weight orbit, but this one is circular")
-    if window is None:
-        raise ValueError(f"{name} lives on an infinite orbit and needs a window")
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError("empty window")
-    check_width(lo, hi)
-    return lo, hi
-
-
-def _no_window(orbit: Orbit, window, name: str) -> None:
-    if not orbit.circular:
-        raise ValueError(
-            f"{name} needs a circular weight orbit (positive characteristic, q of finite order)"
-        )
-    if window is not None:
-        raise ValueError(f"{name} is circular and takes no window")
-
-
 # ---------------------------------------------------------------------------
 # line families: one-dimensional weight spaces along one orbit
 
@@ -213,39 +194,21 @@ def _check(name: str, guard: Guard, ctx: FieldCtx, values: Dict[str, Fel]) -> No
         raise ValueError(f"{name} {need}")
 
 
-def _generic(flavour: Subalgebra) -> Dict[str, Tuple[Scalar, Optional[Scalar]]]:
-    """The generic coefficients of a flavour with lowering operator T, as
-    (numerator, denominator) at the point of offset k, None meaning no
-    denominator: X carries T X, T acts by 1, and the other lowering
-    operator U by (X U)/(X T)."""
-    T = LOWERING[flavour]
-    (U,) = PRODUCTS.keys() - {T}
-    coeffs = {
-        "X": (PRODUCTS[T].tx, None),
-        T: (lambda ctx, a, b: ctx.one, None),
-        U: (PRODUCTS[U].xt, PRODUCTS[T].xt),
-    }
-    return {name: coeffs[name] for name in OP_NAMES}
-
-
 # the coordinate whose breaks a twisted circular family must avoid
 _SIDE = {Subalgebra.AQ: "sigma", Subalgebra.A1: "tau"}
-
-# an override keeping the generic numerator where the denominator vanishes
-_NUMERATOR = object()
 
 
 @dataclass(frozen=True)
 class Line:
-    """A family with one-dimensional weight spaces v_k along one orbit.
+    """A family with one-dimensional weight spaces v_k along one orbit,
+    built by wmod.line_module.
 
     The base point is (tau, sigma * q^shift), where tau and sigma name
     parameters and None stands for 0 and 1 respectively.  The support is
     the offsets k with lo <= k <= hi.  Coefficients are the flavour's
     generic ones, except that ``at[k][op]`` sets op at offset k to an int
-    constant, a parameter (by name) or _NUMERATOR.  In a circular family
-    the parameter named ``wrap`` twists the step across the wrap: X there
-    is multiplied by f, Y and Y1 there are divided by f.
+    constant 0 or 1, a parameter (by name) or NUMERATOR.  In a circular
+    family the parameter named ``wrap`` is line_module's wrap factor f.
     """
 
     flavour: Subalgebra
@@ -259,11 +222,8 @@ class Line:
 
 
 def _line_module(fam: "Family", ctx: FieldCtx, window, raw: list) -> WeightModule:
-    """Interpret a Line row: check it, then fill in its coefficients.
-
-    Coefficients are evaluated lazily and only where both endpoint spaces
-    are supported, so a formula's division by zero names its offset.
-    """
+    """Interpret a Line row: check its parameters, window and breaks, then
+    build it with wmod.line_module."""
     line = fam.build
     values = {k: _fel(ctx, x) for k, x in zip(fam.params, raw)}
     _check(fam.name, line.guard, ctx, values)
@@ -271,42 +231,15 @@ def _line_module(fam: "Family", ctx: FieldCtx, window, raw: list) -> WeightModul
     sigma = (values[line.sigma] if line.sigma else ctx.one) * ctx.q ** line.shift
     orbit = compute_orbit(WeightPoint(tau, sigma), ctx)
     if fam.kind == "circular":
-        _no_window(orbit, window, fam.name)
+        no_window(orbit, window, fam.name)
         if breaks(orbit, line.flavour):
             raise ValueError(f"{fam.name} needs an orbit with no {_SIDE[line.flavour]}-side breaks")
-        offsets = range(orbit.length)
     else:
-        window = _take_window(orbit, window, fam.name)
-        offsets = range(window[0], window[1] + 1)
-    lo, hi = line.support
-    points = {k: orbit.point(k) for k in offsets if lo <= k <= hi}
+        window = take_window(orbit, window, fam.name)
     named = {0: ctx.zero, 1: ctx.one, **values}
-    ops: Dict[str, Dict[int, Mat]] = {}
-    for name, (num, den) in _generic(line.flavour).items():
-        step = OP_STEP[name]
-        table: Dict[int, Mat] = {}
-        for k, pt in points.items():
-            tgt = k + step
-            if orbit.circular:
-                tgt %= orbit.length
-            if tgt not in points:
-                continue
-            fixed = line.at.get(k, {}).get(name)
-            try:
-                if fixed is None or fixed is _NUMERATOR:
-                    val = num(ctx, pt.a, pt.b)
-                    if fixed is None and den is not None:
-                        val = val / den(ctx, pt.a, pt.b)
-                else:
-                    val = named[fixed]
-                if line.wrap and tgt != k + step:
-                    val = val * values[line.wrap] ** step
-            except ZeroDivisionError:
-                raise ValueError(f"{name} coefficient divides by zero at offset {k}") from None
-            table[k] = Mat(ctx, [[val]])
-        ops[name] = table
-    labels = {k: (f"v{k}",) for k in points}
-    return WeightModule(ctx, orbit, window, labels, ops)
+    at = {k: {op: c if c is NUMERATOR else named[c] for op, c in ops.items()} for k, ops in line.at.items()}
+    wrap = values[line.wrap] if line.wrap else None
+    return line_module(ctx, orbit, window, line.flavour, OP_NAMES, line.support, at, wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +285,7 @@ def _chain_cycle(ctx: FieldCtx, window, m_raw, word_raw, a_raw) -> WeightModule:
     if not all(a):
         raise ValueError("CHAIN_CYCLE needs every a_i nonzero")
     orbit = compute_orbit(WeightPoint(ctx.one, ctx.one), ctx)
-    _no_window(orbit, window, "CHAIN_CYCLE")
+    no_window(orbit, window, "CHAIN_CYCLE")
     r = orbit.length
     entries = 3 * r * m * m
     if entries > MAX_CHAIN_ENTRIES:
@@ -383,7 +316,7 @@ def _vcd_tworow(ctx: FieldCtx, window, c_raw, d_raw) -> WeightModule:
     c, d = _fel(ctx, c_raw), _fel(ctx, d_raw)
     _check("VCD_TWOROW", _CHAR_0, ctx, {})
     orbit = compute_orbit(WeightPoint(ctx.zero, 1 / ctx.q), ctx)
-    lo, hi = _take_window(orbit, window, "VCD_TWOROW")
+    lo, hi = take_window(orbit, window, "VCD_TWOROW")
     labels = {k: (f"u{k}", f"w{k}") if k <= 0 else (f"v{k}",) for k in range(lo, hi + 1)}
     y, y1 = Mat(ctx, [[c], [ctx.zero]]), Mat(ctx, [[ctx.zero], [d]])
     return junction_module(ctx, orbit, (lo, hi), labels, 0, Mat.zeros(ctx, 1, 2), y, y1)
@@ -392,9 +325,8 @@ def _vcd_tworow(ctx: FieldCtx, window, c_raw, d_raw) -> WeightModule:
 def _remark_136(ctx: FieldCtx, window) -> WeightModule:
     if ctx.characteristic != 3 or ctx.q_order() != 2:
         raise ValueError("REMARK_136 needs characteristic 3 with q of multiplicative order 2")
-    if window is not None:
-        raise ValueError("REMARK_136 is circular and takes no window")
     orbit = compute_orbit(WeightPoint(ctx.one, ctx.one), ctx)
+    no_window(orbit, window, "REMARK_136")
     labels = {0: ("v1",), 1: ("v2",), 2: ("v3",)}
     ops = {
         "X": {0: Mat(ctx, [[ctx.one]]), 1: Mat(ctx, [[ctx.one]])},
@@ -544,7 +476,7 @@ _FAMILIES: Dict[str, Family] = {
                 Subalgebra.A1,
                 _CHAR_0,
                 sigma="b",
-                at={0: {"X": 1}, 1: {"Y": 0, "Y1": _NUMERATOR}},
+                at={0: {"X": 1}, 1: {"Y": 0, "Y1": NUMERATOR}},
             ),
         ),
         Family(

@@ -409,6 +409,19 @@ def _from_json(ctx: FieldCtx, data: list, rows: int, cols: int, parse: Callable[
     return Mat._of(ctx, [[parse(v) for v in row] for row in data], cols)
 
 
+def cut_vectors(ctx: FieldCtx, shapes: List[Tuple[int, int, int]], vectors: List[List[Fel]]) -> List[Dict[int, Mat]]:
+    """Each coordinate vector cut into the (key, rows, columns) blocks of
+    shapes, row-major, block after block."""
+    out = []
+    for vec in vectors:
+        blocks, at = {}, 0
+        for e, dw, dv in shapes:
+            blocks[e] = Mat._of(ctx, [vec[at + i * dv : at + (i + 1) * dv] for i in range(dw)], dv)
+            at += dw * dv
+        out.append(blocks)
+    return out
+
+
 def fitting_power(m: Mat) -> Mat:
     """m squared until the exponent reaches its dimension: high enough that
     kernel and image split, and they are the same for every higher power."""

@@ -6,6 +6,11 @@ tau and sigma act on the space at offset k by the scalars (a+k, q^k b) of
 that offset's weight point and are never stored as matrices.  Infinite
 orbits are represented on a finite window of at most MAX_ORBIT_LENGTH
 offsets; circular orbits wrap around and need no window.
+
+Both module catalogs, this module's GWA kinds and ``families``, build a
+module with a line at each supported offset through ``line_module``, one
+that is X = 1 off one junction link through ``junction_module``, and check
+windows by one rule, ``take_window`` and ``no_window``.
 """
 
 from __future__ import annotations
@@ -355,6 +360,92 @@ def junction_module(ctx: FieldCtx, orbit: Orbit, window, labels, j: int, x: Mat,
     return WeightModule(ctx, orbit, window, labels, ops)
 
 
+def take_window(orbit: Orbit, window, name: str) -> Tuple[int, int]:
+    """The checked window of a module named name on an infinite orbit."""
+    if orbit.circular:
+        raise ValueError(f"{name} needs an infinite weight orbit, but this one is circular")
+    if window is None:
+        raise ValueError(f"{name} lives on an infinite orbit and needs a window")
+    lo, hi = int(window[0]), int(window[1])
+    if lo > hi:
+        raise ValueError("empty window")
+    check_width(lo, hi)
+    return lo, hi
+
+
+def no_window(orbit: Orbit, window, name: str) -> None:
+    """Check that a module named name lies on a circular orbit and was given no window."""
+    if not orbit.circular:
+        raise ValueError(f"{name} needs a circular weight orbit (positive characteristic, q of finite order)")
+    if window is not None:
+        raise ValueError(f"{name} is circular and takes no window")
+
+
+def _generic(flavour: Subalgebra) -> Dict[str, Tuple[Scalar, Optional[Scalar]]]:
+    """The generic coefficients of a flavour with lowering operator T, as
+    (numerator, denominator) at the point of offset k, None meaning no
+    denominator: X carries T X, T acts by 1, and the other lowering
+    operator U by (X U)/(X T)."""
+    T = LOWERING[flavour]
+    (U,) = PRODUCTS.keys() - {T}
+    return {
+        "X": (PRODUCTS[T].tx, None),
+        T: (lambda ctx, a, b: ctx.one, None),
+        U: (PRODUCTS[U].xt, PRODUCTS[T].xt),
+    }
+
+
+# an override keeping the generic numerator where the denominator vanishes
+NUMERATOR = object()
+
+
+def line_module(
+    ctx: FieldCtx, orbit: Orbit, window, flavour: Subalgebra, names: Sequence[str],
+    support: Tuple[float, float] = (-inf, inf), at: Optional[dict] = None, wrap: Optional[Fel] = None,
+) -> WeightModule:
+    """The module with a line v_k at each of its offsets k (window None on a
+    circular orbit) with lo <= k <= hi, for support (lo, hi), and the
+    flavour's generic coefficients on the named operators.  ``at[k][name]``
+    sets that operator at offset k to a field element, or to NUMERATOR for
+    the generic numerator alone.  A wrap f twists the step across a circular
+    orbit's wrap: X there is multiplied by f, Y and Y1 there divided by f.
+
+    Coefficients are evaluated only where both endpoint spaces are
+    supported, so a formula's division by zero names its offset.
+    """
+    lo, hi = support
+    at = at or {}
+    points = {k: orbit.point(k) for k in _offsets(window, orbit.length) if lo <= k <= hi}
+    generic = _generic(flavour)
+    ops: Dict[str, Dict[int, Mat]] = {}
+    for name in names:
+        num, den = generic[name]
+        step = OP_STEP[name]
+        table: Dict[int, Mat] = {}
+        for k, pt in points.items():
+            tgt = k + step
+            if orbit.circular:
+                tgt %= orbit.length
+            if tgt not in points:
+                continue
+            fixed = at[k].get(name) if k in at else None
+            try:
+                if fixed is None or fixed is NUMERATOR:
+                    val = num(ctx, pt.a, pt.b)
+                    if fixed is None and den is not None:
+                        val = val / den(ctx, pt.a, pt.b)
+                else:
+                    val = fixed
+                if wrap is not None and tgt != k + step:
+                    val = val * wrap ** step
+            except ZeroDivisionError:
+                raise ValueError(f"{name} coefficient divides by zero at offset {k}") from None
+            table[k] = Mat(ctx, [[val]])
+        ops[name] = table
+    labels = {k: (f"v{k}",) for k in points}
+    return WeightModule(ctx, orbit, window, labels, ops)
+
+
 def restrict(V: WeightModule, flavor) -> WeightModule:
     """Forget the operator outside the flavor: keep X, Y1 for AQ or X, Y for A1."""
     flavor = as_subalgebra(flavor)
@@ -424,41 +515,35 @@ def _word_letters(w: str) -> str:
     return w
 
 
+def _wrap_factor(ctx: FieldCtx, text: str) -> Fel:
+    f = ctx.parse(text)
+    if not f:
+        raise ValueError("wrap factor f must be nonzero")
+    return f
+
+
 def construct_gwa(flavor, kind: GwaKind, base: WeightPoint, window, ctx: FieldCtx) -> WeightModule:
-    """Build a generic GWA module: X plus T, where T is Y1 (AQ) or Y (A1)."""
+    """Build a generic GWA module: X plus T, where T is Y1 (AQ) or Y (A1).
+
+    SIMPLE_NO_BREAK, WITH_BREAKS and CIRC_NO_BREAK are line modules; the
+    window follows the rule of take_window and no_window.
+    """
     flavor = as_subalgebra(flavor)
     if flavor is Subalgebra.D:
         raise ValueError("GWA modules are built per flavor, AQ or A1")
-    T_name = LOWERING[flavor]
-    t = PRODUCTS[T_name].tx
+    names = op_names_for(flavor)
     orbit = compute_orbit(base, ctx)
 
-    def tval(k: int) -> Fel:
-        return eval_at(t, orbit.point(k))
-
     if kind.name == "SIMPLE_NO_BREAK":
-        if orbit.circular:
-            raise ValueError("SIMPLE_NO_BREAK needs an infinite orbit; use CIRC_NO_BREAK")
-        if window is None:
-            raise ValueError("SIMPLE_NO_BREAK needs a window")
-        lo, hi = int(window[0]), int(window[1])
-        check_width(lo, hi)
-        bks = breaks(orbit, flavor, (lo, hi))
+        window = take_window(orbit, window, kind.name)
+        bks = breaks(orbit, flavor, window)
         if bks:
             raise ValueError(f"window contains a break at offset {bks[0][0]}")
-        labels = {k: (f"v{k}",) for k in range(lo, hi + 1)}
-        X = {k: Mat(ctx, [[tval(k)]]) for k in range(lo, hi)}
-        T = {k: Mat(ctx, [[ctx.one]]) for k in range(lo + 1, hi + 1)}
-        return WeightModule(ctx, orbit, (lo, hi), labels, {"X": X, T_name: T})
+        return line_module(ctx, orbit, window, flavor, names)
 
     if kind.name == "WITH_BREAKS":
-        if orbit.circular:
-            raise ValueError("WITH_BREAKS needs an infinite orbit")
-        if window is None:
-            raise ValueError("WITH_BREAKS needs a window")
-        lo, hi = int(window[0]), int(window[1])
-        check_width(lo, hi)
-        B = [k for k, _ in breaks(orbit, flavor, (lo, hi))]
+        window = take_window(orbit, window, kind.name)
+        B = [k for k, _ in breaks(orbit, flavor, window)]
         if not B:
             raise ValueError("WITH_BREAKS needs at least one break in the window")
         Bp = B + [max(B) + 1]
@@ -472,53 +557,24 @@ def construct_gwa(flavor, kind: GwaKind, base: WeightPoint, window, ctx: FieldCt
                 raise ValueError("J must be an interval of consecutive augmented breaks")
         if not Jp <= set(J) - ({max(J)} if J else set()):
             raise ValueError("Jp must lie inside J and avoid its maximum")
-        if J:
-            below = [b for b in B if b < min(J)]
-            n0 = max(below) if below else -inf
-            n1 = max(J) if max(J) in B else inf
-        else:
-            n0 = max(B)
-            n1 = inf
-        support = [k for k in range(lo, hi + 1) if n0 < k <= n1]
-        labels = {k: (f"v{k}",) for k in support}
-        sup = set(support)
-        B_set = set(B)
-        X = {}
-        for k in range(lo, hi):
-            if k in sup and k + 1 in sup:
-                if k not in B_set:
-                    coeff = tval(k)
-                elif k in Jp:
-                    coeff = ctx.one
-                else:
-                    coeff = ctx.zero
-                X[k] = Mat(ctx, [[coeff]])
-        T = {}
-        for k in range(lo + 1, hi + 1):
-            if k in sup and k - 1 in sup:
-                coeff = ctx.zero if (k - 1 in Jp or k - 1 == n0) else ctx.one
-                T[k] = Mat(ctx, [[coeff]])
-        return WeightModule(ctx, orbit, (lo, hi), labels, {"X": X, T_name: T})
+        n0 = max([b for b in B if b < min(J)] if J else B, default=-inf)
+        n1 = max(J) if J and max(J) in B else inf
+        # the support is (n0, n1]; a glued break b is crossed by X = 1 with
+        # T = 0 back onto it, and X = t = 0 at a break that is not glued
+        at: dict = {}
+        for b in Jp:
+            at.setdefault(b, {})["X"] = ctx.one
+            at.setdefault(b + 1, {})[names[1]] = ctx.zero
+        return line_module(ctx, orbit, window, flavor, names, (n0 + 1, n1), at)
 
     if kind.name == "CIRC_NO_BREAK":
-        if not orbit.circular:
-            raise ValueError("CIRC_NO_BREAK needs a circular orbit")
+        no_window(orbit, window, kind.name)
         if breaks(orbit, flavor):
             raise ValueError("CIRC_NO_BREAK needs a break-free orbit")
-        f = ctx.parse(kind.f)
-        if not f:
-            raise ValueError("wrap factor f must be nonzero")
-        r = orbit.length
-        labels = {k: (f"v{k}",) for k in range(r)}
-        X = {k: Mat(ctx, [[tval(k)]]) for k in range(r - 1)}
-        X[r - 1] = Mat(ctx, [[f * tval(r - 1)]])
-        T = {k: Mat(ctx, [[ctx.one]]) for k in range(1, r)}
-        T[0] = Mat(ctx, [[f.inverse()]])
-        return WeightModule(ctx, orbit, None, labels, {"X": X, T_name: T})
+        return line_module(ctx, orbit, None, flavor, names, wrap=_wrap_factor(ctx, kind.f))
 
     if kind.name in ("FAMILY1", "FAMILY2"):
-        if not orbit.circular:
-            raise ValueError(f"{kind.name} needs a circular orbit")
+        no_window(orbit, window, kind.name)
         bks = breaks(orbit, flavor)
         if not bks:
             raise ValueError(f"{kind.name} needs an orbit with breaks")
@@ -531,46 +587,41 @@ def construct_gwa(flavor, kind: GwaKind, base: WeightPoint, window, ctx: FieldCt
 
         if kind.name == "FAMILY1":
             j = kind.j % m
+            f, first = None, 0
             ks_at = [[k for k in range(n + 1) if (k + j) % m == j_of[o]] for o in range(r)]
         else:
             if n == 0 or n % m:
                 raise ValueError(f"FAMILY2 needs a word length that is a positive multiple of {m}")
-            f = ctx.parse(kind.f)
-            if not f:
-                raise ValueError("wrap factor f must be nonzero")
+            f, first = _wrap_factor(ctx, kind.f), 1
             ks_at = [[k for k in range(1, n + 1) if k % m == j_of[o] % m] for o in range(r)]
 
+        def step(k: int, up: bool) -> Optional[Tuple[Tuple[int, int], Fel]]:
+            """The entry of a step up (X) or down (T) across a break from e_k:
+            to e_{k+1} over a letter x, to e_{k-1} over a letter y, by 1.
+            FAMILY2's word closes up, e_n to e_1 and back, by f."""
+            tgt, c = k + 1 if up else k - 1, ctx.one
+            if not first <= tgt <= n:
+                if f is None:
+                    return None
+                tgt, c = first if up else n, f
+            letter = w[k % n] if up else w[(k - 1) % n]
+            return ((tgt, k), c) if letter == ("x" if up else "y") else None
+
+        coeffs = _generic(flavor)
         labels = {o: tuple(f"e{k}" for k in ks_at[o]) for o in range(r)}
-        X = {}
-        T = {}
-        for o in range(r):
-            nxt, prv = (o + 1) % r, (o - 1) % r
-            xe = {}
-            for k in ks_at[o]:
-                if o not in break_set:
-                    xe[(k, k)] = tval(o)
-                elif kind.name == "FAMILY1":
-                    if k < n and w[k] == "x":
-                        xe[(k + 1, k)] = ctx.one
+        ops: Dict[str, Dict[int, Mat]] = {}
+        for name in names:
+            up = OP_STEP[name] == 1
+            table = {}
+            for o in range(r):
+                tgt = (o + OP_STEP[name]) % r
+                if (o if up else tgt) in break_set:
+                    entries = dict(e for k in ks_at[o] if (e := step(k, up)))
                 else:
-                    if k != n and w[k] == "x":
-                        xe[(k + 1, k)] = ctx.one
-                    elif k == n and w[0] == "x":
-                        xe[(1, k)] = f
-            X[o] = _basis_mat(ctx, ks_at[nxt], ks_at[o], xe)
-            te = {}
-            for k in ks_at[o]:
-                if prv not in break_set:
-                    te[(k, k)] = ctx.one
-                elif kind.name == "FAMILY1":
-                    if k >= 1 and w[k - 1] == "y":
-                        te[(k - 1, k)] = ctx.one
-                else:
-                    if k != 1 and w[k - 1] == "y":
-                        te[(k - 1, k)] = ctx.one
-                    elif k == 1 and w[0] == "y":
-                        te[(n, k)] = f
-            T[o] = _basis_mat(ctx, ks_at[prv], ks_at[o], te)
-        return WeightModule(ctx, orbit, None, labels, {"X": X, T_name: T})
+                    c = eval_at(coeffs[name][0], orbit.point(o))
+                    entries = {(k, k): c for k in ks_at[o]}
+                table[o] = _basis_mat(ctx, ks_at[tgt], ks_at[o], entries)
+            ops[name] = table
+        return WeightModule(ctx, orbit, None, labels, ops)
 
     raise ValueError(f"unknown GWA kind {kind.name!r}")

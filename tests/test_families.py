@@ -13,7 +13,7 @@ from qdweight.cli import build_scenario_module, canonical_json, grid_scenarios
 from qdweight.families import FAMILY_NAMES, FamilyId, construct_family, list_families
 from qdweight.fields import FieldSpec, make_field
 from qdweight.verify import check_relations
-from qdweight.wmod import construct_gwa, make_module, restrict, simple_no_break
+from qdweight.wmod import circ_no_break, construct_gwa, make_module, restrict, simple_no_break
 
 QQ = make_field(FieldSpec(kind="RATIONAL", q="2"))
 QH = make_field(FieldSpec(kind="RATIONAL", q="1/2"))
@@ -159,6 +159,13 @@ def test_restriction_matches_gwa_catalog():
         "A1", simple_no_break(), WeightPoint(QQ.parse("1/2"), QQ.parse("3")), (-3, 3), QQ
     )
     assert restrict(W, "A1") == H
+    # the circular pair: the twisted families against CIRC_NO_BREAK
+    for ctx, f, a, b in ((F9, "2", "[0,1]", "[1,1]"), (F9, "[1,2]", "[1,1]", "[0,1]")):
+        base = WeightPoint(ctx.parse(a), ctx.parse(b))
+        V = construct_family(FamilyId("VQ_F_B_A", {"f": f, "b": b, "a": a}), ctx)
+        assert restrict(V, "AQ") == construct_gwa("AQ", circ_no_break(f), base, None, ctx)
+        W = construct_family(FamilyId("V1_F_A_B", {"f": f, "a": a, "b": b}), ctx)
+        assert restrict(W, "A1") == construct_gwa("A1", circ_no_break(f), base, None, ctx)
 
 
 # junction families across a break

@@ -93,6 +93,31 @@ def test_family_windows_are_capped(fid):
         construct_family(fid, QQ, window=(1, 0))
 
 
+# the window rule both catalogs share
+
+
+@pytest.mark.parametrize(
+    "kind,base,ctx",
+    [
+        (circ_no_break("2"), ("[0,1]", "[0,1]"), F9),
+        (family1(0, "x"), (1, 1), F3),
+        (family2("xxx", "2"), (1, 1), F3),
+    ],
+    ids=["circ", "family1", "family2"],
+)
+def test_circular_kinds_take_no_window(kind, base, ctx):
+    assert construct_gwa("AQ", kind, wp(ctx, *base), None, ctx).circular
+    with pytest.raises(ValueError, match=f"^{kind.name} is circular and takes no window$"):
+        construct_gwa("AQ", kind, wp(ctx, *base), (-100, 100), ctx)
+
+
+def test_with_breaks_empty_window_is_named_before_breaks():
+    # an orbit with a break at offset 0, and one with none
+    for base in ((0, "1/2"), (5, 3)):
+        with pytest.raises(ValueError, match="^empty window$"):
+            construct_gwa("AQ", with_breaks((0,)), wp(QQ, *base), (1, -1), QQ)
+
+
 # with breaks
 
 
