@@ -120,6 +120,18 @@ Graded maps are solved on runs of invertible X links.
   V's tops with its End there, and only a final summand is built: B C
   lifted along V's runs is factored again at each offset with a
   transport, and every other offset takes its top's pair.
+* The collapse.  A link k -> k+1 collapses when X_k is invertible and each
+  lowering operator T of the algebra has T_{k+1} X_k = c_T 1, some c_T
+  nonzero.  In a D-module these are tau and q sigma - 1 at point k, but a
+  module may break the relations, so each link is checked on its blocks.
+  There T_{k+1} = c_T X_k^-1, so a graded subspace N closed under the
+  operators has X_k N_k = N_{k+1}, X_k^-1 being T_{k+1}/c_T for a nonzero
+  c_T, and on a run N_k = A_k^-1 N_e.  At the tops X_k is 1 and T_{k+1}
+  is c_T, which keep every subspace, and any other instance O from k to t
+  is A_t O A_k^-1.  So the graded submodules match, by N -> N_e, the
+  families of subspaces at the tops closed under the moved instances
+  between runs, and dim N is the sum of dim N_e times e's run length.  V*
+  collapses on the same links, and f in V*_k is (A_k^-1)^T f at the top.
 * Irreducibility (Norton's criterion; Parker 1984, Holt and Rees 1994).
   Let k0 be the first offset with V_k0 nonzero, and let the operators act
   on V* by their transposes, each from the dual of its target to the dual
@@ -128,8 +140,13 @@ Graded maps are solved on runs of invertible X links.
   if N_k0 is nonzero, a line of N_k0 generates a subspace of N; if N_k0 is
   0, its annihilator N^perp is a proper graded submodule of V* containing
   V*_k0.  Conversely V is simple iff V* is, and then every line generates.
-  The spin carries a block c 1 as the scalar c and maps a vector across it
-  by scaling, which gives the vector the block's rows give.
+  Each line is spun on the collapse, from its top, along the moved
+  instances between tops; a run ends at a link that does not collapse, so
+  a module with none is spun offset by offset.  A NO witness lifts the top
+  spans to A_k^-1 N_e at every offset, in reduced echelon form, which is
+  unique: the bytes of the spin at every offset.  The spin carries a block
+  c 1 as the scalar c and maps a vector across it by scaling, which gives
+  the vector the block's rows give.
 """
 
 from __future__ import annotations
@@ -273,48 +290,50 @@ class Decomposition:
 
 
 # An arrow acts by the columns of its block, each the (row, entry) terms of
-# its nonzero entries, or by c when the block is c 1.  Tops holds graded
-# maps at the run tops, Factors rank factors B, C, Split a projector with
-# its rank, and Ones the c 1 blocks that cuts share.  Like basering.Scalar,
-# the aliases exist for the type checker only.
+# its nonzero entries, or by c when the block is c 1; Arrows holds them by
+# source.  Tops holds graded maps at the run tops, Factors rank factors
+# B, C, Split a projector with its rank, and Ones the c 1 blocks that cuts
+# share.  Like basering.Scalar, the aliases exist for the type checker only.
 if TYPE_CHECKING:
     from typing import Union
 
     Action = Union[Fel, List[List[Tuple[int, Fel]]]]
+    Arrows = Dict[int, List[Tuple[int, Action]]]
     Tops = List[Dict[int, Mat]]
     Factors = Dict[int, Tuple[Mat, Mat]]
     Ones = Dict[Tuple[int, Fel], Mat]
     Split = Tuple[Dict[int, Mat], int]
 
 
-def _arrows(V: WeightModule, names: Sequence[str], dual: bool = False) -> Dict[int, List[Tuple[int, Action]]]:
-    """For each offset, the (target, action) of the named operators leaving
-    it between nonzero weight spaces: the block's columns as terms, or the
-    scalar c of a block c 1.
-
-    With dual, the arrows of V*: an operator O from V_k to V_t acts from
-    V*_t to V*_k by its transpose, in the dual bases.
+def _arrows(V: WeightModule, runs: Runs, names: Sequence[str]) -> Tuple[Arrows, Arrows]:
+    """The arrows of V and of V* between the nonzero run tops of runs,
+    which collapse for the names' lowering operators: for each top, the
+    (target top, action) of the named operator instances between nonzero
+    weight spaces that do not lie inside a run, where X is 1 and T is c_T,
+    moved to the tops (module docstring).  An action is the block's columns
+    as terms, or the scalar c of a block c 1.  In V* an operator O from
+    V_k to V_t acts from V*_t to V*_k by its transpose, in the dual bases.
     """
-    out: Dict[int, List[Tuple[int, Action]]] = {k: [] for k in V.offsets()}
+    tops = [e for e in runs.members if V.dim(e)]
+    out: Arrows = {e: [] for e in tops}
+    dual: Arrows = {e: [] for e in tops}
     for name in names:
+        inside = runs.links if name == "X" else {k + 1 for k in runs.links}
         for k in V.op_sources(name):
             t = V.op_target(name, k)
-            if V.dim(k) and V.dim(t):
-                block = V.op(name, k)
-                c = block.scalar_value()
+            if k not in inside and V.dim(k) and V.dim(t):
+                block = runs.to_reps(runs.v, t, V.op(name, k), k)
+                e, u, c = runs.rep[k], runs.rep[t], block.scalar_value()
                 if c is None:
-                    cols = block.data if dual else block.transpose().data
-                    c = [terms(col) for col in cols]
-                if dual:
-                    out[t].append((k, c))
+                    out[e].append((u, [terms(col) for col in block.transpose().data]))
+                    dual[u].append((e, [terms(row) for row in block.data]))
                 else:
-                    out[k].append((t, c))
-    return out
+                    out[e].append((u, c))
+                    dual[u].append((e, c))
+    return out, dual
 
 
-def _spin(
-    ctx: FieldCtx, arrows: Dict[int, List[Tuple[int, Action]]], seeds: Sequence[Tuple[int, Sequence[Fel]]]
-) -> Dict[int, Echelon]:
+def _spin(ctx: FieldCtx, arrows: Arrows, seeds: Sequence[Tuple[int, Sequence[Fel]]]) -> Dict[int, Echelon]:
     """Smallest graded subspace containing the seeds and closed under the
     arrows; a scalar arrow maps a vector by scaling it."""
     spans = {k: Echelon() for k in arrows}
@@ -337,13 +356,28 @@ def _spin(
     return spans
 
 
-def _spans_to_json(V: WeightModule, spans: Dict[int, Echelon]) -> List[dict]:
-    show = V.ctx.show
+def _moved(ctx: FieldCtx, runs: Runs, k: int, vec: List[Fel], dual: bool = False) -> Tuple[int, List[Fel]]:
+    """A vector of V_k at its run's top, A_k v, or with dual one of V*_k,
+    (A_k^-1)^T f, which keeps the pairing: f(v) = (A_k^-1)^T f (A_k v)."""
+    if k in runs.v:
+        rows = zip(*runs.v[k][1].data) if dual else runs.v[k][0].data
+        vec = [sum((a * c for a, c in zip(row, vec) if c), ctx.zero) for row in rows]
+    return runs.rep[k], vec
+
+
+def _spans_to_json(V: WeightModule, runs: Runs, spans: Dict[int, Echelon]) -> List[dict]:
+    """A spin's spans at the run tops, lifted to A_k^-1 N_e at each offset k."""
+    show, zero = V.ctx.show, V.ctx.zero
     out = []
     for k in V.offsets():
-        s = spans.get(k)
+        s = spans.get(runs.rep[k])
         if s is not None and s.rank:
-            rows = (dense(s.rows[p], V.dim(k), V.ctx.zero) for p in s.pivots)
+            if k in runs.v:  # in reduced echelon form, which is unique
+                inverse, lifted = runs.v[k][1].data, Echelon()
+                for row in s.rows.values():
+                    lifted.insert_terms(terms([sum((r[j] * c for j, c in row.items()), zero) for r in inverse]))
+                s = lifted
+            rows = (dense(s.rows[p], V.dim(k), zero) for p in s.pivots)
             out.append({"offset": k, "basis": [[show(c) for c in row] for row in rows]})
     return out
 
@@ -450,24 +484,31 @@ def is_irreducible(V: WeightModule, algebra, budget: int = DEFAULT_LINE_BUDGET) 
     if count > budget:
         return Verdict.unknown(f"irreducibility needs {count} line checks, over the budget of {budget}")
 
-    arrows = _arrows(V, names)
+    # spun on the collapse: each line from its top, each span counted once
+    # per member of its run (module docstring)
+    runs = Runs(V, V, [n for n in names if n != "X"])
+    primal, dual = _arrows(V, runs, names)
+
+    def spin(k: int, vec: List[Fel], in_dual: bool = False) -> Tuple[Dict[int, Echelon], int]:
+        """The spin of a line of V_k, or of V*_k, at the tops, and its dimension."""
+        spans = _spin(ctx, dual if in_dual else primal, [_moved(ctx, runs, k, vec, in_dual)])
+        return spans, sum(s.rank * len(runs.members[e]) for e, s in spans.items())
+
     for k, d in dims:
         for vec in _unit_lines(ctx, d):
-            spans = _spin(ctx, arrows, [(k, vec)])
-            got = sum(s.rank for s in spans.values())
+            spans, got = spin(k, vec)
             if got < total:
                 return Verdict.no(
                     {
                         "kind": "submodule",
                         "generator": {"offset": k, "vector": [ctx.show(c) for c in vec]},
-                        "spaces": _spans_to_json(V, spans),
+                        "spaces": _spans_to_json(V, runs, spans),
                         "dim": got,
                     }
                 )
         if k == dims[0][0]:
             # every line of V_k0 generates V: Norton's criterion asks V* the same
-            dual = _arrows(V, names, dual=True)
-            if all(sum(s.rank for s in _spin(ctx, dual, [(k, vec)]).values()) == total for vec in _unit_lines(ctx, d)):
+            if all(spin(k, vec, in_dual=True)[1] == total for vec in _unit_lines(ctx, d)):
                 return Verdict.yes()
     return Verdict.yes()  # every weight line generates V
 
@@ -487,7 +528,8 @@ class Runs:
     same in W (w is v when W is V).  An offset that reaches e across X = 1
     links only has A_k = 1 and no entry, in v or in w on its own: with W not
     V one side may hold a transport where the other holds none.  links are
-    the X links inside runs.
+    the X links inside runs.  Given lowering operators, for W = V, a link
+    must also collapse for them (module docstring).
 
     A graded map V -> W is kept as its dict {top: block} over the tops
     where V and W are both nonzero, in offset order; to_reps moves an
@@ -496,7 +538,7 @@ class Runs:
 
     __slots__ = ("members", "rep", "links", "v", "w")
 
-    def __init__(self, V: WeightModule, W: WeightModule):
+    def __init__(self, V: WeightModule, W: WeightModule, lowering: Sequence[str] = ()):
         offsets = V.offsets()
         pairs = list(zip(offsets, offsets[1:]))
         sides = [V] if W is V else [V, W]
@@ -505,7 +547,7 @@ class Runs:
         for k, t in pairs:
             if all(M.dim(k) == M.dim(t) > 0 for M in sides):
                 got = [_link_inverse(M.op("X", k)) for M in sides]
-                if all(x is not False for x in got):
+                if all(x is not False for x in got) and (not lowering or _collapses(V, k, t, got[0], lowering)):
                     for inverse, x in zip(inverses, got):
                         inverse[k] = x
 
@@ -562,11 +604,25 @@ class Runs:
 
 
 def _link_inverse(x: Mat):
-    """None when the link x is 1, its inverse when it has one, else False."""
-    if x.scalar_value() == x.ctx.one:
+    """None when the link x is 1, its inverse when it has one, else False;
+    a link c 1 is inverted by its scalar."""
+    c = x.scalar_value()
+    if c is None:
+        inverse = x.inverse()
+        return False if inverse is None else inverse
+    if c == x.ctx.one:
         return None
-    inverse = x.inverse()
-    return False if inverse is None else inverse
+    return Mat.scalar(x.ctx, x.rows, c.inverse()) if c else False
+
+
+def _collapses(V: WeightModule, k: int, t: int, x_inverse: Optional[Mat], lowering: Sequence[str]) -> bool:
+    """Is T_t X_k = c_T 1 for each lowering operator T, some c_T nonzero?
+    Where X_k is 1, or c 1 with c nonzero, that is T_t = c_T 1 up to c,
+    read with no product."""
+    x = V.op("X", k)
+    scalar = x_inverse is None or x.scalar_value() is not None
+    cs = [(V.op(T, t) if scalar else V.op(T, t) * x).scalar_value() for T in lowering]
+    return all(c is not None for c in cs) and any(cs)
 
 
 def _graded_hom_basis(

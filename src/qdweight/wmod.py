@@ -31,8 +31,10 @@ OP_NAMES = ("X", "Y", "Y1")
 OP_STEP = {"X": 1, "Y": -1, "Y1": -1}
 
 
-def check_width(lo: int, hi: int) -> None:
-    """Reject a window of more offsets than any module may have."""
+def check_window(lo: int, hi: int) -> None:
+    """Reject an empty window, and one of more offsets than any module may have."""
+    if lo > hi:
+        raise ValueError("empty window")
     width = hi - lo + 1
     if width > MAX_ORBIT_LENGTH:
         raise ValueError(f"window width {width} is over the limit of {MAX_ORBIT_LENGTH}")
@@ -73,18 +75,22 @@ def _target(window: Optional[Tuple[int, int]], length: int, name: str, k: int) -
     return t if window[0] <= t <= window[1] else None
 
 
-def _geometry(orbit: Orbit, window, labels: Dict[int, Sequence[str]]):
-    """The checked window (None on a circular orbit) and nonempty labels of a module on orbit."""
+def _window(orbit: Orbit, window, end=int) -> Optional[Tuple[int, int]]:
+    """The window of a module on orbit, each end read by end: None on a
+    circular orbit, which takes none, and an infinite orbit needs one."""
     if orbit.circular:
-        window = None
-    else:
-        if window is None:
-            raise ValueError("a module on an infinite orbit needs a window")
-        lo, hi = int(window[0]), int(window[1])
-        if lo > hi:
-            raise ValueError("empty window")
-        check_width(lo, hi)
-        window = (lo, hi)
+        if window is not None:
+            raise ValueError("circular orbits take no window")
+        return None
+    if window is None:
+        raise ValueError("a module on an infinite orbit needs a window")
+    return end(window[0]), end(window[1])
+
+
+def _geometry(orbit: Orbit, window: Optional[Tuple[int, int]], labels: Dict[int, Sequence[str]]):
+    """The checked window, read by _window, and nonempty labels of a module on orbit."""
+    if window is not None:
+        check_window(*window)
     offsets = _offsets(window, orbit.length)
     clean: Dict[int, Tuple[str, ...]] = {}
     for k, labs in labels.items():
@@ -97,7 +103,10 @@ def _geometry(orbit: Orbit, window, labels: Dict[int, Sequence[str]]):
 
 
 class WeightModule:
-    """Immutable weight module on one orbit; validates shapes on construction."""
+    """Immutable weight module on one orbit; validates shapes on construction.
+
+    _checked builds one on a window and labels that _geometry has checked,
+    so a module load checks them once."""
 
     __slots__ = ("ctx", "orbit", "window", "labels", "ops", "edge_flags")
 
@@ -110,9 +119,18 @@ class WeightModule:
         ops: Dict[str, Dict[int, Mat]],
         edge_flags: Optional[Dict[str, bool]] = None,
     ):
+        self._build(ctx, orbit, _geometry(orbit, _window(orbit, window), labels), ops, edge_flags)
+
+    @classmethod
+    def _checked(cls, ctx: FieldCtx, orbit: Orbit, geometry, ops, edge_flags=None) -> "WeightModule":
+        V = cls.__new__(cls)
+        V._build(ctx, orbit, geometry, ops, edge_flags)
+        return V
+
+    def _build(self, ctx: FieldCtx, orbit: Orbit, geometry, ops: Dict[str, Dict[int, Mat]], edge_flags) -> None:
         self.ctx = ctx
         self.orbit = orbit
-        self.window, self.labels = _geometry(orbit, window, labels)
+        self.window, self.labels = geometry
         if edge_flags is None:
             edge_flags = {"low": self.window is not None, "high": self.window is not None}
         if self.window is None and (edge_flags.get("low") or edge_flags.get("high")):
@@ -193,7 +211,7 @@ class WeightModule:
         return _target(self.window, self.orbit.length, name, k)
 
     def with_ops(self, ops: Dict[str, Dict[int, Mat]]) -> "WeightModule":
-        return WeightModule(self.ctx, self.orbit, self.window, self.labels, ops, self.edge_flags)
+        return WeightModule._checked(self.ctx, self.orbit, (self.window, self.labels), ops, self.edge_flags)
 
     # comparison and serialization
 
@@ -293,14 +311,7 @@ def make_module(raw: dict) -> WeightModule:
         actual = "CIRCULAR" if orbit.circular else "INFINITE"
         if kind != actual:
             raise ValueError(f"declared kind {kind} but the orbit is {actual}")
-    window = raw.get("window")
-    if orbit.circular:
-        if window is not None:
-            raise ValueError("circular orbits take no window")
-    else:
-        if window is None:
-            raise ValueError("a module on an infinite orbit needs a window")
-        window = (_json_int(window[0], "a window end"), _json_int(window[1], "a window end"))
+    window = _window(orbit, raw.get("window"), lambda end: _json_int(end, "a window end"))
     labels: Dict[int, Sequence[str]] = {}
     for space in _json_objects(raw.get("spaces", []), "spaces", ("offset", "dim")):
         k = _json_int(space["offset"], "an offset")
@@ -315,7 +326,7 @@ def make_module(raw: dict) -> WeightModule:
         if k in labels:
             raise ValueError(f"offset {k} listed twice")
         labels[k] = labs
-    window, labels = _geometry(orbit, window, labels)
+    geometry = window, labels = _geometry(orbit, window, labels)
     ops: Dict[str, Dict[int, Mat]] = {}
     for name, entries in (raw.get("ops") or {}).items():
         if name not in OP_NAMES:
@@ -331,7 +342,7 @@ def make_module(raw: dict) -> WeightModule:
             rows = len(labels.get(_target(window, orbit.length, name, k), ()))
             table[k] = _from_json(ctx, entry["matrix"], rows, len(labels.get(k, ())), parse)
         ops[name] = table
-    return WeightModule(ctx, orbit, window, labels, ops, raw.get("edge_flags"))
+    return WeightModule._checked(ctx, orbit, geometry, ops, raw.get("edge_flags"))
 
 
 def junction_module(ctx: FieldCtx, orbit: Orbit, window, labels, j: int, x: Mat, y: Mat, y1: Mat) -> WeightModule:
@@ -346,7 +357,7 @@ def junction_module(ctx: FieldCtx, orbit: Orbit, window, labels, j: int, x: Mat,
     checked; a link joining spaces of different dimensions fails the shape
     check.
     """
-    window, labels = _geometry(orbit, window, labels)
+    geometry = window, labels = _geometry(orbit, _window(orbit, window), labels)
     n, units = orbit.length, {d: Mat.identity(ctx, d) for d in {0, *map(len, labels.values())}}
     ident = {k: units[len(labels.get(k, ()))] for k in _offsets(window, n)}
     ops = {"X": {k: x if k == j else ident[k] for k in _sources(window, n, "X")}}
@@ -357,7 +368,7 @@ def junction_module(ctx: FieldCtx, orbit: Orbit, window, labels, j: int, x: Mat,
             k: t if k == top else ident[k].scale(xt(ctx, orbit.point(k).a, orbit.point(k).b))
             for k in _sources(window, n, T)
         }
-    return WeightModule(ctx, orbit, window, labels, ops)
+    return WeightModule._checked(ctx, orbit, geometry, ops)
 
 
 def take_window(orbit: Orbit, window, name: str) -> Tuple[int, int]:
@@ -367,9 +378,7 @@ def take_window(orbit: Orbit, window, name: str) -> Tuple[int, int]:
     if window is None:
         raise ValueError(f"{name} lives on an infinite orbit and needs a window")
     lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError("empty window")
-    check_width(lo, hi)
+    check_window(lo, hi)
     return lo, hi
 
 

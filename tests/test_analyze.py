@@ -613,10 +613,14 @@ def test_ungraded_closure_matches_graded_componentwise():
         rows = [[vec[idx[(k, i)]] for i in range(V.dim(k))] for vec in spanned]
         ungraded[k] = span_rank(ctx, rows)
 
-    vectors = [(k, [ctx.from_int(c) for c in coords]) for k, coords in seeds.items()]
-    graded = analyze._spin(ctx, analyze._arrows(V, names), vectors)
+    # spun on the collapse: one run, X = 1 inside it, so every vector is
+    # at its top as it is
+    runs = analyze.Runs(V, V, names[1:])
+    assert len(runs.members) == 1 and not runs.v
+    vectors = [(runs.rep[k], [ctx.from_int(c) for c in coords]) for k, coords in seeds.items()]
+    graded = analyze._spin(ctx, analyze._arrows(V, runs, names)[0], vectors)
     for k in V.offsets():
-        assert ungraded[k] == graded[k].rank
+        assert ungraded[k] == graded[runs.rep[k]].rank
 
 
 # the graded Hom solve on runs of invertible X links, against the dense
@@ -1266,6 +1270,44 @@ def scan_closure(V, names, k, vec):
     return spans
 
 
+def spans_to_json(V, spans):
+    """Each offset's nonzero span as its reduced echelon basis, in the witness's JSON."""
+    show = V.ctx.show
+    out = []
+    for k in V.offsets():
+        rows = [spans[k].rows[p] for p in spans[k].pivots]
+        if rows:
+            basis = [[show(row.get(j, V.ctx.zero)) for j in range(V.dim(k))] for row in rows]
+            out.append({"offset": k, "basis": basis})
+    return out
+
+
+def dual_spins_to_first_proper(V, names):
+    """How many lines of V*_k0, in order, the dual pass spins up to the
+    first that generates less than V*: each closed offset by offset, an
+    operator O from k to t acting from V*_t to V*_k by its transpose."""
+    ctx, total = V.ctx, V.total_dim()
+    into = {t: [] for t in V.offsets()}
+    for name in names:
+        for k in V.op_sources(name):
+            if V.dim(k) and V.dim(V.op_target(name, k)):
+                into[V.op_target(name, k)].append((k, V.op(name, k)))
+    k0 = next(k for k in V.offsets() if V.dim(k))
+    for n, vec in enumerate(analyze._unit_lines(ctx, V.dim(k0)), 1):
+        spans = {j: Echelon() for j in V.offsets()}
+        queue = [(k0, spans[k0].insert(vec))]
+        while queue:
+            t, f = queue.pop()
+            for k, m in into[t]:
+                image = [sum((m.data[i][j] * f[i] for i in range(m.rows)), ctx.zero) for j in range(m.cols)]
+                got = spans[k].insert(image)
+                if got is not None:
+                    queue.append((k, got))
+        if sum(s.rank for s in spans.values()) < total:
+            return n
+    raise AssertionError("every line of V*_k0 generates V*")
+
+
 def full_scan_irreducible(V, algebra, budget=analyze.DEFAULT_LINE_BUDGET):
     """Every weight line spun, in offset order: the oracle for Norton's criterion.
 
@@ -1292,7 +1334,7 @@ def full_scan_irreducible(V, algebra, budget=analyze.DEFAULT_LINE_BUDGET):
                 witness = {
                     "kind": "submodule",
                     "generator": {"offset": k, "vector": [ctx.show(c) for c in vec]},
-                    "spaces": analyze._spans_to_json(V, spans),
+                    "spaces": spans_to_json(V, spans),
                     "dim": got,
                 }
                 return Verdict.no(witness), spins
@@ -1300,13 +1342,14 @@ def full_scan_irreducible(V, algebra, budget=analyze.DEFAULT_LINE_BUDGET):
 
 
 def count_spins(monkeypatch):
-    """Record the seeds of every analyze._spin call."""
+    """Record, for every analyze._spin call, the offsets it keeps spans at."""
     calls = []
     spin = analyze._spin
 
     def counting(ctx, arrows, seeds):
-        calls.append(seeds)
-        return spin(ctx, arrows, seeds)
+        spans = spin(ctx, arrows, seeds)
+        calls.append(sorted(spans))
+        return spans
 
     monkeypatch.setattr(analyze, "_spin", counting)
     return calls
@@ -1330,22 +1373,107 @@ def test_irreducible_matches_full_scan_on_random_modules(monkeypatch):
             assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
             if not M.circular:
                 seen["windowed"] += 1
-                continue
-            if not M.total_dim():
-                continue
-            k0, lines = first_space_lines(M)
-            if got.is_yes:
-                seen["YES"] += 1
-                assert len(calls) == 2 * lines
-            elif got.witness["generator"]["offset"] == k0:
-                seen["NO in V_k0"] += 1
-                assert len(calls) == scanned
-            else:
-                # the primal pass over V_k0, at most that many dual spins,
-                # then the scan from the next offset
-                seen["NO past V_k0"] += 1
-                assert scanned < len(calls) <= scanned + lines
+            elif M.total_dim():
+                seen[spun_as_the_scan(M, algebra, got, scanned, calls)] += 1
     assert min(seen.values()) >= 5, seen
+
+
+def spun_as_the_scan(M, algebra, got, scanned, calls):
+    """Check the spins of is_irreducible against the full scan's count, and
+    name the case: YES, NO in V_k0 or NO past V_k0."""
+    k0, lines = first_space_lines(M)
+    if got.is_yes:
+        assert len(calls) == 2 * lines
+        return "YES"
+    if got.witness["generator"]["offset"] == k0:
+        assert len(calls) == scanned
+        return "NO in V_k0"
+    # the primal pass over V_k0, the dual pass up to its first proper line,
+    # then the scan from the next offset
+    assert len(calls) == scanned + dual_spins_to_first_proper(M, op_names_for(algebra))
+    return "NO past V_k0"
+
+
+def collapsing_module(rng, ctx, d, algebra, fault, j):
+    """A circular module of d-dimensional spaces, on base (1, 1), whose
+    links collapse for the algebra but link j, which has X_j invertible
+    and the fault: a double break (Y = Y1 = 0 back across it), a flavour
+    break (the flavour's lowering operator 0 there), or a lowering block
+    that is not c X_j^-1.  Every other link k has a random invertible X_k
+    and T_{k+1} = c_T X_k^-1, some c_T nonzero; the last link's blocks are
+    random, so both verdicts come up."""
+    orbit = compute_orbit(wp(ctx, 1, 1), ctx)
+    r = orbit.length
+    lowering = [n for n in op_names_for(algebra) if n != "X"]
+    ops = {"X": {}, "Y": {}, "Y1": {}}
+    for k in range(r - 1):
+        x = ops["X"][k] = random_block(rng, ctx, d, d, rng.choice(["identity", "invertible"]))
+        cs = {"Y": ctx.zero, "Y1": ctx.zero}
+        while not any(cs[T] for T in lowering):
+            cs = {T: ctx.random_element(rng) for T in ("Y", "Y1")}
+        if k == j and fault == "double break":
+            cs = {"Y": ctx.zero, "Y1": ctx.zero}
+        elif k == j and fault == "flavour break":
+            cs[lowering[0]] = ctx.zero
+        for T, c in cs.items():
+            ops[T][k + 1] = x.inverse().scale(c)
+        if k == j and fault == "not c X^-1":
+            T = rng.choice(lowering)
+            while (ops[T][k + 1] * x).scalar_value() is not None:
+                ops[T][k + 1] = random_block(rng, ctx, d, d, "any")
+    for name in ("X", "Y", "Y1"):
+        ops[name][r - 1 if name == "X" else 0] = random_block(rng, ctx, d, d, rng.choice(["zero", "singular", "any"]))
+    return WeightModule(ctx, orbit, None, {k: default_labels(k, d) for k in range(r)}, ops)
+
+
+def test_irreducible_matches_full_scan_where_a_link_must_not_collapse(monkeypatch):
+    # a link with X invertible that a spin at the tops must not cross, amid
+    # links that collapse with transports: the verdict and witness bytes
+    # are the full scan's, the runs end at that link, and the spins are the
+    # scan's, each line moved to its top
+    rng = random.Random(20261022)
+    calls = count_spins(monkeypatch)
+    seen = {fault: 0 for fault in ("double break", "flavour break", "not c X^-1", "none")}
+    verdicts = {"YES": 0, "NO in V_k0": 0, "NO past V_k0": 0}
+    for _ in range(60):
+        fault = rng.choice(list(seen))
+        algebra = rng.choice(["AQ", "A1"] if fault == "flavour break" else ["D", "AQ", "A1"])
+        # a 1 x 1 block is always c X^-1
+        ctx, d = rng.choice([(F3, 2), (F4, 2)] + ([(F3, 1), (F4, 1), (F5Q4, 1)] if fault != "not c X^-1" else []))
+        j = rng.randrange(compute_orbit(wp(ctx, 1, 1), ctx).length - 1)
+        M = collapsing_module(rng, ctx, d, algebra, fault, j)
+        runs = analyze.Runs(M, M, [n for n in op_names_for(algebra) if n != "X"])
+        links = set(range(M.orbit.length - 1)) - ({j} if fault != "none" else set())
+        assert runs.links == links
+        want, scanned = full_scan_irreducible(M, algebra)
+        del calls[:]
+        got = is_irreducible(M, algebra)
+        assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+        seen[fault] += 1
+        verdicts[spun_as_the_scan(M, algebra, got, scanned, calls)] += 1
+    assert min(seen.values()) >= 5 and min(verdicts.values()) >= 5, (seen, verdicts)
+
+
+def test_lines_move_to_their_tops_keeping_the_pairing():
+    # a vector of V_k climbs its run by the X links to the top, and a dual
+    # vector moves by the transposed inverses, so f(v) is the same there
+    rng = random.Random(20261023)
+    moved = 0
+    for _ in range(10):
+        ctx = rng.choice([F3, F4, F5Q4])
+        M = collapsing_module(rng, ctx, 2, "D", "none", 0)
+        runs = analyze.Runs(M, M, ("Y", "Y1"))
+        for k in M.offsets():
+            v, f = ([ctx.random_element(rng) for _ in range(2)] for _ in range(2))
+            (top, v_top), (dual_top, f_top) = analyze._moved(ctx, runs, k, v), analyze._moved(ctx, runs, k, f, True)
+            assert top == dual_top == runs.rep[k] == M.orbit.length - 1
+            climbed = v
+            for j in range(k, top):
+                climbed = (M.op("X", j) * Mat.column(ctx, climbed)).col(0)
+            assert v_top == climbed
+            assert sum((a * b for a, b in zip(f_top, v_top)), ctx.zero) == sum((a * b for a, b in zip(f, v)), ctx.zero)
+            moved += k in runs.v
+    assert moved >= 20
 
 
 def test_irreducible_witness_past_the_first_weight_space(monkeypatch):
@@ -1390,6 +1518,9 @@ def test_irreducible_yes_spins_the_first_weight_space_twice(monkeypatch, ctx, pa
     calls = count_spins(monkeypatch)
     assert is_irreducible(V, "D").is_yes
     assert len(calls) == spins == 2 * first_space_lines(V)[1]
+    # every spin keeps spans at the one run top only (each of the 42 or 6
+    # offsets before the spin moved to the tops)
+    assert calls == [[V.orbit.length - 1]] * spins
     assert full_scan_irreducible(V, "D") == (Verdict.yes(), scanned)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qdweight import wmod
 from qdweight.basering import WeightPoint
 from qdweight.families import construct_family
 from qdweight.fields import FieldCtx, FieldSpec, make_field
@@ -70,6 +71,35 @@ def test_window_width_cap():
         WeightModule(QQ, orbit, (-1, 65535), {}, {})
     with pytest.raises(ValueError, match="^empty window$"):
         WeightModule(QQ, orbit, (1, 0), {}, {})
+
+
+def test_circular_module_takes_no_window():
+    # the constructor refuses a window on a circular orbit with make_module's
+    # text; a module with no window on an infinite orbit is refused as before
+    with pytest.raises(ValueError, match="^circular orbits take no window$"):
+        WeightModule(F3, compute_orbit(wp(F3, 1, 1), F3), (0, 5), {}, {})
+    with pytest.raises(ValueError, match="^a module on an infinite orbit needs a window$"):
+        WeightModule(QQ, compute_orbit(wp(QQ, "1/2", 3), QQ), None, {}, {})
+
+
+@pytest.mark.parametrize(
+    "V",
+    [
+        construct_gwa("AQ", simple_no_break(), wp(QQ, 5, 3), (-2, 2), QQ),
+        construct_gwa("AQ", circ_no_break("2"), wp(F9, "[0,1]", "[0,1]"), None, F9),
+    ],
+    ids=["windowed", "circular"],
+)
+def test_make_module_checks_window_and_labels_once(monkeypatch, V):
+    calls = []
+    for name in ("_window", "_geometry"):
+        check = getattr(wmod, name)
+        monkeypatch.setattr(wmod, name, lambda *args, check=check, name=name: calls.append(name) or check(*args))
+    raw = V.to_json()
+    assert make_module(raw).to_json() == raw
+    # the window read once, then checked with the labels once (the window
+    # was checked three times, the labels twice)
+    assert calls == ["_window", "_geometry"]
 
 
 @pytest.mark.parametrize("kind", [simple_no_break(), with_breaks((0,))], ids=["simple", "breaks"])
